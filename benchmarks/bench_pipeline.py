@@ -16,15 +16,15 @@ as a script::
     PYTHONPATH=src python benchmarks/bench_pipeline.py --smoke   # CI
 
 The script measures the resilience machinery's cold-path overhead
-(pipeline batch vs a raw ``invariant()`` loop), the per-task dispatch
-cost of the zero-copy shared-memory path against the JSON-pickle seed
-path (both as a codec round trip and end-to-end through the real
-process pool), and, with ``--chaos``, sweeps seeded fault schedules
-(:meth:`repro.faults.FaultPlan.seeded`) through the pipeline asserting
-that every non-failed key's invariant is bit-identical to the
-fault-free reference and that a fresh pipeline over the (possibly
-corrupted) disk cache heals to correct answers.  The full run writes
-``BENCH_pipeline.json`` at the repo root.
+(pipeline batch vs a raw ``invariant()`` loop), the per-task codec
+round trip of the zero-copy shared-memory dispatch against a JSON
+string per task, and, with ``--chaos``, sweeps seeded schedules of
+worker and segment-store faults (:meth:`repro.faults.FaultPlan.seeded`)
+through a store-backed pipeline, asserting that every non-failed key's
+invariant is bit-identical to the fault-free reference and that a
+fresh pipeline over the (possibly torn or bit-flipped) store heals to
+correct answers.  The full run writes ``BENCH_pipeline.json`` at the
+repo root.
 """
 
 import argparse
@@ -37,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import mixed_corpus
-from repro.faults import FaultPlan, inject
+from repro.faults import STORE_POINTS, WORKER_POINTS, FaultPlan, inject
 from repro.invariant import (
     canonical_hash,
     instance_key,
@@ -52,6 +52,7 @@ from repro.io import (
 )
 from repro.pipeline import InvariantPipeline, RetryPolicy
 from repro.pipeline.shm import ShmBatch
+from repro.store import SegmentStore
 
 CORPUS_N = 100
 SEED = 1
@@ -247,30 +248,6 @@ def measure_dispatch(corpus, rounds=3):
     }
 
 
-def measure_dispatch_end_to_end(corpus, workers=4):
-    """Cold process-pool batches, arrays vs JSON dispatch.  Compute
-    dominates both wall times, so this records the end-to-end effect
-    without asserting on it — the codec-level drop is the stable
-    number."""
-    times = {}
-    hashes = {}
-    for dispatch in ("arrays", "json"):
-        with InvariantPipeline(
-            backend="processes", workers=workers, dispatch=dispatch
-        ) as pipe:
-            result, seconds = _timed(lambda: pipe.compute_batch(corpus))
-        times[dispatch] = seconds
-        hashes[dispatch] = [canonical_hash(t) for t in result]
-    assert hashes["arrays"] == hashes["json"], (
-        "arrays dispatch changed results"
-    )
-    return {
-        "workers": workers,
-        "arrays_batch_seconds": times["arrays"],
-        "json_batch_seconds": times["json"],
-    }
-
-
 def test_arrays_dispatch_cheaper_per_task():
     """Acceptance: the shared-memory columnar dispatch costs at least
     2x less per task than the JSON seed path, at a smaller payload."""
@@ -378,11 +355,13 @@ def test_traced_batch_exports_worker_spans(bench, tmp_path):
 
 
 def run_chaos(corpus, seeds, hang_seconds=0.02):
-    """The chaos sweep: for each seed, a pseudo-random fault schedule is
-    injected into a threaded pipeline over a disk cache; every ok
-    outcome must be bit-identical to the fault-free reference, every
-    failure must be a structured ComputeError, and a fresh pipeline over
-    the same disk directory must heal any injected corruption."""
+    """The chaos sweep: for each seed, a pseudo-random schedule of
+    worker and segment-store faults is injected into a threaded
+    pipeline over a segment store, twice — the second run over the
+    reopened store, which serves whatever the first persisted.  Every
+    ok outcome must be bit-identical to the fault-free reference, every
+    failure must be a structured ComputeError, and a fault-free
+    pipeline over the same store must then heal to correct answers."""
     from repro.errors import ComputeError
 
     keys = [instance_key(inst) for inst in corpus]
@@ -395,22 +374,33 @@ def run_chaos(corpus, seeds, hang_seconds=0.02):
         plan = FaultPlan.seeded(
             seed,
             keys,
+            points=WORKER_POINTS + STORE_POINTS,
             faults=CHAOS_FAULTS_PER_SEED,
             max_times=2,
             hang_seconds=hang_seconds,
         )
-        with tempfile.TemporaryDirectory() as disk:
-            with InvariantPipeline(
-                backend="threads",
-                workers=4,
-                disk_cache_dir=disk,
-                retry=RetryPolicy(
-                    max_attempts=3, backoff_base=0.005, seed=seed
-                ),
-                task_timeout=5.0,
-            ) as pipe:
+        row = {
+            "seed": seed,
+            "failed_keys": 0,
+            "retries": 0,
+            "timeouts": 0,
+            "store_write_failures": 0,
+        }
+        with tempfile.TemporaryDirectory() as root:
+            for _ in range(2):
                 with inject(plan):
-                    result = pipe.compute_batch(corpus, on_error="collect")
+                    with SegmentStore(root) as store, InvariantPipeline(
+                        backend="threads",
+                        workers=4,
+                        store=store,
+                        retry=RetryPolicy(
+                            max_attempts=3, backoff_base=0.005, seed=seed
+                        ),
+                        task_timeout=5.0,
+                    ) as pipe:
+                        result = pipe.compute_batch(
+                            corpus, on_error="collect"
+                        )
                 wrong = sum(
                     1
                     for out in result
@@ -423,30 +413,28 @@ def run_chaos(corpus, seeds, hang_seconds=0.02):
                 for out in result.failures():
                     assert isinstance(out.error, ComputeError)
                     assert out.error.key == out.key
-            # Healing: integrity checking turns any injected disk
-            # corruption into recomputation, never into a wrong answer.
-            with InvariantPipeline(disk_cache_dir=disk) as fresh:
+                row["failed_keys"] += len(result.failures())
+                row["retries"] += pipe.stats.retries
+                row["timeouts"] += pipe.stats.timeouts
+                row["store_write_failures"] += pipe.stats.store_write_failures
+            # Healing: checksums turn any torn or bit-flipped record
+            # into recomputation, never into a wrong answer.
+            with SegmentStore(root) as store, InvariantPipeline(
+                store=store
+            ) as fresh:
                 healed = fresh.compute_batch(corpus)
-                assert [canonical_hash(t) for t in healed] == [
-                    reference[k] for k in keys
-                ], f"seed {seed}: corrupted cache produced wrong invariants"
-                quarantined = fresh.cache.quarantined
-        rows.append(
-            {
-                "seed": seed,
-                "fired": dict(plan.fired),
-                "failed_keys": len(result.failures()),
-                "retries": pipe.stats.retries,
-                "timeouts": pipe.stats.timeouts,
-                "quarantined_on_heal": quarantined,
-            }
-        )
+            assert [canonical_hash(t) for t in healed] == [
+                reference[k] for k in keys
+            ], f"seed {seed}: the faulted store produced wrong invariants"
+            row["store_hits_on_heal"] = fresh.stats.store_hits
+        row["fired"] = dict(plan.fired)
+        rows.append(row)
     return rows
 
 
 def test_chaos_sweep_is_correct_or_structured(bench):
     """Acceptance: seeded fault schedules never produce a wrong
-    invariant, and the disk cache heals after corruption."""
+    invariant, and the segment store heals after corruption."""
     corpus = mixed_corpus(12, seed=3)
     rows = run_chaos(corpus, seeds=3)
     fired = sum(sum(r["fired"].values()) for r in rows)
@@ -529,16 +517,6 @@ def main(argv=None):
         f"arrays dispatch only {dispatch['per_task_overhead_drop']:.2f}x "
         f"cheaper per task (floor {DISPATCH_DROP_FLOOR}x)"
     )
-    dispatch_e2e = measure_dispatch_end_to_end(
-        mixed_corpus(24 if args.smoke else 48, seed=SEED)
-    )
-    print(
-        f"cold processes batch: arrays "
-        f"{dispatch_e2e['arrays_batch_seconds']:.3f}s vs json "
-        f"{dispatch_e2e['json_batch_seconds']:.3f}s "
-        f"({dispatch_e2e['workers']} workers), bit-identical results"
-    )
-
     trace_row = export_trace(
         mixed_corpus(8 if args.smoke else 24, seed=SEED), args.trace_out
     )
@@ -555,7 +533,6 @@ def main(argv=None):
         "overhead": overhead,
         "overhead_ceiling": OVERHEAD_CEILING,
         "dispatch": dispatch,
-        "dispatch_end_to_end": dispatch_e2e,
         "dispatch_drop_floor": DISPATCH_DROP_FLOOR,
         "tracing_off": tracing_off,
         "tracing_off_ceiling": TRACING_OFF_CEILING,

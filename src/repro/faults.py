@@ -4,8 +4,8 @@ Production code calls :func:`draw` at named *injection points*; with no
 plan installed the call is a dict lookup returning None, so the library
 pays nothing.  Tests (and ``bench_pipeline.py --chaos``) install a
 :class:`FaultPlan` with :func:`inject` — a scoped context manager — and
-the matching points then *fire*: a worker crashes, a task hangs, a disk
-cache entry is bit-flipped, and so on.
+the matching points then *fire*: a worker crashes, a task hangs, a
+stored record is bit-flipped, and so on.
 
 Determinism is the whole point: a plan is an ordered list of
 :class:`Fault` specs (``fire this point, for this key, this many times,
@@ -18,6 +18,11 @@ same fault sequence.
 Injection points
 ----------------
 
+The points come in three families, one tuple each: :data:`WORKER_POINTS`
+(the pipeline's tasks), :data:`STORE_POINTS` (the segment store) and
+:data:`SHARD_POINTS` (the sharded service).  :meth:`FaultPlan.seeded`
+draws from :data:`WORKER_POINTS` unless told otherwise.
+
 ``worker_crash``
     A pool worker dies while holding a task.  In a process worker the
     process exits hard (``os._exit``), breaking the pool; inline (serial
@@ -29,18 +34,10 @@ Injection points
 ``invariant_raises``
     The invariant computation raises :class:`InjectedFailure` (a
     retryable error, modelling a transient task failure).
-``cache_bitflip``
-    A freshly written disk-cache entry has one byte corrupted on disk
-    (the read path must detect the checksum mismatch and quarantine).
-``encode_garbage``
-    The disk-cache encoder emits undecodable text (checksum *valid*,
-    payload rotten — the read path must quarantine on decode failure).
 ``store_torn_append``
     A segment-store append writes only a prefix of the record and dies
     (modelling a crash mid-append; reopening must truncate the torn
-    tail and recover every fully-written record).  Listed in
-    :data:`STORE_POINTS`, not :data:`POINTS`, so seeded plans built
-    from the default point set keep their historical schedules.
+    tail and recover every fully-written record).
 ``store_read_bitflip``
     One byte of a stored record's payload is flipped *on disk* before
     a read (at-rest corruption: bit rot, a bad sector).  The flip is
@@ -73,13 +70,6 @@ Injection points
     (modelling a torn pipe / socket reset).  Same obligations as a
     crash; the worker is reaped and respawned.
 
-All four new points live in :data:`STORE_POINTS` beside
-``store_torn_append`` for the same reason it does: seeded plans drawn
-from the default :data:`POINTS` set must stay bit-identical across
-releases.  The two shard points live in :data:`SHARD_POINTS`, same
-deal.  Plans over :data:`STORE_POINTS` gained new draws in the
-release that introduced these points and are versioned by that fact.
-
 The worker-side points are drawn by the *parent* at submit time — the
 decision ships with the task — so counting stays centralized and
 deterministic even across process-pool workers.  Every fire is also
@@ -102,9 +92,7 @@ from .errors import WorkerError
 from .instrument import add_counter_source
 
 __all__ = [
-    "POINTS",
     "WORKER_POINTS",
-    "CACHE_POINTS",
     "STORE_POINTS",
     "Fault",
     "FaultPlan",
@@ -118,10 +106,6 @@ __all__ = [
 ]
 
 WORKER_POINTS = ("worker_crash", "worker_hang", "invariant_raises")
-CACHE_POINTS = ("cache_bitflip", "encode_garbage")
-POINTS = WORKER_POINTS + CACHE_POINTS
-# Kept out of POINTS: FaultPlan.seeded schedules drawn from the default
-# point set must stay bit-identical across releases.
 STORE_POINTS = (
     "store_torn_append",
     "store_read_bitflip",
@@ -129,8 +113,7 @@ STORE_POINTS = (
     "store_disk_full",
     "store_seal_crash",
 )
-# Shard-serving points, kept out of POINTS for the same schedule-
-# stability reason.  ``shard_worker_crash`` ships with a batch message
+# Shard-serving points.  ``shard_worker_crash`` ships with a batch message
 # and kills the shard worker process before it evaluates
 # (``os._exit(13)``, the same hard death the pool uses);
 # ``shard_pipe_drop`` severs the parent side of the shard socket at
@@ -139,7 +122,7 @@ STORE_POINTS = (
 # item's instance key, so seeded schedules stay deterministic across
 # the process boundary.
 SHARD_POINTS = ("shard_worker_crash", "shard_pipe_drop")
-_ALL_POINTS = POINTS + STORE_POINTS + SHARD_POINTS
+_ALL_POINTS = WORKER_POINTS + STORE_POINTS + SHARD_POINTS
 
 
 class InjectedFailure(RuntimeError):
@@ -213,7 +196,7 @@ class FaultPlan:
         cls,
         seed: int,
         keys: Sequence[str],
-        points: Sequence[str] = POINTS,
+        points: Sequence[str] = WORKER_POINTS,
         faults: int = 3,
         max_times: int = 2,
         hang_seconds: float = 0.05,

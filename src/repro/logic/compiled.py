@@ -43,7 +43,6 @@ hits/misses, atoms evaluated, candidates pruned) are exposed through
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -182,43 +181,6 @@ class CompiledUniverse:
         self.regions = regions
         self.named = named
         self.candidates_seen = candidates_seen
-
-
-def _encode_universe(u: CompiledUniverse) -> str:
-    return json.dumps(
-        {
-            "kind": "disc-region-universe",
-            "cell_ids": list(u.cell_ids),
-            "names": list(u.names),
-            "regions": [[hex(r.interior), hex(r.closure)] for r in u.regions],
-            "named": {
-                n: [hex(r.interior), hex(r.closure)]
-                for n, r in u.named.items()
-            },
-            "candidates_seen": u.candidates_seen,
-        }
-    )
-
-
-def _decode_universe(text: str) -> CompiledUniverse:
-    data = json.loads(text)
-    if data.get("kind") != "disc-region-universe":
-        raise ValueError("not a disc-region universe payload")
-    regions = [
-        CompiledRegion(int(i, 16), int(c, 16), idx)
-        for idx, (i, c) in enumerate(data["regions"])
-    ]
-    named = {
-        n: CompiledRegion(int(i, 16), int(c, 16), ("ext", n))
-        for n, (i, c) in data["named"].items()
-    }
-    return CompiledUniverse(
-        tuple(data["cell_ids"]),
-        tuple(data["names"]),
-        regions,
-        named,
-        int(data["candidates_seen"]),
-    )
 
 
 class CompiledCellModel:
@@ -565,21 +527,19 @@ _UNIVERSE_CACHE = None
 
 
 def universe_cache():
-    """The module-level content-addressed universe cache (an
-    :class:`~repro.pipeline.cache.InvariantCache` with the disc-region
-    universe codec), created lazily."""
+    """The module-level content-addressed universe cache (a memory-only
+    :class:`~repro.pipeline.cache.InvariantCache`), created lazily."""
     global _UNIVERSE_CACHE
     if _UNIVERSE_CACHE is None:
         from ..pipeline.cache import InvariantCache
 
-        _UNIVERSE_CACHE = InvariantCache(
-            maxsize=64, encode=_encode_universe, decode=_decode_universe
-        )
+        _UNIVERSE_CACHE = InvariantCache(maxsize=64)
     return _UNIVERSE_CACHE
 
 
 def clear_universe_cache() -> None:
-    """Drop every cached universe (tests and cold benchmarks)."""
+    """Drop every cached universe (tests and cold benchmarks).  The
+    cache object itself survives, so references to it stay valid."""
     if _UNIVERSE_CACHE is not None:
         _UNIVERSE_CACHE.clear()
 
@@ -598,7 +558,6 @@ def compiled_universe(
     max_faces: int | None = None,
     max_regions: int = 200_000,
     complex=None,
-    cache=None,
     timeout: float | None = None,
 ) -> CompiledUniverse:
     """The compiled disc-region universe of an instance.
@@ -620,7 +579,7 @@ def compiled_universe(
             complex, max_faces, max_regions, deadline=_deadline(timeout)
         )
         return _build_universe(model, instance)
-    cache = cache if cache is not None else universe_cache()
+    cache = universe_cache()
     key = _universe_key(instance, refinement, max_faces)
     hit = cache.get(key)
     if hit is not None:
@@ -924,7 +883,6 @@ def evaluate_cells_compiled(
     max_regions: int = 200_000,
     parallel: str = "serial",
     workers: int | None = None,
-    cache=None,
     timeout: float | None = None,
 ) -> bool:
     """Evaluate a sentence under cell semantics with the compiled engine.
@@ -950,8 +908,7 @@ def evaluate_cells_compiled(
         "query.evaluate_cells", refinement=refinement, parallel=parallel
     ):
         universe = compiled_universe(
-            instance, refinement, max_faces, max_regions, cache=cache,
-            timeout=timeout,
+            instance, refinement, max_faces, max_regions, timeout=timeout
         )
         if parallel != "serial" and isinstance(
             formula, (ExistsRegion, ForAllRegion)

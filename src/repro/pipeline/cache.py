@@ -5,114 +5,56 @@ function of instance geometry — so a cache can never serve a wrong
 invariant: equal keys imply identical regions, and the invariant is a
 function of the regions.
 
-Two layers compose:
+Two tiers compose:
 
 * an in-memory **LRU** (an ``OrderedDict`` under a lock), bounded by
   ``maxsize`` entries;
-* an optional **on-disk** layer: one JSON file per key (written
-  atomically via rename), so warm corpora survive process restarts and
-  benchmark runs skip recomputation entirely.
-
-Disk entries are long-lived artifacts whose integrity is *verified*,
-not assumed: each file is a versioned envelope
-``{"v": 1, "sha256": <hex digest of payload>, "payload": <encoded>}``.
-On read the checksum is recomputed; a mismatch (bit rot, torn write,
-hostile edit) — or a checksum-valid payload the decoder rejects — moves
-the file into ``disk_dir/quarantine/`` for post-mortem inspection and
-counts as a miss, so the value is simply recomputed.  Legacy
-unversioned entries (raw payload text from before the envelope) still
-read fine; files that parse as neither are a silent miss (their
-provenance is unknown).  Disk *writes* that fail with :class:`OSError`
-(read-only or full disk) are tolerated: the entry stays in memory and
-the ``disk_write_failures`` counter ticks.
+* an optional persistent :class:`~repro.store.SegmentStore` holding
+  binary invariant records in mmap'd segments, so warm corpora survive
+  process restarts.  It is write-through on :meth:`InvariantCache.put`,
+  and a store hit is promoted into memory.  The store verifies every
+  record's checksum on read; a failed read is a miss (the value is
+  simply recomputed) and a failed write — a full disk, a lost fsync, a
+  torn append — keeps the entry in memory and ticks
+  ``store_write_failures`` instead of failing the batch.
 
 Invalidation needs no timestamps: a key changes whenever the geometry
 changes, and stale entries for geometries never seen again simply age
-out of the LRU (disk entries are inert files that may be deleted at any
-time).
+out of the LRU.
 
-The value type defaults to :class:`~repro.invariant.TopologicalInvariant`
-with the :mod:`repro.io` JSON codec, but any content-addressed artifact
-can ride the same machinery by passing ``encode``/``decode`` — the
-compiled query engine stores its disc-region universes this way, keyed
-by ``instance_key`` plus the enumeration parameters.
-
-A third tier can sit behind (or, with ``store_primary``, in front of)
-the per-key JSON files: a :class:`~repro.store.SegmentStore` holding
-binary invariant records in mmap'd segments.  The store tier only
-engages for the default invariant codec — custom ``encode``/``decode``
-artifacts are not segment records — and is write-through on ``put``.
-:meth:`migrate` walks the disk directory once, rewriting legacy
-pre-envelope entries as checksummed envelopes and (when a store is
-attached) copying every readable entry into the segment store.
+The memory tier holds any content-addressed artifact, not only
+invariants: the compiled query engine keeps its disc-region universes
+in a store-less cache keyed by ``instance_key`` plus the enumeration
+parameters.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 from collections import OrderedDict
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from .. import faults
+from ..errors import StoreError
 
-__all__ = ["InvariantCache", "ENVELOPE_VERSION"]
-
-ENVELOPE_VERSION = 1
-
-# Our envelope serializer puts "v" first, so a file beginning with this
-# prefix that fails to parse is one of ours that got torn or corrupted
-# (quarantine it), not a foreign file (silent miss).
-_ENVELOPE_PREFIX = '{"v":'
-
-
-def _checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+__all__ = ["InvariantCache"]
 
 
 class InvariantCache:
-    """LRU + optional disk cache mapping content keys to artifacts.
+    """LRU + optional segment-store tier mapping content keys to
+    artifacts."""
 
-    ``encode``/``decode`` translate values to and from the JSON text
-    stored by the disk layer; when omitted, values are invariants and
-    the :mod:`repro.io` invariant codec is used.
-    """
-
-    def __init__(
-        self,
-        maxsize: int = 1024,
-        disk_dir: str | os.PathLike | None = None,
-        encode: Callable[[Any], str] | None = None,
-        decode: Callable[[str], Any] | None = None,
-        store=None,
-        store_primary: bool = False,
-    ):
+    def __init__(self, maxsize: int = 1024, store=None):
         if maxsize < 1:
             raise ValueError("cache maxsize must be positive")
         self.maxsize = maxsize
-        self._encode = encode
-        self._decode = decode
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        if self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-        # The segment-store tier carries invariants only: custom codecs
-        # write artifacts the store's record format does not model.
-        self.store = store if (encode is None and decode is None) else None
-        self.store_primary = store_primary and self.store is not None
+        self.store = store
         self._lock = threading.Lock()
         self._memory: OrderedDict[str, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
         self.store_hits = 0
         self.evictions = 0
-        self.quarantined = 0
-        self.disk_write_failures = 0
         self.store_write_failures = 0
-        self.legacy_reads = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -121,34 +63,24 @@ class InvariantCache:
     def get(self, key: str) -> Any | None:
         """The cached artifact for *key*, or None.
 
-        Memory first, then the persistent tiers — segment store before
-        the per-key files when ``store_primary``, after them otherwise.
-        Any persistent hit is promoted into memory.
-        """
+        Memory first, then the store; a store hit is promoted into
+        memory."""
         with self._lock:
             hit = self._memory.get(key)
             if hit is not None:
                 self._memory.move_to_end(key)
                 self.hits += 1
                 return hit
-        from_store = False
-        if self.store_primary:
-            loaded = self._load_store(key)
-            from_store = loaded is not None
-            if loaded is None:
-                loaded = self._load_disk(key)
-        else:
-            loaded = self._load_disk(key)
-            if loaded is None:
-                loaded = self._load_store(key)
-                from_store = loaded is not None
+        loaded = None
+        if self.store is not None:
+            try:
+                loaded = self.store.get(key)
+            except StoreError:
+                pass  # a corrupt record costs a recompute, not an error
         with self._lock:
             if loaded is not None:
                 self.hits += 1
-                if from_store:
-                    self.store_hits += 1
-                else:
-                    self.disk_hits += 1
+                self.store_hits += 1
                 self._store_memory(key, loaded)
             else:
                 self.misses += 1
@@ -157,26 +89,19 @@ class InvariantCache:
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             self._store_memory(key, value)
-        if self.disk_dir is not None:
-            self._store_disk(key, value)
         if self.store is not None:
             try:
                 self.store.put(key, value)
-            except Exception:
-                # A torn/poisoned segment must not fail the batch any
-                # more than a full disk does.
+            except StoreError:
+                # A full disk or torn segment must not fail the batch:
+                # the entry still serves from memory.
                 with self._lock:
                     self.store_write_failures += 1
 
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory layer (and the disk layer when *disk*)."""
+    def clear(self) -> None:
+        """Drop the memory tier (the store is left as it is)."""
         with self._lock:
             self._memory.clear()
-        if disk and self.disk_dir is not None:
-            for path in self.disk_dir.glob("*.json"):
-                path.unlink(missing_ok=True)
-
-    # -- internals ----------------------------------------------------------
 
     def _store_memory(self, key: str, value: Any) -> None:
         self._memory[key] = value
@@ -184,178 +109,3 @@ class InvariantCache:
         while len(self._memory) > self.maxsize:
             self._memory.popitem(last=False)
             self.evictions += 1
-
-    def _path(self, key: str) -> Path:
-        assert self.disk_dir is not None
-        return self.disk_dir / f"{key}.json"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside (never re-served, kept for
-        inspection) and count it.  Deleting is the fallback when even
-        the move fails — the one unacceptable outcome is re-reading the
-        corrupt bytes forever."""
-        assert self.disk_dir is not None
-        qdir = self.disk_dir / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-        except OSError:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        with self._lock:
-            self.quarantined += 1
-
-    def _load_disk(self, key: str) -> Any | None:
-        if self.disk_dir is None:
-            return None
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        decode = self._decode
-        if decode is None:
-            from ..io import invariant_from_json as decode
-
-        envelope = None
-        try:
-            data = json.loads(text)
-            if (
-                isinstance(data, dict)
-                and data.get("v") == ENVELOPE_VERSION
-                and isinstance(data.get("sha256"), str)
-                and isinstance(data.get("payload"), str)
-            ):
-                envelope = data
-        except ValueError:
-            if text.startswith(_ENVELOPE_PREFIX):
-                # One of our envelopes, torn or bit-flipped into
-                # unparseable JSON.
-                self._quarantine(path)
-                return None
-        if envelope is not None:
-            payload = envelope["payload"]
-            if _checksum(payload) != envelope["sha256"]:
-                self._quarantine(path)
-                return None
-            try:
-                return decode(payload)
-            except Exception:
-                # Checksum-valid but rotten content: the encoder wrote
-                # garbage.  Quarantine rather than re-reading forever.
-                self._quarantine(path)
-                return None
-        # Legacy unversioned entry (raw payload text) or foreign file:
-        # decode directly; failures are a miss, not an error.
-        try:
-            value = decode(text)
-        except Exception:
-            return None
-        with self._lock:
-            self.legacy_reads += 1
-        return value
-
-    def _load_store(self, key: str) -> Any | None:
-        if self.store is None:
-            return None
-        try:
-            return self.store.get(key)
-        except Exception:
-            return None
-
-    def migrate(self, store=None) -> dict[str, int]:
-        """One pass over the disk directory: rewrite every legacy
-        (pre-envelope) entry as a checksummed envelope, and copy every
-        readable entry into *store* (default: the attached segment
-        store, if any).  Returns ``{"scanned", "rewritten", "copied"}``.
-
-        Envelope rewriting works for any codec; the store copy only
-        happens in default invariant mode (see the class docstring).
-        """
-        if store is None:
-            store = self.store
-        scanned = rewritten = copied = 0
-        if self.disk_dir is None:
-            return {"scanned": 0, "rewritten": 0, "copied": 0}
-        decode = self._decode
-        if decode is None:
-            from ..io import invariant_from_json as decode
-        for path in sorted(self.disk_dir.glob("*.json")):
-            scanned += 1
-            key = path.stem
-            try:
-                text = path.read_text()
-            except OSError:
-                continue
-            payload = None
-            try:
-                data = json.loads(text)
-                if (
-                    isinstance(data, dict)
-                    and data.get("v") == ENVELOPE_VERSION
-                    and isinstance(data.get("sha256"), str)
-                    and isinstance(data.get("payload"), str)
-                    and _checksum(data["payload"]) == data["sha256"]
-                ):
-                    payload = data["payload"]
-            except ValueError:
-                pass
-            legacy = payload is None
-            if legacy:
-                payload = text
-            try:
-                value = decode(payload)
-            except Exception:
-                continue  # the read path will quarantine or miss
-            if legacy:
-                self._store_disk(key, value)
-                rewritten += 1
-            if store is not None and self._decode is None:
-                try:
-                    store.put(key, value)
-                    copied += 1
-                except Exception:
-                    with self._lock:
-                        self.store_write_failures += 1
-        return {
-            "scanned": scanned,
-            "rewritten": rewritten,
-            "copied": copied,
-        }
-
-    def _store_disk(self, key: str, value: Any) -> None:
-        encode = self._encode
-        if encode is None:
-            from ..io import invariant_to_json as encode
-
-        payload = encode(value)
-        if faults.draw("encode_garbage", key) is not None:
-            payload = '{"rotten": tru'  # undecodable on read
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        try:
-            tmp.write_text(
-                json.dumps(
-                    {
-                        "v": ENVELOPE_VERSION,
-                        "sha256": _checksum(payload),
-                        "payload": payload,
-                    }
-                )
-            )
-            os.replace(tmp, path)
-            if faults.draw("cache_bitflip", key) is not None:
-                data = bytearray(path.read_bytes())
-                data[len(data) // 2] ^= 0x20
-                path.write_bytes(data)
-        except OSError:
-            # Read-only or full disk: keep serving from memory and say
-            # so in the counters instead of failing the batch.
-            with self._lock:
-                self.disk_write_failures += 1
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass

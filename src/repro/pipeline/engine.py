@@ -7,7 +7,7 @@ An :class:`InvariantPipeline` turns a corpus of
 * **content-addressed caching** — instances are keyed by
   :func:`~repro.invariant.canonical.instance_key` (a pure function of
   geometry), so repeated corpora, duplicated instances inside one batch,
-  and re-runs against a disk cache all skip recomputation;
+  and re-runs against a segment store all skip recomputation;
 * **parallel computation** — the cold misses of a batch are mapped over
   a worker pool (``serial`` / ``threads`` / ``processes``); the process
   backend ships closed-form instances through a per-batch shared-memory
@@ -72,11 +72,9 @@ __all__ = [
     "InvariantPipeline",
     "topologically_equivalent_batch",
     "BACKENDS",
-    "DISPATCH_MODES",
 ]
 
 BACKENDS = ("serial", "threads", "processes")
-DISPATCH_MODES = ("arrays", "json")
 
 
 def _teardown_process_pool(pool: ProcessPoolExecutor) -> None:
@@ -146,13 +144,13 @@ class InvariantPipeline:
     cache:
         An :class:`InvariantCache` to share between pipelines, or None to
         create a private one.
-    cache_size / disk_cache_dir:
-        Configuration for the private cache when *cache* is None.
-    store / store_primary:
+    cache_size:
+        Memory-tier size of the private cache when *cache* is None.
+    store:
         A :class:`~repro.store.SegmentStore` to attach as the private
-        cache's persistent tier (behind the per-key files by default,
-        in front of them with ``store_primary=True``).  Ignored when an
-        explicit *cache* is passed — configure that cache directly.
+        cache's persistent tier, so invariants survive a restart.
+        Ignored when an explicit *cache* is passed — configure that
+        cache directly.
     retry:
         A :class:`~repro.pipeline.resilience.RetryPolicy`, or None for
         the default (3 attempts, capped exponential backoff with
@@ -166,14 +164,6 @@ class InvariantPipeline:
     max_pool_respawns:
         How many times a broken pool is respawned per batch before the
         remaining tasks degrade to the next backend in the chain.
-    dispatch:
-        How the process backend ships instances to workers:
-        ``"arrays"`` (default) packs closed-form instances into a
-        shared-memory arena and sends ``(name, offset, size)``
-        descriptors (instances the array codec cannot carry fall back
-        to JSON per instance); ``"json"`` forces the seed behaviour of
-        pickling a JSON string per task.  Results are identical either
-        way; only transfer cost differs.
     """
 
     def __init__(
@@ -182,24 +172,15 @@ class InvariantPipeline:
         workers: int | None = None,
         cache: InvariantCache | None = None,
         cache_size: int = 1024,
-        disk_cache_dir: str | os.PathLike | None = None,
         retry: RetryPolicy | None = None,
         task_timeout: float | None = None,
         max_pool_respawns: int = 2,
-        dispatch: str = "arrays",
         store=None,
-        store_primary: bool = False,
     ):
         if backend not in BACKENDS:
             raise PipelineError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        if dispatch not in DISPATCH_MODES:
-            raise PipelineError(
-                f"unknown dispatch {dispatch!r}; "
-                f"expected one of {DISPATCH_MODES}"
-            )
-        self.dispatch = dispatch
         self.backend = backend
         self.workers = workers or os.cpu_count() or 1
         # `cache or ...` would discard an injected empty cache (len 0 is
@@ -207,12 +188,7 @@ class InvariantPipeline:
         self.cache = (
             cache
             if cache is not None
-            else InvariantCache(
-                maxsize=cache_size,
-                disk_dir=disk_cache_dir,
-                store=store,
-                store_primary=store_primary,
-            )
+            else InvariantCache(maxsize=cache_size, store=store)
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self.task_timeout = task_timeout
@@ -415,11 +391,9 @@ class InvariantPipeline:
                         else:
                             failures[key] = out
                     self.stats.count("invariants_computed", computed)
-                self.stats.set_gauge("disk_hits", self.cache.disk_hits)
                 self.stats.set_gauge("store_hits", self.cache.store_hits)
-                self.stats.set_gauge("quarantined", self.cache.quarantined)
                 self.stats.set_gauge(
-                    "disk_write_failures", self.cache.disk_write_failures
+                    "store_write_failures", self.cache.store_write_failures
                 )
         finally:
             self.stats.record_counters(
@@ -471,23 +445,24 @@ class InvariantPipeline:
             )
         shm_batch = None
         if "processes" in chain:
-            from ..io import instance_to_json, invariant_from_json
+            from ..io import (
+                instance_to_buffer,
+                instance_to_json,
+                invariant_from_json,
+            )
+            from .shm import ShmBatch
 
             payloads: dict[str, tuple] = {}
-            if self.dispatch == "arrays":
-                from ..io import instance_to_buffer
-                from .shm import ShmBatch
-
-                blobs: dict[str, bytes] = {}
-                for key, inst in misses.items():
-                    blob = instance_to_buffer(inst)
-                    if blob is not None:
-                        blobs[key] = blob
-                if blobs:
-                    shm_batch = ShmBatch.create(blobs)
-                    for key in blobs:
-                        payloads[key] = ("shm", *shm_batch.descriptor(key))
-                self.stats.count("dispatch_shm", len(blobs))
+            blobs: dict[str, bytes] = {}
+            for key, inst in misses.items():
+                blob = instance_to_buffer(inst)
+                if blob is not None:
+                    blobs[key] = blob
+            if blobs:
+                shm_batch = ShmBatch.create(blobs)
+                for key in blobs:
+                    payloads[key] = ("shm", *shm_batch.descriptor(key))
+            self.stats.count("dispatch_shm", len(blobs))
             json_keys = [key for key in misses if key not in payloads]
             self.stats.count("dispatch_json", len(json_keys))
             for key in json_keys:

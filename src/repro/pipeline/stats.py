@@ -41,7 +41,6 @@ class PipelineStats:
         self.counters: dict[str, int] = defaultdict(int)
         self.cache_hits = 0
         self.cache_misses = 0
-        self.disk_hits = 0
         self.store_hits = 0
         self.instances_seen = 0
         self.invariants_computed = 0
@@ -58,8 +57,7 @@ class PipelineStats:
         self.pool_respawns = 0
         self.victim_requeues = 0
         self.tasks_failed = 0
-        self.quarantined = 0
-        self.disk_write_failures = 0
+        self.store_write_failures = 0
         self.degradations: list[tuple[str, str]] = []
         # Service-level rollups (see repro.service): per-endpoint
         # request tallies, a rolling latency window for percentile
@@ -98,7 +96,7 @@ class PipelineStats:
 
     def set_gauge(self, counter: str, value: int) -> None:
         """Overwrite an attribute counter under the lock (the engine
-        mirrors cache gauges like ``disk_hits`` here; a bare attribute
+        mirrors cache gauges like ``store_hits`` here; a bare attribute
         assignment would race with concurrent recorders)."""
         with self._lock:
             setattr(self, counter, value)
@@ -190,7 +188,6 @@ class PipelineStats:
                 },
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
-                "disk_hits": self.disk_hits,
                 "store_hits": self.store_hits,
                 "instances_seen": self.instances_seen,
                 "invariants_computed": self.invariants_computed,
@@ -211,8 +208,7 @@ class PipelineStats:
                     "pool_respawns": self.pool_respawns,
                     "victim_requeues": self.victim_requeues,
                     "tasks_failed": self.tasks_failed,
-                    "quarantined": self.quarantined,
-                    "disk_write_failures": self.disk_write_failures,
+                    "store_write_failures": self.store_write_failures,
                     "degradations": [list(d) for d in self.degradations],
                 },
                 "service": {
@@ -274,7 +270,6 @@ class PipelineStats:
             f"cache: {data['cache_hits']} hits / "
             f"{data['cache_misses']} misses "
             f"({self.hit_rate():.0%} hit rate, "
-            f"{data['disk_hits']} from disk, "
             f"{data['store_hits']} from store)",
             f"equivalence: {data['buckets']} buckets, "
             f"{data['isomorphism_calls']} isomorphism searches",
@@ -289,9 +284,8 @@ class PipelineStats:
                 f"{res['timeouts']} timeouts, "
                 f"{res['pool_respawns']} pool respawns, "
                 f"{res['victim_requeues']} victim requeues, "
-                f"{res['tasks_failed']} failed; "
-                f"cache: {res['quarantined']} quarantined, "
-                f"{res['disk_write_failures']} write failures"
+                f"{res['tasks_failed']} failed, "
+                f"{res['store_write_failures']} store write failures"
                 + (f"; degraded{chain}" if chain else "")
             )
         for endpoint, cell in data["service"].items():

@@ -59,7 +59,6 @@ import pickle
 import socket
 import struct
 import threading
-from collections import OrderedDict
 from time import perf_counter
 
 from .. import faults
@@ -88,7 +87,7 @@ from ..io import (
 from ..io.array_io import instance_from_buffer, instance_to_buffer
 from ..logic import evaluate_cells, evaluate_rect
 from ..logic.pointlogic import evaluate_point, evaluate_real
-from ..pipeline import InvariantPipeline
+from ..pipeline import InvariantCache, InvariantPipeline
 from .metrics import counters
 from .router import Batcher, HashRing
 from .service import QueryAnswer, QueryService
@@ -631,8 +630,10 @@ class ShardedQueryService(QueryService):
         and its requests fail fast with
         :class:`~repro.errors.ShardDownError`.
     invariant_cache_size:
-        Entries in the parent's decoded-invariant read-through cache
-        (content-addressed, hence never stale).
+        Entries (at least 1) in the parent's decoded-invariant
+        read-through cache, a memory-only
+        :class:`~repro.pipeline.InvariantCache` (content-addressed,
+        hence never stale).
     schedule:
         Injectable ``schedule(delay, callback)`` for the batching
         window timer (tests drive it with a manual clock).
@@ -674,8 +675,7 @@ class ShardedQueryService(QueryService):
         self._registry: list[dict[str, tuple[str, object]]] = [
             {} for _ in range(self.n_shards)
         ]
-        self._inv_cache: OrderedDict = OrderedDict()
-        self._inv_cache_size = int(invariant_cache_size)
+        self._inv_cache = InvariantCache(maxsize=int(invariant_cache_size))
         self._loop: asyncio.AbstractEventLoop | None = None
         self._batch_seq = 0
         self._handles = [
@@ -741,7 +741,7 @@ class ShardedQueryService(QueryService):
         return await self._dispatch(spec["kind"], spec["key"], wire, deadline)
 
     async def _remote_invariant(self, key: str, deadline: Deadline):
-        inv = self._cache_get(key)
+        inv = self._inv_cache.get(key)
         if inv is not None:
             counters.count("shard_cache_hits")
             return inv
@@ -752,7 +752,7 @@ class ShardedQueryService(QueryService):
         inv = await loop.run_in_executor(
             self._executor, invariant_from_json, payload
         )
-        self._cache_put(key, inv)
+        self._inv_cache.put(key, inv)
         return inv
 
     async def _remote_equivalent(self, spec: dict, deadline: Deadline):
@@ -916,18 +916,6 @@ class ShardedQueryService(QueryService):
 
     # -- the parent-side invariant cache ------------------------------------
 
-    def _cache_get(self, key: str):
-        inv = self._inv_cache.get(key)
-        if inv is not None:
-            self._inv_cache.move_to_end(key)
-        return inv
-
-    def _cache_put(self, key: str, inv) -> None:
-        self._inv_cache[key] = inv
-        self._inv_cache.move_to_end(key)
-        while len(self._inv_cache) > self._inv_cache_size:
-            self._inv_cache.popitem(last=False)
-
     async def invariant_of(self, name: str, timeout=None) -> QueryAnswer:
         """The stored instance's ``T_I``, with a read-through fast
         path: a decoded invariant already in the parent cache is
@@ -937,7 +925,7 @@ class ShardedQueryService(QueryService):
         if not (self._closed or self._draining):
             entry = self._instances.get(name)
             if entry is not None:
-                inv = self._cache_get(entry[1])
+                inv = self._inv_cache.get(entry[1])
                 if inv is not None:
                     t0 = perf_counter()
                     counters.count("requests")

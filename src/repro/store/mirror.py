@@ -64,15 +64,14 @@ class MirroredStore:
         self,
         roots: Sequence[str | Path],
         max_segment_bytes: int | None = None,
-        sync: str | None = None,
-        sync_appends: bool = False,
+        sync: str = "seal",
     ):
         paths = [Path(r) for r in roots]
         if not paths:
             raise StoreError("a mirrored store needs at least one root")
         if len({p.resolve() for p in paths}) != len(paths):
             raise StoreError("mirrored store roots must be distinct")
-        kwargs: dict = {"sync": sync, "sync_appends": sync_appends}
+        kwargs: dict = {"sync": sync}
         if max_segment_bytes is not None:
             kwargs["max_segment_bytes"] = max_segment_bytes
         self._replicas = [SegmentStore(p, **kwargs) for p in paths]

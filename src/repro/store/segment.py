@@ -4,8 +4,7 @@ One segment is one file::
 
     file header (32 B) | record | record | … | [footer | trailer]
 
-Records are length-prefixed envelopes with per-record integrity, the
-same discipline as the disk cache's checksummed JSON envelopes::
+Records are length-prefixed envelopes with per-record integrity::
 
     u32 "REC1" | u32 payload_len | u8 kind | u8 flags | u16 pad | u32 pad
     key (32 B, raw sha256 of the content key)

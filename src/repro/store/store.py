@@ -142,11 +142,8 @@ class SegmentStore:
         self,
         root: str | Path,
         max_segment_bytes: int = _DEFAULT_SEGMENT_BYTES,
-        sync_appends: bool = False,
-        sync: str | None = None,
+        sync: str = "seal",
     ):
-        if sync is None:
-            sync = "always" if sync_appends else "seal"
         if sync not in SYNC_POLICIES:
             raise StoreError(
                 f"unknown sync policy {sync!r}; expected one of "
@@ -156,7 +153,6 @@ class SegmentStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_segment_bytes = max(1 << 12, int(max_segment_bytes))
         self.sync = sync
-        self.sync_appends = sync == "always"
         self._lock = threading.RLock()
         self._sealed: list[Segment] = []
         self._active: Segment | None = None

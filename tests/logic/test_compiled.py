@@ -3,8 +3,8 @@
 The contract of :mod:`repro.logic.compiled` is bit-identical answers to
 the reference evaluators on every input.  This suite checks the paper's
 example queries (4.1, 4.2, the Fig. 7 witness queries), random formulas
-via hypothesis, the universe cache and its JSON codec, the ``query.*``
-counters, and the parallel evaluation backends.
+via hypothesis, the universe cache, the ``query.*`` counters, and the
+parallel evaluation backends.
 """
 
 import pytest
@@ -65,8 +65,6 @@ from repro.logic import (
 )
 from repro.logic.compiled import (
     _rect_rect_atom,
-    _decode_universe,
-    _encode_universe,
     clear_universe_cache,
     compiled_universe,
     counters,
@@ -386,7 +384,7 @@ class TestTranslationEquivalence:
         )
 
 
-# -- universe cache and codec ------------------------------------------------
+# -- universe cache ----------------------------------------------------------
 
 
 class TestUniverseCache:
@@ -399,17 +397,6 @@ class TestUniverseCache:
         assert delta.get("query.universe_misses", 0) == 1
         assert delta.get("query.universe_hits", 0) == 1
         assert [r.key for r in u1.regions] == [r.key for r in u2.regions]
-
-    def test_codec_roundtrip(self):
-        u = compiled_universe(fig_1c())
-        decoded = _decode_universe(_encode_universe(u))
-        assert decoded.cell_ids == u.cell_ids
-        assert decoded.names == u.names
-        assert decoded.candidates_seen == u.candidates_seen
-        assert [(r.interior, r.closure) for r in decoded.regions] == [
-            (r.interior, r.closure) for r in u.regions
-        ]
-        assert set(decoded.named) == set(u.named)
 
     def test_budget_rechecked_on_cache_hit(self):
         inst = fig_1a()

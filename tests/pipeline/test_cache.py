@@ -1,11 +1,14 @@
-"""The two-layer invariant cache: LRU behaviour and disk persistence."""
+"""The two-tier invariant cache: LRU behaviour and the segment-store
+tier's failure accounting."""
 
 import pytest
 
-from repro import Rect, SpatialInstance, invariant
+from repro import Rect, SpatialInstance, canonical_hash, invariant
 from repro.datasets import fig_1c
+from repro.faults import Fault, FaultPlan, inject
 from repro.invariant import instance_key
-from repro.pipeline import InvariantCache
+from repro.pipeline import InvariantCache, InvariantPipeline
+from repro.store import SegmentStore
 
 
 def _inst(i: int) -> SpatialInstance:
@@ -48,192 +51,38 @@ class TestMemoryLayer:
         assert cache.get(key) is None
 
 
-class TestDiskLayer:
-    def test_persists_across_cache_objects(self, tmp_path):
-        key = instance_key(fig_1c())
-        t = invariant(fig_1c())
-        InvariantCache(disk_dir=tmp_path).put(key, t)
-        fresh = InvariantCache(disk_dir=tmp_path)
-        loaded = fresh.get(key)
-        assert loaded is not None
-        assert loaded == t
-        assert fresh.disk_hits == 1
+class TestStoreTier:
+    def test_store_write_failure_is_reported(self, tmp_path):
+        """A failed store write costs persistence, not the answer, and
+        shows in the pipeline's stats."""
+        inst = _inst(0)
+        key = instance_key(inst)
+        with SegmentStore(tmp_path) as store:
+            with InvariantPipeline(store=store) as pipe:
+                with inject(FaultPlan(Fault("store_disk_full", key=key))):
+                    got = pipe.compute(inst)
+                assert canonical_hash(got) == canonical_hash(invariant(inst))
+                assert pipe.cache.store_write_failures == 1
+                assert pipe.stats.store_write_failures == 1
+                stats = pipe.stats.as_dict()
+                assert stats["resilience"]["store_write_failures"] == 1
+                assert "1 store write failures" in pipe.stats.summary()
+                # The memory tier still serves the invariant.
+                assert pipe.compute(inst) is got
+            assert store.get(key) is None
 
-    def test_disk_promotes_to_memory(self, tmp_path):
-        key = instance_key(fig_1c())
-        InvariantCache(disk_dir=tmp_path).put(key, invariant(fig_1c()))
-        cache = InvariantCache(disk_dir=tmp_path)
-        cache.get(key)
-        cache.get(key)
-        assert cache.disk_hits == 1  # second hit served from memory
-        assert cache.hits == 2
-
-    def test_torn_file_is_a_miss(self, tmp_path):
-        key = instance_key(fig_1c())
-        (tmp_path / f"{key}.json").write_text("{ not json")
-        cache = InvariantCache(disk_dir=tmp_path)
-        assert cache.get(key) is None
-
-    def test_clear_disk(self, tmp_path):
-        key = instance_key(fig_1c())
-        cache = InvariantCache(disk_dir=tmp_path)
-        cache.put(key, invariant(fig_1c()))
-        cache.clear(disk=True)
-        assert cache.get(key) is None
-        assert list(tmp_path.glob("*.json")) == []
-
-
-class TestDiskIntegrity:
-    """Checksummed envelopes: verify-on-read, quarantine, legacy reads,
-    and write-failure tolerance."""
-
-    def _write(self, tmp_path):
-        key = instance_key(fig_1c())
-        t = invariant(fig_1c())
-        InvariantCache(disk_dir=tmp_path).put(key, t)
-        return key, t
-
-    def test_entries_are_versioned_checksummed_envelopes(self, tmp_path):
-        import hashlib
-        import json
-
-        key, _ = self._write(tmp_path)
-        data = json.loads((tmp_path / f"{key}.json").read_text())
-        assert data["v"] == 1
-        assert (
-            hashlib.sha256(data["payload"].encode()).hexdigest()
-            == data["sha256"]
-        )
-
-    def test_bitflip_quarantined_and_treated_as_miss(self, tmp_path):
-        key, _ = self._write(tmp_path)
-        path = tmp_path / f"{key}.json"
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x20
-        path.write_bytes(raw)
-        fresh = InvariantCache(disk_dir=tmp_path)
-        assert fresh.get(key) is None
-        assert fresh.quarantined == 1
-        assert not path.exists()
-        assert len(list((tmp_path / "quarantine").glob("*.json"))) == 1
-        # Quarantined entries are never re-served: a recompute heals.
-        fresh.put(key, invariant(fig_1c()))
-        assert InvariantCache(disk_dir=tmp_path).get(key) is not None
-
-    def test_checksum_valid_but_undecodable_payload_quarantined(
-        self, tmp_path
-    ):
-        import hashlib
-        import json
-
-        key = instance_key(fig_1c())
-        payload = '{"rotten": tru'
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps(
-                {
-                    "v": 1,
-                    "sha256": hashlib.sha256(payload.encode()).hexdigest(),
-                    "payload": payload,
-                }
-            )
-        )
-        cache = InvariantCache(disk_dir=tmp_path)
-        assert cache.get(key) is None
-        assert cache.quarantined == 1
-
-    def test_torn_envelope_quarantined(self, tmp_path):
-        key = instance_key(fig_1c())
-        (tmp_path / f"{key}.json").write_text('{"v": 1, "sha256": "ab')
-        cache = InvariantCache(disk_dir=tmp_path)
-        assert cache.get(key) is None
-        assert cache.quarantined == 1
-
-    def test_foreign_garbage_is_a_silent_miss(self, tmp_path):
-        key = instance_key(fig_1c())
-        (tmp_path / f"{key}.json").write_text("not ours at all")
-        cache = InvariantCache(disk_dir=tmp_path)
-        assert cache.get(key) is None
-        assert cache.quarantined == 0
-
-    def test_legacy_unversioned_entry_still_reads(self, tmp_path):
-        from repro.io import invariant_to_json
-
-        key = instance_key(fig_1c())
-        t = invariant(fig_1c())
-        (tmp_path / f"{key}.json").write_text(invariant_to_json(t))
-        cache = InvariantCache(disk_dir=tmp_path)
-        assert cache.get(key) == t
-        assert cache.quarantined == 0
-
-    def test_oserror_on_write_tolerated_and_counted(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.pipeline.cache as cache_mod
-
-        def boom(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cache_mod.os, "replace", boom)
-        cache = InvariantCache(disk_dir=tmp_path)
-        key = instance_key(fig_1c())
-        cache.put(key, invariant(fig_1c()))  # must not raise
-        assert cache.disk_write_failures == 1
-        assert cache.get(key) is not None  # memory layer still serves
-        assert list(tmp_path.glob("*.tmp-*")) == []  # tmp cleaned up
-
-
-class TestLegacyMigration:
-    """Counting raw legacy reads and rewriting them as envelopes (and
-    into the segment store) via migrate()."""
-
-    def _write_legacy(self, tmp_path):
-        from repro.io import invariant_to_json
-
-        key = instance_key(fig_1c())
-        t = invariant(fig_1c())
-        tmp_path.mkdir(parents=True, exist_ok=True)
-        (tmp_path / f"{key}.json").write_text(invariant_to_json(t))
-        return key, t
-
-    def test_legacy_reads_counted(self, tmp_path):
-        key, t = self._write_legacy(tmp_path)
-        cache = InvariantCache(disk_dir=tmp_path)
-        assert cache.get(key) == t
-        assert cache.legacy_reads == 1
-        # An envelope entry does not tick the counter.
-        cache2 = InvariantCache(disk_dir=tmp_path)
-        cache2.put(instance_key(_inst(1)), invariant(_inst(1)))
-        cache2.get(instance_key(_inst(1)))
-        assert cache2.legacy_reads == 0
-
-    def test_migrate_rewrites_envelopes(self, tmp_path):
-        import json
-
-        key, t = self._write_legacy(tmp_path)
-        cache = InvariantCache(disk_dir=tmp_path)
-        report = cache.migrate()
-        assert report["scanned"] == 1
-        assert report["rewritten"] == 1
-        data = json.loads((tmp_path / f"{key}.json").read_text())
-        assert data["v"] == 1  # now a checksummed envelope
-        fresh = InvariantCache(disk_dir=tmp_path)
-        assert fresh.get(key) == t
-        assert fresh.legacy_reads == 0
-
-    def test_migrate_copies_into_store(self, tmp_path):
-        from repro.store import SegmentStore
-
-        key, t = self._write_legacy(tmp_path / "disk")
-        store = SegmentStore(tmp_path / "seg")
-        cache = InvariantCache(disk_dir=tmp_path / "disk")
-        report = cache.migrate(store=store)
-        assert report["copied"] == 1
-        assert store.get(key) is not None
-        store.close()
-
-    def test_migrate_skips_envelopes(self, tmp_path):
-        cache = InvariantCache(disk_dir=tmp_path)
-        cache.put(instance_key(fig_1c()), invariant(fig_1c()))
-        report = cache.migrate()
-        assert report["scanned"] == 1
-        assert report["rewritten"] == 0
+    def test_corrupt_record_is_a_miss(self, tmp_path):
+        """A record that fails its checksum is recomputed, not raised."""
+        inst = _inst(1)
+        key = instance_key(inst)
+        t = invariant(inst)
+        with SegmentStore(tmp_path) as store:
+            store.put(key, t)
+            cache = InvariantCache(store=store)
+            with inject(FaultPlan(Fault("store_read_bitflip", key=key))):
+                assert cache.get(key) is None
+            assert (cache.misses, cache.store_hits) == (1, 0)
+            cache.put(key, t)  # the fresh record shadows the rotten one
+            fresh = InvariantCache(store=store)
+            assert canonical_hash(fresh.get(key)) == canonical_hash(t)
+            assert fresh.store_hits == 1

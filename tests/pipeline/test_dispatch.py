@@ -1,22 +1,21 @@
 """Differential tests for the zero-copy process-dispatch path.
 
-The ``arrays`` dispatch (shared-memory descriptors + columnar codec)
-must be invisible in results: bit-identical invariants to the ``json``
-dispatch on every corpus — including mixed corpora where some instances
-fall back to JSON per instance — with fault recovery intact and no
-``/dev/shm`` segments leaked, even when a batch fails.
+Shipping instances to process workers as shared-memory descriptors into
+columnar buffers must be invisible in results: bit-identical invariants
+to serial computation on every corpus — including mixed corpora where
+some instances fall back to JSON per instance — with fault recovery
+intact and no ``/dev/shm`` segments leaked, even when a batch fails.
 """
 
 import os
 
 import pytest
 
-from repro import ComputeError, PipelineError, Rect, SpatialInstance
+from repro import ComputeError, Rect, SpatialInstance, invariant
 from repro.faults import Fault, FaultPlan, inject
 from repro.invariant import canonical_hash, instance_key
 from repro.io import instance_to_buffer
 from repro.pipeline import InvariantPipeline, RetryPolicy
-from repro.pipeline.engine import DISPATCH_MODES
 from repro.pipeline.shm import ShmBatch
 from repro.regions import AlgRegion
 
@@ -50,47 +49,37 @@ def _shm_entries() -> set[str]:
         return set()
 
 
-def _hashes(backend, corpus, dispatch, **kw):
-    with InvariantPipeline(
-        backend=backend, workers=2, dispatch=dispatch, **kw
-    ) as pipe:
+def _hashes(backend, corpus):
+    with InvariantPipeline(backend=backend, workers=2) as pipe:
         invs = pipe.compute_batch(corpus)
         stats = pipe.stats
     return [canonical_hash(t) for t in invs], stats
-
-
-class TestDispatchValidation:
-    def test_modes(self):
-        assert DISPATCH_MODES == ("arrays", "json")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(PipelineError):
-            InvariantPipeline(dispatch="pickle")
 
 
 @pytest.mark.slow
 class TestDifferential:
     def test_closed_form_corpus_bit_identical(self):
         corpus = _corpus(6)
-        got, stats = _hashes("processes", corpus, "arrays")
-        want, _ = _hashes("processes", corpus, "json")
+        got, stats = _hashes("processes", corpus)
+        want, _ = _hashes("serial", corpus)
         assert got == want
         assert stats.dispatch_shm == 6
         assert stats.dispatch_json == 0
 
     def test_mixed_corpus_falls_back_per_instance(self):
         corpus = _mixed_corpus()
-        got, stats = _hashes("processes", corpus, "arrays")
-        want, _ = _hashes("processes", corpus, "json")
+        got, stats = _hashes("processes", corpus)
+        want, _ = _hashes("serial", corpus)
         assert got == want
         assert stats.dispatch_shm == 3
         assert stats.dispatch_json == 2
 
     def test_serial_reference_agrees(self):
+        # The oracle here is a plain invariant() call per instance, with
+        # no pipeline, cache or pool in between.
         corpus = _mixed_corpus()
-        got, _ = _hashes("processes", corpus, "arrays")
-        want, _ = _hashes("serial", corpus, "arrays")
-        assert got == want
+        got, _ = _hashes("processes", corpus)
+        assert got == [canonical_hash(invariant(inst)) for inst in corpus]
 
 
 @pytest.mark.slow

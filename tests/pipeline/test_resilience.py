@@ -27,11 +27,20 @@ from repro import (
     invariant,
 )
 from repro import errors as repro_errors
-from repro.faults import Fault, FaultPlan, InjectedFailure, active, inject
+from repro.faults import (
+    STORE_POINTS,
+    WORKER_POINTS,
+    Fault,
+    FaultPlan,
+    InjectedFailure,
+    active,
+    inject,
+)
 from repro.instrument import Deadline
 from repro.invariant import canonical_hash, instance_key
 from repro.pipeline import BatchResult, InvariantPipeline, RetryPolicy
 from repro.pipeline.resilience import Outcome
+from repro.store import SegmentStore
 
 
 def _inst(i: int) -> SpatialInstance:
@@ -552,9 +561,10 @@ class TestChaosProperty:
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_any_fault_schedule_is_correct_or_structured(self, seed):
         """Under any seeded schedule of crashes, hangs, raises, and
-        cache corruption: every ok outcome is the bit-identical
+        segment-store faults: every ok outcome is the bit-identical
         invariant, every failure is a structured ComputeError, and the
-        batch terminates."""
+        batch terminates — on a fresh store and again on the reopened
+        one, which serves whatever the first run managed to persist."""
         import tempfile
 
         insts = _corpus(3)
@@ -563,16 +573,23 @@ class TestChaosProperty:
             k: canonical_hash(invariant(i)) for k, i in zip(keys, insts)
         }
         plan = FaultPlan.seeded(
-            seed, keys, faults=4, max_times=2, hang_seconds=0.01
+            seed,
+            keys,
+            points=WORKER_POINTS + STORE_POINTS,
+            faults=4,
+            max_times=2,
+            hang_seconds=0.01,
         )
-        with tempfile.TemporaryDirectory() as disk:
-            pipe = InvariantPipeline(
-                backend="threads", workers=2, disk_cache_dir=disk,
-                retry=_policy(max_attempts=2),
-            )
-            with pipe:
+        with tempfile.TemporaryDirectory() as root:
+            for _ in range(2):
                 with inject(plan):
-                    res = pipe.compute_batch(insts, on_error="collect")
+                    with SegmentStore(root) as store, InvariantPipeline(
+                        backend="threads",
+                        workers=2,
+                        store=store,
+                        retry=_policy(max_attempts=2),
+                    ) as pipe:
+                        res = pipe.compute_batch(insts, on_error="collect")
                 for out in res:
                     if out.ok:
                         assert canonical_hash(out.value) == reference[out.key]
@@ -580,12 +597,14 @@ class TestChaosProperty:
                         assert isinstance(out.error, ComputeError)
                         assert out.error.key == out.key
                         assert out.attempts >= 1
-            # A fresh pipeline over the same (possibly corrupted) disk
-            # cache must still produce correct invariants: integrity
-            # checking turns corruption into recomputation, never into
+            # With the plan gone, a pipeline over the same (possibly
+            # torn or bit-flipped) store answers every key correctly:
+            # checksums turn corruption into recomputation, never into
             # a wrong answer.
-            with InvariantPipeline(disk_cache_dir=disk) as fresh:
+            with SegmentStore(root) as store, InvariantPipeline(
+                store=store
+            ) as fresh:
                 healed = fresh.compute_batch(insts)
-                assert [canonical_hash(t) for t in healed] == [
-                    reference[k] for k in keys
-                ]
+            assert [canonical_hash(t) for t in healed] == [
+                reference[k] for k in keys
+            ]

@@ -75,11 +75,11 @@ class TestConcurrentRecording:
         def worker(i):
             for _ in range(ROUNDS):
                 stats.count("retries")
-                stats.set_gauge("disk_hits", i)
+                stats.set_gauge("store_hits", i)
 
         hammer(worker)
         assert stats.retries == THREADS * ROUNDS
-        assert stats.disk_hits in range(THREADS)  # last writer wins
+        assert stats.store_hits in range(THREADS)  # last writer wins
 
     def test_all_mutators_interleaved(self):
         stats = PipelineStats()

@@ -40,12 +40,6 @@ class TestSyncPolicies:
     def test_default_is_seal(self, tmp_path):
         with SegmentStore(tmp_path) as store:
             assert store.sync == "seal"
-            assert not store.sync_appends
-
-    def test_legacy_sync_appends_maps_to_always(self, tmp_path):
-        with SegmentStore(tmp_path, sync_appends=True) as store:
-            assert store.sync == "always"
-            assert store.sync_appends
 
     def test_unknown_policy_is_rejected(self, tmp_path):
         with pytest.raises(StoreError):

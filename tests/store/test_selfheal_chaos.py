@@ -55,7 +55,7 @@ def _seeded_schedule(seed, keys):
 
 class TestFaultPointRegistry:
     def test_new_points_live_in_store_points_only(self):
-        from repro.faults import POINTS
+        from repro.faults import SHARD_POINTS, WORKER_POINTS
 
         for point in (
             "store_read_bitflip",
@@ -64,9 +64,9 @@ class TestFaultPointRegistry:
             "store_seal_crash",
         ):
             assert point in STORE_POINTS
-            # Seeded schedules over the default POINTS set must stay
-            # bit-identical across releases.
-            assert point not in POINTS
+            # Each point belongs to exactly one family; seeded plans
+            # default to the worker family.
+            assert point not in WORKER_POINTS + SHARD_POINTS
 
 
 class TestSelfHealingDifferential:

@@ -268,23 +268,6 @@ class TestCacheTier:
         assert store.get(key) is not None
         store.close()
 
-    def test_store_primary_skips_disk(self, tmp_path):
-        inst = _inst(2)
-        key = instance_key(inst)
-        t = invariant(inst)
-        store = SegmentStore(tmp_path / "seg")
-        store.put(key, t)
-        cache = InvariantCache(
-            maxsize=4,
-            disk_dir=tmp_path / "disk",
-            store=store,
-            store_primary=True,
-        )
-        assert cache.get(key) is not None
-        assert cache.store_hits == 1
-        assert cache.disk_hits == 0
-        store.close()
-
     def test_pipeline_store_tier_and_gauge(self, tmp_path):
         store = SegmentStore(tmp_path / "seg")
         corpus = [_inst(i) for i in range(4)]

@@ -1,5 +1,5 @@
 """Crash safety: torn appends under seeded fault schedules, external
-truncation, and the differential store == cold == disk-cache property."""
+truncation, and the differential store == cold property."""
 
 import os
 import random
@@ -35,12 +35,12 @@ def _corpus(n, seed=0):
 
 class TestTornAppend:
     def test_fault_points_stay_out_of_the_default_set(self):
-        from repro.faults import POINTS
+        from repro.faults import WORKER_POINTS
 
         assert "store_torn_append" in STORE_POINTS
-        # Seeded schedules over POINTS must stay bit-identical across
-        # releases; the store point must not perturb them.
-        assert "store_torn_append" not in POINTS
+        # Seeded plans default to the worker family; store faults are
+        # opted into with points=STORE_POINTS.
+        assert "store_torn_append" not in WORKER_POINTS
 
     def test_torn_append_poisons_then_reopen_recovers(self, tmp_path):
         corpus = _corpus(6, seed=1)
@@ -145,24 +145,22 @@ class TestExternalTruncation:
 
 class TestDifferentialProperty:
     """A store-loaded invariant is canonically bit-identical to the
-    cold-computed one and to a disk-cache round trip — including when a
-    seeded fault schedule tears appends along the way."""
+    cold-computed one — read directly or through a cache over the
+    store, and also when a seeded fault schedule tears appends along
+    the way."""
 
     def test_three_way_agreement(self, tmp_path):
         corpus = _corpus(8, seed=4)
-        store = SegmentStore(tmp_path / "seg")
-        cache = InvariantCache(disk_dir=tmp_path / "disk")
-        for key, inst, t in corpus:
-            store.put(key, t, instance=inst)
-            cache.put(key, t)
-        store.close()
-        fresh_store = SegmentStore(tmp_path / "seg")
-        fresh_cache = InvariantCache(disk_dir=tmp_path / "disk")
-        for key, inst, t in corpus:
-            cold = canonical_hash(invariant(inst))
-            assert canonical_hash(fresh_store.get(key)) == cold
-            assert canonical_hash(fresh_cache.get(key)) == cold
-        fresh_store.close()
+        with SegmentStore(tmp_path) as store:
+            for key, inst, t in corpus:
+                store.put(key, t, instance=inst)
+        with SegmentStore(tmp_path) as fresh:
+            cache = InvariantCache(store=fresh)
+            for key, inst, _ in corpus:
+                cold = canonical_hash(invariant(inst))
+                assert canonical_hash(fresh.get(key)) == cold
+                assert canonical_hash(cache.get(key)) == cold
+            assert cache.store_hits == len(corpus)
 
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_agreement_under_seeded_fault_schedules(self, tmp_path, seed):
