@@ -38,7 +38,7 @@ import time
 from pathlib import Path
 
 from repro.arrangement.builder import planarize, planarize_allpairs
-from repro.arrangement.complex import build_complex
+from repro.arrangement.complex import build_complex, build_complex_reference
 from repro.datasets import grid_instance, overlap_chain
 from repro.geometry.fastkernel import counters, exact_mode
 from repro.instrument import collecting
@@ -74,7 +74,7 @@ def _cold_build(instance):
         times[name] = times.get(name, 0.0) + seconds
 
     with collecting(record):
-        cx = build_complex(instance, kernel="fast")
+        cx = build_complex(instance)
     return {name: times.get(name, 0.0) for name in STAGES}, cx
 
 
@@ -112,11 +112,8 @@ def run_sweep(ks):
         )
 
         fast_hash = canonical_hash(TopologicalInvariant.from_complex(cx))
-        seed_hash = canonical_hash(
-            TopologicalInvariant.from_complex(
-                build_complex(instance, kernel="seed")
-            )
-        )
+        seed_cx = build_complex_reference(instance)
+        seed_hash = canonical_hash(TopologicalInvariant.from_complex(seed_cx))
         assert fast_hash == seed_hash, (
             f"fast and seed kernels disagree on grid k={k}"
         )
@@ -226,7 +223,7 @@ def test_filter_hit_rate_on_nondegenerate_corpora():
         ("overlap_chain(24)", overlap_chain(24)),
     ):
         counters.reset()
-        build_complex(instance, kernel="fast")
+        build_complex(instance)
         rate = counters.filter_hit_rate()
         print(f"\n{name}: filter hit rate {rate:.1%}  {counters!r}")
         assert rate >= FILTER_FLOOR, (

@@ -46,19 +46,17 @@ from repro.datasets import fig_1a, fig_1b, fig_1c, fig_1d, overlap_chain
 from repro.logic import (
     clear_universe_cache,
     connected_intersection_query,
+    evaluate_cells,
+    evaluate_cells_reference,
     evaluate_point,
     evaluate_point_reference,
+    evaluate_rect,
+    evaluate_rect_reference,
     parse,
     rect_to_point,
     triple_intersection_query,
 )
-from repro.logic.compiled import (
-    counters,
-    evaluate_cells_compiled,
-    evaluate_rect_compiled,
-)
-from repro.logic.cell_eval import evaluate_cells_reference
-from repro.logic.rect_eval import evaluate_rect_reference
+from repro.logic.compiled import counters
 from repro.regions import Rect, SpatialInstance
 
 # (refinement, max_faces): refinement 1 without a face cap exceeds the
@@ -132,7 +130,7 @@ def run_cell_sweep(configs, workloads=CELL_WORKLOADS):
                 max_faces=max_faces,
             )
             cold_s, got_cold = _timed(
-                evaluate_cells_compiled,
+                evaluate_cells,
                 query,
                 instance,
                 refinement=refinement,
@@ -140,7 +138,7 @@ def run_cell_sweep(configs, workloads=CELL_WORKLOADS):
             )
             universe = counters.snapshot()["query.regions_enumerated"]
             warm_s, got_warm = _timed(
-                evaluate_cells_compiled,
+                evaluate_cells,
                 query,
                 instance,
                 refinement=refinement,
@@ -180,7 +178,7 @@ def run_rect_sweep(queries, include_nested=True):
         for instance in RECT_WORKLOADS:
             s, a = _timed(evaluate_rect_reference, query, instance)
             rect_ref += s
-            s, b = _timed(evaluate_rect_compiled, query, instance)
+            s, b = _timed(evaluate_rect, query, instance)
             rect_comp += s
             s, c = _timed(evaluate_point_reference, translated, instance)
             point_ref += s
@@ -205,7 +203,7 @@ def run_rect_sweep(queries, include_nested=True):
             evaluate_rect_reference, query, NESTED_RECT_INSTANCE
         )
         comp_s, got = _timed(
-            evaluate_rect_compiled, query, NESTED_RECT_INSTANCE
+            evaluate_rect, query, NESTED_RECT_INSTANCE
         )
         assert want == got is True
         rows.append(
@@ -275,8 +273,8 @@ def test_engines_bit_identical_on_figures(bench):
     assert len(rows) == len(CELL_WORKLOADS)
     instance = fig_1a()
     query = triple_intersection_query()
-    evaluate_cells_compiled(query, instance)  # warm the universe cache
-    bench(evaluate_cells_compiled, query, instance)
+    evaluate_cells(query, instance)  # warm the universe cache
+    bench(evaluate_cells, query, instance)
 
 
 def test_warm_speedup_on_largest_configuration():
@@ -303,7 +301,7 @@ def test_rect_and_point_engines_agree(bench):
     rows = run_rect_sweep(SMOKE_RECT_QUERIES, include_nested=False)
     assert rows[0]["rect_speedup"] > 1.0
     query = parse(SMOKE_RECT_QUERIES[0][2])
-    bench(evaluate_rect_compiled, query, RECT_WORKLOADS[1])
+    bench(evaluate_rect, query, RECT_WORKLOADS[1])
 
 
 # -- CLI --------------------------------------------------------------------

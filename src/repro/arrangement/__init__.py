@@ -1,12 +1,21 @@
 """Planar arrangement engine: planarization, DCEL, labeling, and the
 reduced cell complex — the library's stand-in for the Kozen–Yap cell
-decomposition of the paper.  The default geometry path runs the
+decomposition of the paper.  :func:`build_complex` runs the
 float-filtered exact kernel (:mod:`repro.geometry.fastkernel`), the
-sweep planarizer, and indexed labeling; the seed all-pairs/scan path is
-kept as an output-identical A/B reference."""
+sweep planarizer, and indexed labeling.  The seed path
+(:func:`build_complex_reference`: :func:`planarize_allpairs` and
+:func:`compute_labels_reference` under ``exact_mode``) is kept as the
+output-identical test oracle."""
 
 from .builder import planarize, planarize_allpairs
-from .complex import CCW, CW, Cell, CellComplex, build_complex
+from .complex import (
+    CCW,
+    CW,
+    Cell,
+    CellComplex,
+    build_complex,
+    build_complex_reference,
+)
 from .dcel import Face, Subdivision, locate_in_closed_walk
 from .labeling import (
     BOUNDARY,
@@ -31,6 +40,7 @@ __all__ = [
     "RegionIndex",
     "Subdivision",
     "build_complex",
+    "build_complex_reference",
     "compute_labels",
     "compute_labels_reference",
     "locate_in_closed_walk",

@@ -42,7 +42,14 @@ from .labeling import (
 )
 from .soa import LABEL_CHARS, LABEL_CODES, ComplexArrays
 
-__all__ = ["Cell", "CellComplex", "build_complex", "CW", "CCW"]
+__all__ = [
+    "Cell",
+    "CellComplex",
+    "build_complex",
+    "build_complex_reference",
+    "CW",
+    "CCW",
+]
 
 CW = "cw"
 CCW = "ccw"
@@ -264,34 +271,31 @@ class CellComplex:
         return self._face_edge_map.get(face_id, [])
 
 
-def build_complex(
-    instance: SpatialInstance, kernel: str = "fast"
-) -> CellComplex:
+def build_complex(instance: SpatialInstance) -> CellComplex:
     """Compute the reduced cell complex of *instance*.
 
     This is the geometric heart of the reproduction: it plays the role of
     the Kozen–Yap cell decomposition in the paper (see DESIGN.md for the
-    substitution argument).
-
-    *kernel* selects the geometry path: ``"fast"`` (default) uses the
-    float-filtered predicates, the sweep planarizer, and indexed
-    labeling; ``"seed"`` runs the original all-pairs planarizer and the
-    unindexed labeling scan with the float filter disabled.  Both paths
-    produce identical complexes — the equivalence suite asserts it on
-    the whole figure corpus — so ``"seed"`` exists purely as the A/B
-    reference.
+    substitution argument).  It runs the float-filtered predicates, the
+    sweep planarizer, and indexed labeling.
     """
-    if kernel not in ("fast", "seed"):
-        raise ArrangementError(f"unknown geometry kernel {kernel!r}")
-    if len(instance) == 0:
-        raise ArrangementError("cannot build a complex for an empty instance")
-    if kernel == "seed":
-        with exact_mode():
-            return _build(instance, planarize_allpairs, compute_labels_reference)
     return _build(instance, planarize, compute_labels)
 
 
+def build_complex_reference(instance: SpatialInstance) -> CellComplex:
+    """The seed path of :func:`build_complex`: the all-pairs planarizer
+    and the unindexed labeling scan, with the float filter disabled.
+
+    Kept as the oracle the library path is tested against; the
+    equivalence suite asserts identical complexes on the whole figure
+    corpus."""
+    with exact_mode():
+        return _build(instance, planarize_allpairs, compute_labels_reference)
+
+
 def _build(instance: SpatialInstance, planarize_fn, labels_fn) -> CellComplex:
+    if len(instance) == 0:
+        raise ArrangementError("cannot build a complex for an empty instance")
     segments: list[Segment] = []
     for _name, region in instance.items():
         segments.extend(region.boundary_segments())

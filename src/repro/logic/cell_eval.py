@@ -18,6 +18,11 @@ Evaluation cost grows exponentially with region quantifier depth (the
 paper's PSPACE query complexity); the ``max_faces`` cap bounds the size
 of quantified regions and a ``QueryError`` reports when the enumeration
 budget is exhausted rather than silently truncating.
+
+This module holds the model (grid refinement, disc-region enumeration)
+and the seed interpreter :func:`evaluate_cells_reference`, the oracle
+the library evaluator :func:`repro.logic.compiled.evaluate_cells` is
+tested against.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ from .ast import (
 __all__ = [
     "CellModel",
     "CellRegionValue",
-    "evaluate_cells",
     "evaluate_cells_reference",
     "grid_refined_complex",
     "coarse_grid_complex",
@@ -391,51 +395,6 @@ def _atom_holds(
 
 
 # -- the evaluator ------------------------------------------------------------------
-
-
-def evaluate_cells(
-    formula: Formula,
-    instance: SpatialInstance,
-    refinement: int = 0,
-    max_faces: int | None = None,
-    max_regions: int = 200_000,
-    engine: str = "compiled",
-    parallel: str = "serial",
-    workers: int | None = None,
-    timeout: float | None = None,
-) -> bool:
-    """Evaluate a sentence under cell semantics.
-
-    ``refinement`` controls the grid overlay level (finer cells let
-    quantified regions approximate more shapes); ``max_faces`` caps the
-    size of quantified regions.  ``engine`` selects the evaluator:
-    ``"compiled"`` (the bitmask engine of :mod:`repro.logic.compiled`,
-    the default) or ``"reference"`` (this module's direct interpreter).
-    Both return identical answers; ``parallel``/``workers``/``timeout``
-    apply to the compiled engine only — ``timeout`` bounds universe
-    enumeration, raising :class:`repro.errors.TimeoutError` when the
-    budget is exceeded.
-    """
-    if engine == "reference":
-        return evaluate_cells_reference(
-            formula, instance, refinement, max_faces, max_regions
-        )
-    if engine != "compiled":
-        raise QueryError(
-            f"unknown engine {engine!r}; expected 'compiled' or 'reference'"
-        )
-    from .compiled import evaluate_cells_compiled
-
-    return evaluate_cells_compiled(
-        formula,
-        instance,
-        refinement,
-        max_faces,
-        max_regions,
-        parallel=parallel,
-        workers=workers,
-        timeout=timeout,
-    )
 
 
 def evaluate_cells_reference(

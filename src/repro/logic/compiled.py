@@ -30,10 +30,13 @@ module compiles both logics down to integer machinery:
   instance's breakpoints, so ``classify`` calls collapse to an
   integer-coded table lookup.
 
-Answers are bit-identical to the reference evaluators (asserted by the
-equivalence suite and by ``benchmarks/bench_querylogic.py`` on every
-figure query); the reference paths stay available through the
-``engine="reference"`` switches.
+This module owns the library's public evaluators —
+:func:`evaluate_cells`, :func:`evaluate_rect`, :func:`evaluate_real` and
+:func:`evaluate_point` — because it imports the modules that hold the
+seed interpreters.  Answers are bit-identical to those interpreters,
+which stay callable by name as the test oracles
+(``evaluate_*_reference``; asserted by the equivalence suite and by
+``benchmarks/bench_querylogic.py`` on every figure query).
 
 ``query.*`` counters (regions enumerated, universe cache hits, memo
 hits/misses, atoms evaluated, candidates pruned) are exposed through
@@ -87,10 +90,10 @@ __all__ = [
     "compiled_universe",
     "universe_cache",
     "clear_universe_cache",
-    "evaluate_cells_compiled",
-    "evaluate_point_compiled",
-    "evaluate_real_compiled",
-    "evaluate_rect_compiled",
+    "evaluate_cells",
+    "evaluate_point",
+    "evaluate_real",
+    "evaluate_rect",
 ]
 
 
@@ -875,169 +878,31 @@ class _CellCompiler:
         return self._memoized(f, raw)
 
 
-def evaluate_cells_compiled(
+def evaluate_cells(
     formula: Formula,
     instance: SpatialInstance,
     refinement: int = 0,
     max_faces: int | None = None,
     max_regions: int = 200_000,
-    parallel: str = "serial",
-    workers: int | None = None,
     timeout: float | None = None,
 ) -> bool:
-    """Evaluate a sentence under cell semantics with the compiled engine.
+    """Evaluate a sentence under cell semantics.
 
-    Answers are identical to
-    :func:`~repro.logic.cell_eval.evaluate_cells_reference`.  *parallel*
-    selects the outermost-quantifier evaluation backend (``serial``,
-    ``threads``, or ``processes`` — the pipeline's backend names); the
-    non-serial backends chunk the outermost region quantifier's
-    candidate range over a worker pool.  *timeout* bounds a cold
-    universe enumeration (see :func:`compiled_universe`).
+    ``refinement`` controls the grid overlay level (finer cells let
+    quantified regions approximate more shapes); ``max_faces`` caps the
+    size of quantified regions; ``timeout`` bounds a cold universe
+    enumeration, raising :class:`repro.errors.TimeoutError` when the
+    budget is exceeded (see :func:`compiled_universe`).  Answers are
+    identical to :func:`~repro.logic.cell_eval.evaluate_cells_reference`.
     """
     if not formula.is_sentence():
         raise QueryError("can only evaluate sentences")
-    from ..pipeline.engine import BACKENDS
-
-    if parallel not in BACKENDS:
-        raise QueryError(
-            f"unknown parallel backend {parallel!r}; expected one of "
-            f"{BACKENDS}"
-        )
-    with stage(
-        "query.evaluate_cells", refinement=refinement, parallel=parallel
-    ):
+    with stage("query.evaluate_cells", refinement=refinement):
         universe = compiled_universe(
             instance, refinement, max_faces, max_regions, timeout=timeout
         )
-        if parallel != "serial" and isinstance(
-            formula, (ExistsRegion, ForAllRegion)
-        ):
-            return _evaluate_parallel(
-                formula,
-                instance,
-                universe,
-                refinement,
-                max_faces,
-                max_regions,
-                parallel,
-                workers,
-            )
         fn = _CellCompiler(universe).compile(formula)
         return fn({}, {})
-
-
-# -- parallel outermost quantifier -------------------------------------------
-
-
-def _chunk_ranges(n: int, chunks: int) -> list[tuple[int, int]]:
-    size = max(1, -(-n // chunks))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _eval_chunk_processes(args) -> bool:
-    """Process-pool worker: evaluate one slice of the outermost region
-    quantifier's candidates (the universe is rebuilt — or fetched from
-    the worker's own cache — inside the worker interpreter)."""
-    (
-        instance_json,
-        formula,
-        refinement,
-        max_faces,
-        max_regions,
-        lo,
-        hi,
-    ) = args
-    from ..io import instance_from_json
-
-    instance = instance_from_json(instance_json)
-    universe = compiled_universe(instance, refinement, max_faces, max_regions)
-    want = isinstance(formula, ExistsRegion)
-    body = _CellCompiler(universe).compile(formula.body)
-    renv: dict = {}
-    for value in universe.regions[lo:hi]:
-        renv[formula.variable] = value
-        if body(renv, {}) == want:
-            return True
-    return False
-
-
-def _evaluate_parallel(
-    formula,
-    instance: SpatialInstance,
-    universe: CompiledUniverse,
-    refinement: int,
-    max_faces: int | None,
-    max_regions: int,
-    parallel: str,
-    workers: int | None,
-) -> bool:
-    import os
-    from concurrent.futures import (
-        FIRST_COMPLETED,
-        ProcessPoolExecutor,
-        ThreadPoolExecutor,
-        wait,
-    )
-
-    want = isinstance(formula, ExistsRegion)
-    n = len(universe.regions)
-    if n == 0:
-        return not want
-    pool_size = workers or os.cpu_count() or 1
-    ranges = _chunk_ranges(n, pool_size * 4)
-
-    if parallel == "threads":
-        body = _CellCompiler(universe).compile(formula.body)
-        var = formula.variable
-        regions = universe.regions
-
-        def eval_chunk(bounds):
-            lo, hi = bounds
-            renv: dict = {}
-            for value in regions[lo:hi]:
-                renv[var] = value
-                if body(renv, {}) == want:
-                    return True
-            return False
-
-        executor = ThreadPoolExecutor(pool_size)
-        futures = [executor.submit(eval_chunk, r) for r in ranges]
-    else:
-        from ..io import instance_to_json
-
-        payload = instance_to_json(instance)
-        executor = ProcessPoolExecutor(pool_size)
-        futures = [
-            executor.submit(
-                _eval_chunk_processes,
-                (
-                    payload,
-                    formula,
-                    refinement,
-                    max_faces,
-                    max_regions,
-                    lo,
-                    hi,
-                ),
-            )
-            for lo, hi in ranges
-        ]
-
-    try:
-        pending = set(futures)
-        decided = False
-        while pending and not decided:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                if fut.result():
-                    decided = True
-                    break
-        return want if decided else not want
-    finally:
-        for fut in futures:
-            fut.cancel()
-        executor.shutdown(wait=False, cancel_futures=True)
 
 
 # -- compiled point / real logics --------------------------------------------
@@ -1439,9 +1304,14 @@ def _evaluate_pointlike(
     formula,
     instance: SpatialInstance,
     budget: int,
-    env: Mapping | None,
-    vals: Sequence[Fraction] | None,
+    env: Mapping | None = None,
+    vals: Sequence[Fraction] | None = None,
 ) -> bool:
+    """Evaluate a point/real formula.  *env* and *vals* pre-bind
+    variables and breakpoints; only the Prop. 5.7 path
+    (:func:`~repro.logic.pointlogic.evaluate_real_via_points`) passes
+    them."""
+    _pl._check_sentence(formula, env or ())
     tables = _PointTables(instance)
     compiler = _PointCompiler(tables, budget)
     fn = compiler.compile(_pl.hoist_conjuncts(formula))
@@ -1456,28 +1326,21 @@ def _evaluate_pointlike(
     return fn(start_env, start_vals)
 
 
-def evaluate_real_compiled(
-    formula,
-    instance: SpatialInstance,
-    budget: int = 5_000_000,
-    env: Mapping | None = None,
-    vals: Sequence[Fraction] | None = None,
+def evaluate_real(
+    formula, instance: SpatialInstance, budget: int = 5_000_000
 ) -> bool:
-    """Compiled evaluation of an FO(R, <, Region') sentence — same
-    answers as :func:`~repro.logic.pointlogic.evaluate_real_reference`."""
-    return _evaluate_pointlike(formula, instance, budget, env, vals)
+    """Evaluate an FO(R, <, Region') sentence on a rectilinear instance
+    — same answers as
+    :func:`~repro.logic.pointlogic.evaluate_real_reference`."""
+    return _evaluate_pointlike(formula, instance, budget)
 
 
-def evaluate_point_compiled(
-    formula,
-    instance: SpatialInstance,
-    budget: int = 5_000_000,
-    env: Mapping | None = None,
-    vals: Sequence[Fraction] | None = None,
+def evaluate_point(
+    formula, instance: SpatialInstance, budget: int = 5_000_000
 ) -> bool:
-    """Compiled evaluation of an FO(P, <x, <y, Region') sentence — same
+    """Evaluate an FO(P, <x, <y, Region') sentence likewise — same
     answers as :func:`~repro.logic.pointlogic.evaluate_point_reference`."""
-    return _evaluate_pointlike(formula, instance, budget, env, vals)
+    return _evaluate_pointlike(formula, instance, budget)
 
 
 # -- rect logic --------------------------------------------------------------
@@ -2011,13 +1874,17 @@ class _Found(Exception):
     """Internal: unwinds the 4-deep rectangle candidate loops."""
 
 
-def evaluate_rect_compiled(
+def evaluate_rect(
     formula: Formula,
     instance: SpatialInstance,
     max_assignments: int = 5_000_000,
 ) -> bool:
-    """Compiled evaluation of an FO(Rect, Rect–Rect*) sentence — same
-    answers as :func:`~repro.logic.rect_eval.evaluate_rect_reference`."""
+    """Evaluate a sentence with rectangle-ranging quantifiers.
+
+    The instance must be rectilinear (Rect or Rect* extents).  Raises
+    :class:`QueryError` if the search would exceed *max_assignments*
+    candidate rectangles in total.  Same answers as
+    :func:`~repro.logic.rect_eval.evaluate_rect_reference`."""
     if not formula.is_sentence():
         raise QueryError("can only evaluate sentences")
     tables = _RectTables(instance)

@@ -11,6 +11,9 @@ Both are evaluated on rectilinear instances by the same order
 abstraction as :mod:`repro.logic.rect_eval`: quantifiers range over the
 instance's breakpoints, gap midpoints, and outer values, dynamically
 extended by outer choices — complete for these S-generic structures.
+The library evaluators are :func:`repro.logic.compiled.evaluate_real`
+and :func:`repro.logic.compiled.evaluate_point`; this module keeps the
+seed interpreters (``evaluate_*_reference``) as their oracles.
 
 Also provided:
 
@@ -53,9 +56,7 @@ __all__ = [
     "RealForAll",
     "PointExists",
     "PointForAll",
-    "evaluate_real",
     "evaluate_real_reference",
-    "evaluate_point",
     "evaluate_point_reference",
     "real_to_point",
     "evaluate_real_via_points",
@@ -235,6 +236,13 @@ def _free_vars(f: PFormula, cache: dict) -> frozenset[str]:
     return out
 
 
+def _check_sentence(f: PFormula, bound=()) -> None:
+    """Reject a formula with a variable that is neither quantified nor
+    in *bound* (the pre-bound names of the Prop. 5.7 path)."""
+    if not _free_vars(f, {}) <= set(bound):
+        raise QueryError("can only evaluate sentences")
+
+
 def _flatten_and(f: PFormula) -> list[PFormula] | None:
     if not isinstance(f, AndF):
         return None
@@ -409,56 +417,16 @@ class _Evaluator:
         raise QueryError(f"cannot evaluate {type(f).__name__}")
 
 
-def evaluate_real(
-    formula: PFormula,
-    instance: SpatialInstance,
-    budget: int = 5_000_000,
-    engine: str = "compiled",
-) -> bool:
-    """Evaluate an FO(R, <, Region') sentence on a rectilinear instance.
-
-    ``engine`` selects ``"compiled"`` (slab tables + memoized closures,
-    the default) or ``"reference"`` (this module's direct interpreter);
-    both return identical answers.
-    """
-    if engine == "reference":
-        return evaluate_real_reference(formula, instance, budget)
-    if engine != "compiled":
-        raise QueryError(
-            f"unknown engine {engine!r}; expected 'compiled' or 'reference'"
-        )
-    from .compiled import evaluate_real_compiled
-
-    return evaluate_real_compiled(formula, instance, budget)
-
-
 def evaluate_real_reference(
     formula: PFormula,
     instance: SpatialInstance,
     budget: int = 5_000_000,
 ) -> bool:
     """The seed FO(R, <, Region') evaluator — the semantic baseline."""
+    _check_sentence(formula)
     return _Evaluator(instance, budget).eval(
         formula, _instance_values(instance), {}
     )
-
-
-def evaluate_point(
-    formula: PFormula,
-    instance: SpatialInstance,
-    budget: int = 5_000_000,
-    engine: str = "compiled",
-) -> bool:
-    """Evaluate an FO(P, <x, <y, Region') sentence likewise."""
-    if engine == "reference":
-        return evaluate_point_reference(formula, instance, budget)
-    if engine != "compiled":
-        raise QueryError(
-            f"unknown engine {engine!r}; expected 'compiled' or 'reference'"
-        )
-    from .compiled import evaluate_point_compiled
-
-    return evaluate_point_compiled(formula, instance, budget)
 
 
 def evaluate_point_reference(
@@ -467,6 +435,7 @@ def evaluate_point_reference(
     budget: int = 5_000_000,
 ) -> bool:
     """The seed FO(P, <x, <y, Region') evaluator — the baseline."""
+    _check_sentence(formula)
     return _Evaluator(instance, budget).eval(
         formula, _instance_values(instance), {}
     )
@@ -586,7 +555,6 @@ def evaluate_real_via_points(
     formula: PFormula,
     instance: SpatialInstance,
     budget: int = 50_000_000,
-    engine: str = "compiled",
 ) -> bool:
     """Evaluate an FO(R, <) sentence through its Prop. 5.7 translation.
 
@@ -617,18 +585,9 @@ def evaluate_real_via_points(
     body = core.body.body.parts[-1]
     env = {pv("_origin"): origin, qv("_origin"): origin}
     start_vals = sorted(set(vals) | {Fraction(0)})
-    if engine == "reference":
-        evaluator = _Evaluator(instance, budget)
-        return evaluator.eval(body, start_vals, env)
-    if engine != "compiled":
-        raise QueryError(
-            f"unknown engine {engine!r}; expected 'compiled' or 'reference'"
-        )
-    from .compiled import evaluate_point_compiled
+    from .compiled import _evaluate_pointlike
 
-    return evaluate_point_compiled(
-        body, instance, budget, env=env, vals=start_vals
-    )
+    return _evaluate_pointlike(body, instance, budget, env, start_vals)
 
 
 def shift_to_quadrant(instance: SpatialInstance) -> SpatialInstance:

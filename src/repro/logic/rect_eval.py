@@ -14,6 +14,10 @@ PSPACE bound), which the benchmarks measure.
 
 Atoms are decided exactly on rectilinear regions through a common
 refined grid (no floating point, no geometry library at query time).
+
+This module holds the seed interpreter :func:`evaluate_rect_reference`,
+the oracle the library evaluator
+:func:`repro.logic.compiled.evaluate_rect` is tested against.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .ast import (
 )
 
 __all__ = [
-    "evaluate_rect",
     "evaluate_rect_reference",
     "rectilinear_relation",
     "breakpoints_of",
@@ -177,29 +180,6 @@ def _candidates(values: list[Fraction]) -> list[Fraction]:
     out.append(values[-1])
     out.append(values[-1] + 1)
     return out
-
-
-def evaluate_rect(
-    formula: Formula,
-    instance: SpatialInstance,
-    max_assignments: int = 5_000_000,
-    engine: str = "compiled",
-) -> bool:
-    """Evaluate a sentence with rectangle-ranging quantifiers.
-
-    The instance must be rectilinear (Rect or Rect* extents).  Raises
-    :class:`QueryError` if the search would exceed *max_assignments*
-    candidate rectangles in total.  ``engine`` selects the compiled
-    evaluator (:mod:`repro.logic.compiled`, the default) or the seed
-    ``"reference"`` interpreter; both return identical answers.
-    """
-    if engine == "compiled":
-        from .compiled import evaluate_rect_compiled
-
-        return evaluate_rect_compiled(formula, instance, max_assignments)
-    if engine != "reference":
-        raise QueryError(f"unknown rect engine {engine!r}")
-    return evaluate_rect_reference(formula, instance, max_assignments)
 
 
 def evaluate_rect_reference(

@@ -49,6 +49,7 @@ from .. import tracing
 from ..errors import (
     OverloadError,
     ServiceClosedError,
+    ServiceError,
     StoreError,
     StoreUnavailableError,
     TimeoutError,
@@ -56,8 +57,13 @@ from ..errors import (
 )
 from ..instrument import Deadline
 from ..invariant import are_isomorphic, instance_key
-from ..logic import evaluate_cells, evaluate_rect, parse
-from ..logic.pointlogic import evaluate_point, evaluate_real
+from ..logic import (
+    evaluate_cells,
+    evaluate_point,
+    evaluate_real,
+    evaluate_rect,
+    parse,
+)
 from ..pipeline import InvariantPipeline
 from ..regions import SpatialInstance
 from .admission import AdmissionController
@@ -78,6 +84,28 @@ DEFAULT_SLOS: dict[str, float] = {
     "equivalent": 2.0,
     "invariant": 2.0,
 }
+
+
+def evaluate_logic(spec: dict, inst, deadline: Deadline) -> bool:
+    """Answer a logic request spec (kind ``cells``, ``rect``, ``real``
+    or ``point``) on *inst* under *deadline*.  Shared by the in-process
+    service and the shard workers, so both evaluate alike."""
+    kind = spec["kind"]
+    deadline.check(kind)
+    if kind == "cells":
+        return evaluate_cells(
+            spec["formula"],
+            inst,
+            refinement=spec["refinement"],
+            timeout=deadline.remaining(),
+        )
+    if kind == "rect":
+        return evaluate_rect(spec["formula"], inst)
+    if kind == "real":
+        return evaluate_real(spec["formula"], inst)
+    if kind == "point":
+        return evaluate_point(spec["formula"], inst)
+    raise ServiceError(f"unknown request kind {kind!r}", endpoint=kind)
 
 
 class QueryAnswer:
@@ -288,20 +316,18 @@ class QueryService:
         name: str,
         formula,
         refinement: int = 0,
-        engine: str = "compiled",
         timeout: float | None = None,
     ) -> QueryAnswer:
         """Evaluate a cell-semantics sentence against instance *name*."""
         inst, key = self._resolve("cells", name)
         sentence = parse(formula) if isinstance(formula, str) else formula
-        ckey = ("cells", key, engine, refinement, sentence)
+        ckey = ("cells", key, refinement, sentence)
         spec = {
             "kind": "cells",
             "key": key,
             "inst": inst,
             "formula": sentence,
             "refinement": refinement,
-            "engine": engine,
         }
         return await self._serve("cells", ckey, spec, timeout)
 
@@ -309,19 +335,17 @@ class QueryService:
         self,
         name: str,
         formula,
-        engine: str = "compiled",
         timeout: float | None = None,
     ) -> QueryAnswer:
         """Evaluate a rectangle-quantifier sentence against *name*."""
         inst, key = self._resolve("rect", name)
         sentence = parse(formula) if isinstance(formula, str) else formula
-        ckey = ("rect", key, engine, sentence)
+        ckey = ("rect", key, sentence)
         spec = {
             "kind": "rect",
             "key": key,
             "inst": inst,
             "formula": sentence,
-            "engine": engine,
         }
         return await self._serve("rect", ckey, spec, timeout)
 
@@ -329,18 +353,16 @@ class QueryService:
         self,
         name: str,
         formula,
-        engine: str = "compiled",
         timeout: float | None = None,
     ) -> QueryAnswer:
         """Evaluate an FO(R, <, Region') sentence against *name*."""
         inst, key = self._resolve("real", name)
-        ckey = ("real", key, engine, formula)
+        ckey = ("real", key, formula)
         spec = {
             "kind": "real",
             "key": key,
             "inst": inst,
             "formula": formula,
-            "engine": engine,
         }
         return await self._serve("real", ckey, spec, timeout)
 
@@ -348,18 +370,16 @@ class QueryService:
         self,
         name: str,
         formula,
-        engine: str = "compiled",
         timeout: float | None = None,
     ) -> QueryAnswer:
         """Evaluate an FO(P, <x, <y, Region') sentence against *name*."""
         inst, key = self._resolve("point", name)
-        ckey = ("point", key, engine, formula)
+        ckey = ("point", key, formula)
         spec = {
             "kind": "point",
             "key": key,
             "inst": inst,
             "formula": formula,
-            "engine": engine,
         }
         return await self._serve("point", ckey, spec, timeout)
 
@@ -394,43 +414,7 @@ class QueryService:
     def _local_fn(self, spec: dict) -> Callable[[Deadline], object]:
         """The in-process evaluation closure for a request spec."""
         kind = spec["kind"]
-        if kind == "cells":
-
-            def fn(deadline: Deadline) -> bool:
-                deadline.check("cells")
-                return evaluate_cells(
-                    spec["formula"],
-                    spec["inst"],
-                    refinement=spec["refinement"],
-                    engine=spec["engine"],
-                    timeout=deadline.remaining(),
-                )
-
-        elif kind == "rect":
-
-            def fn(deadline: Deadline) -> bool:
-                deadline.check("rect")
-                return evaluate_rect(
-                    spec["formula"], spec["inst"], engine=spec["engine"]
-                )
-
-        elif kind == "real":
-
-            def fn(deadline: Deadline) -> bool:
-                deadline.check("real")
-                return evaluate_real(
-                    spec["formula"], spec["inst"], engine=spec["engine"]
-                )
-
-        elif kind == "point":
-
-            def fn(deadline: Deadline) -> bool:
-                deadline.check("point")
-                return evaluate_point(
-                    spec["formula"], spec["inst"], engine=spec["engine"]
-                )
-
-        elif kind == "equivalent":
+        if kind == "equivalent":
 
             def fn(deadline: Deadline) -> bool:
                 deadline.check("equivalent")
@@ -450,8 +434,11 @@ class QueryService:
                 with self._pipeline_lock:
                     return self.pipeline.compute(spec["inst"])
 
-        else:  # pragma: no cover - endpoint methods enumerate kinds
-            raise ValueError(f"unknown request spec kind {kind!r}")
+        else:
+
+            def fn(deadline: Deadline) -> bool:
+                return evaluate_logic(spec, spec["inst"], deadline)
+
         return fn
 
     def _launch_compute(self, spec, deadline: Deadline) -> asyncio.Future:

@@ -64,14 +64,10 @@ from time import perf_counter
 from .. import faults
 from ..errors import (
     ComputeError,
-    OverloadError,
-    PipelineError,
     ReproError,
     ServiceClosedError,
     ServiceError,
     ShardDownError,
-    StoreError,
-    StoreUnavailableError,
     TimeoutError,
     UnknownInstanceError,
     WorkerError,
@@ -85,12 +81,10 @@ from ..io import (
     invariant_to_json,
 )
 from ..io.array_io import instance_from_buffer, instance_to_buffer
-from ..logic import evaluate_cells, evaluate_rect
-from ..logic.pointlogic import evaluate_point, evaluate_real
 from ..pipeline import InvariantCache, InvariantPipeline
 from .metrics import counters
 from .router import Batcher, HashRing
-from .service import QueryAnswer, QueryService
+from .service import QueryAnswer, QueryService, evaluate_logic
 
 __all__ = ["ShardServer", "ShardedQueryService"]
 
@@ -152,27 +146,20 @@ def _decode_instance(payload: tuple[str, object]):
     return instance_from_json(body)
 
 
-#: Structured error classes that may cross the shard boundary.  The
-#: worker sends ``(type name, message, attrs)``; the parent rebuilds
-#: the same class so callers see identical exception types whether the
-#: evaluation ran locally or in a shard.
-_WIRE_ERRORS = {
-    cls.__name__: cls
-    for cls in (
-        ComputeError,
-        OverloadError,
-        PipelineError,
-        ReproError,
-        ServiceClosedError,
-        ServiceError,
-        ShardDownError,
-        StoreError,
-        StoreUnavailableError,
-        TimeoutError,
-        UnknownInstanceError,
-        WorkerError,
-    )
-}
+def _error_tree(cls: type) -> list[type]:
+    """*cls* and every class derived from it."""
+    out = [cls]
+    for sub in cls.__subclasses__():
+        out.extend(_error_tree(sub))
+    return out
+
+
+#: Structured error classes that may cross the shard boundary: every
+#: :class:`~repro.errors.ReproError` class.  The worker sends ``(type
+#: name, message, attrs)``; the parent rebuilds the same class so
+#: callers see identical exception types whether the evaluation ran
+#: locally or in a shard.
+_WIRE_ERRORS = {cls.__name__: cls for cls in _error_tree(ReproError)}
 _WIRE_ATTRS = ("key", "stage", "attempts", "endpoint", "shard")
 
 
@@ -338,34 +325,8 @@ class ShardServer:
                     stage=kind,
                 )
             )
-        deadline = Deadline(budget)
         try:
-            deadline.check(kind)
-            if kind == "cells":
-                value = evaluate_cells(
-                    spec["formula"],
-                    inst,
-                    refinement=spec["refinement"],
-                    engine=spec["engine"],
-                    timeout=deadline.remaining(),
-                )
-            elif kind == "rect":
-                value = evaluate_rect(
-                    spec["formula"], inst, engine=spec["engine"]
-                )
-            elif kind == "real":
-                value = evaluate_real(
-                    spec["formula"], inst, engine=spec["engine"]
-                )
-            elif kind == "point":
-                value = evaluate_point(
-                    spec["formula"], inst, engine=spec["engine"]
-                )
-            else:
-                return False, _encode_error(
-                    ServiceError(f"unknown shard request kind {kind!r}")
-                )
-            return True, value
+            return True, evaluate_logic(spec, inst, Deadline(budget))
         except ReproError as exc:
             return False, _encode_error(exc)
         except Exception as exc:  # noqa: BLE001 - isolation boundary
@@ -735,7 +696,7 @@ class ShardedQueryService(QueryService):
     async def _remote_eval(self, spec: dict, deadline: Deadline):
         wire = {
             k: spec[k]
-            for k in ("kind", "key", "formula", "refinement", "engine")
+            for k in ("kind", "key", "formula", "refinement")
             if k in spec
         }
         return await self._dispatch(spec["kind"], spec["key"], wire, deadline)

@@ -1,18 +1,18 @@
 """Fast kernel vs seed kernel: output equivalence on whole corpora.
 
-The fast geometry path (float-filtered predicates, sweep planarizer,
-indexed labeling) is only allowed to be *faster* than the seed path —
-never different.  These tests assert full `CellComplex` equality (cells,
-incidences, orientation, endpoints, exterior face, and the geometric
-witnesses) plus canonical-hash equality of the derived invariant, on
-every paper figure and on a 50-instance generated corpus.
+The fast geometry path of ``build_complex`` (float-filtered predicates,
+sweep planarizer, indexed labeling) is only allowed to be *faster* than
+the seed path, ``build_complex_reference`` — never different.  These
+tests assert full `CellComplex` equality (cells, incidences,
+orientation, endpoints, exterior face, and the geometric witnesses)
+plus canonical-hash equality of the derived invariant, on every paper
+figure and on a 50-instance generated corpus.
 """
 
 import pytest
 
-from repro.arrangement import build_complex
+from repro.arrangement import build_complex, build_complex_reference
 from repro.arrangement.complex import CellComplex
-from repro.errors import ArrangementError
 from repro.datasets import (
     all_figures,
     grid_instance,
@@ -47,8 +47,8 @@ def _assert_same_complex(fast: CellComplex, seed: CellComplex) -> None:
 )
 def test_figures_equivalent(name):
     instance = all_figures()[name]
-    fast = build_complex(instance, kernel="fast")
-    seed = build_complex(instance, kernel="seed")
+    fast = build_complex(instance)
+    seed = build_complex_reference(instance)
     _assert_same_complex(fast, seed)
 
 
@@ -73,16 +73,11 @@ def _generated_corpus():
 @pytest.mark.slow
 def test_generated_corpus_equivalent():
     for i, instance in enumerate(_generated_corpus()):
-        fast = build_complex(instance, kernel="fast")
-        seed = build_complex(instance, kernel="seed")
+        fast = build_complex(instance)
+        seed = build_complex_reference(instance)
         try:
             _assert_same_complex(fast, seed)
         except AssertionError as exc:  # pragma: no cover - diagnostics
             raise AssertionError(
                 f"kernel divergence on generated instance #{i}"
             ) from exc
-
-
-def test_unknown_kernel_rejected():
-    with pytest.raises(ArrangementError):
-        build_complex(grid_instance(2), kernel="float")

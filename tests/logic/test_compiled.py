@@ -1,10 +1,10 @@
 """Equivalence and behavior tests for the compiled query engine.
 
 The contract of :mod:`repro.logic.compiled` is bit-identical answers to
-the reference evaluators on every input.  This suite checks the paper's
-example queries (4.1, 4.2, the Fig. 7 witness queries), random formulas
-via hypothesis, the universe cache, the ``query.*`` counters, and the
-parallel evaluation backends.
+the reference evaluators (``evaluate_*_reference``, the seed oracles)
+on every input.  This suite checks the paper's example queries (4.1,
+4.2, the Fig. 7 witness queries), random formulas via hypothesis,
+unbound variables, the universe cache, and the ``query.*`` counters.
 """
 
 import pytest
@@ -51,13 +51,13 @@ from repro.logic import (
     connected_intersection_query,
     disjoint_paths_query,
     evaluate_cells,
-    evaluate_cells_compiled,
     evaluate_cells_reference,
-    evaluate_point_compiled,
+    evaluate_point,
     evaluate_point_reference,
-    evaluate_real_compiled,
+    evaluate_real,
     evaluate_real_reference,
-    evaluate_rect_compiled,
+    evaluate_real_via_points,
+    evaluate_rect,
     evaluate_rect_reference,
     parse,
     three_disjoint_paths_negation,
@@ -100,7 +100,7 @@ class TestPaperExamples:
         q = make_query()
         inst = instance()
         assert evaluate_cells_reference(q, inst) is expected
-        assert evaluate_cells_compiled(q, inst) is expected
+        assert evaluate_cells(q, inst) is expected
 
     @pytest.mark.parametrize(
         "instance", [fig_7b_adjacent, fig_7b_interleaved]
@@ -108,25 +108,13 @@ class TestPaperExamples:
     def test_fig_7b_witness(self, instance):
         q = disjoint_paths_query()
         inst = instance()
-        assert evaluate_cells_compiled(q, inst) == evaluate_cells_reference(
-            q, inst
-        )
+        assert evaluate_cells(q, inst) == evaluate_cells_reference(q, inst)
 
     @pytest.mark.parametrize("instance", [fig_7a, fig_7a_mirrored])
     def test_fig_7a_witness(self, instance):
         q = three_disjoint_paths_negation()
         inst = instance()
-        assert evaluate_cells_compiled(q, inst) == evaluate_cells_reference(
-            q, inst
-        )
-
-    def test_engine_switch_dispatches(self):
-        inst = SpatialInstance({"A": Rect(0, 0, 4, 4), "B": Rect(2, 2, 6, 6)})
-        q = parse("exists r . subset(r, A) and subset(r, B)")
-        assert evaluate_cells(q, inst, engine="compiled")
-        assert evaluate_cells(q, inst, engine="reference")
-        with pytest.raises(QueryError):
-            evaluate_cells(q, inst, engine="vectorized")
+        assert evaluate_cells(q, inst) == evaluate_cells_reference(q, inst)
 
 
 # -- random formulas: compiled == reference ----------------------------------
@@ -189,9 +177,9 @@ class TestRandomCellFormulas:
             want = evaluate_cells_reference(q, inst, **kwargs)
         except QueryError:
             with pytest.raises(QueryError):
-                evaluate_cells_compiled(q, inst, **kwargs)
+                evaluate_cells(q, inst, **kwargs)
             return
-        assert evaluate_cells_compiled(q, inst, **kwargs) == want
+        assert evaluate_cells(q, inst, **kwargs) == want
 
 
 @st.composite
@@ -263,9 +251,7 @@ class TestRandomPointlikeFormulas:
         inst = _CORPUS[data.draw(st.integers(0, len(_CORPUS) - 1))]
         names = tuple(sorted(inst.names()))
         q = data.draw(_real_formula(names, depth=2))
-        assert evaluate_real_compiled(q, inst) == evaluate_real_reference(
-            q, inst
-        )
+        assert evaluate_real(q, inst) == evaluate_real_reference(q, inst)
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -273,9 +259,7 @@ class TestRandomPointlikeFormulas:
         inst = self.SMALL[data.draw(st.integers(0, len(self.SMALL) - 1))]
         names = tuple(sorted(inst.names()))
         q = data.draw(_point_formula(names, depth=2))
-        assert evaluate_point_compiled(q, inst) == evaluate_point_reference(
-            q, inst
-        )
+        assert evaluate_point(q, inst) == evaluate_point_reference(q, inst)
 
 
 @st.composite
@@ -328,9 +312,7 @@ class TestRandomRectFormulas:
         ]
         names = tuple(sorted(inst.names()))
         q = data.draw(_rect_formula(names, depth=1))
-        assert evaluate_rect_compiled(q, inst) == evaluate_rect_reference(
-            q, inst
-        )
+        assert evaluate_rect(q, inst) == evaluate_rect_reference(q, inst)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -361,7 +343,7 @@ class TestTranslationEquivalence:
             "exists r . subset(r, A) and not connect(r, B)",
         ]:
             q = parse(text)
-            assert evaluate_rect_compiled(q, inst) == evaluate_rect_reference(
+            assert evaluate_rect(q, inst) == evaluate_rect_reference(
                 q, inst
             ), text
 
@@ -374,14 +356,48 @@ class TestTranslationEquivalence:
         q = parse(
             "exists r, s . subset(r, A) and subset(s, B) and disjoint(r, s)"
         )
-        assert evaluate_rect_compiled(q, inst) is True
+        assert evaluate_rect(q, inst) is True
 
     def test_nested_forall_agrees_with_reference(self):
         inst = SpatialInstance({"A": Rect(0, 0, 2, 2)})
         q = parse("exists r . forall s . subset(s, r) -> connect(s, A)")
-        assert evaluate_rect_compiled(q, inst) == evaluate_rect_reference(
-            q, inst
-        )
+        assert evaluate_rect(q, inst) == evaluate_rect_reference(q, inst)
+
+
+# -- unbound variables -------------------------------------------------------
+
+
+class TestUnboundVariables:
+    """A point/real variable that no quantifier binds is a structured
+    QueryError from both engines, as in the cell and rect logics."""
+
+    QUADRANT = SpatialInstance({"A": Rect(1, -3, 3, -1)})
+
+    @pytest.mark.parametrize(
+        "evaluate", [evaluate_real, evaluate_real_reference]
+    )
+    def test_real(self, evaluate):
+        with pytest.raises(QueryError, match="sentences"):
+            evaluate(RRegion("A", RealVar("x"), RealVar("y")), self.QUADRANT)
+        with pytest.raises(QueryError, match="sentences"):
+            evaluate(
+                RealExists("x", RLess(RealVar("x"), RealVar("y"))),
+                self.QUADRANT,
+            )
+
+    @pytest.mark.parametrize(
+        "evaluate", [evaluate_point, evaluate_point_reference]
+    )
+    def test_point(self, evaluate):
+        with pytest.raises(QueryError, match="sentences"):
+            evaluate(PRegion("A", PointVar("p")), self.QUADRANT)
+
+    def test_via_points(self):
+        with pytest.raises(QueryError, match="sentences"):
+            evaluate_real_via_points(
+                RealExists("x", RRegion("A", RealVar("x"), RealVar("y"))),
+                self.QUADRANT,
+            )
 
 
 # -- universe cache ----------------------------------------------------------
@@ -422,7 +438,7 @@ class TestCounters:
     def test_query_counters_flow_through_instrument(self):
         inst = fig_1a()
         before = counter_snapshot()
-        evaluate_cells_compiled(triple_intersection_query(), inst)
+        evaluate_cells(triple_intersection_query(), inst)
         delta = counter_delta(before, counter_snapshot())
         assert delta.get("query.regions_enumerated", 0) > 0
         assert delta.get("query.atoms_evaluated", 0) > 0
@@ -432,7 +448,7 @@ class TestCounters:
         inst = SpatialInstance({"A": Rect(0, 0, 2, 2), "B": Rect(4, 0, 6, 2)})
         q = parse("exists r, s . subset(r, A) and subset(s, B) and meet(r, s)")
         before = counters.candidates_pruned
-        evaluate_rect_compiled(q, inst)
+        evaluate_rect(q, inst)
         assert counters.candidates_pruned > before
 
     def test_stats_summary_renders_query_line(self):
@@ -441,33 +457,3 @@ class TestCounters:
         stats = PipelineStats()
         stats.record_counters({"query.memo_hits": 3, "query.atoms_evaluated": 7})
         assert "query:" in stats.summary()
-
-
-# -- parallel backends -------------------------------------------------------
-
-
-class TestParallelEvaluation:
-    QUERY = "exists r . subset(r, A) and subset(r, B)"
-
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_backends_agree(self, backend):
-        inst = SpatialInstance({"A": Rect(0, 0, 4, 4), "B": Rect(2, 2, 6, 6)})
-        q = parse(self.QUERY)
-        assert evaluate_cells_compiled(
-            q, inst, parallel=backend, workers=2
-        ) == evaluate_cells_reference(q, inst)
-
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_backends_agree_on_negative_answer(self, backend):
-        inst = SpatialInstance({"A": Rect(0, 0, 2, 2), "B": Rect(5, 0, 7, 2)})
-        q = parse(self.QUERY)
-        assert evaluate_cells_compiled(
-            q, inst, parallel=backend, workers=2
-        ) == evaluate_cells_reference(q, inst)
-
-    def test_unknown_backend_rejected(self):
-        inst = SpatialInstance({"A": Rect(0, 0, 2, 2)})
-        with pytest.raises(QueryError):
-            evaluate_cells_compiled(
-                parse("connect(A, A)"), inst, parallel="cluster"
-            )

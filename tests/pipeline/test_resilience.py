@@ -524,18 +524,13 @@ class TestCompiledTimeout:
 
     def test_generous_timeout_changes_nothing(self):
         from repro.logic import parse
-        from repro.logic.compiled import (
-            clear_universe_cache,
-            evaluate_cells_compiled,
-        )
+        from repro.logic.compiled import clear_universe_cache, evaluate_cells
 
         sentence = parse("exists r . subset(r, A) and subset(r, B)")
         clear_universe_cache()
-        slow = evaluate_cells_compiled(
-            sentence, self._overlap(), timeout=300.0
-        )
+        slow = evaluate_cells(sentence, self._overlap(), timeout=300.0)
         clear_universe_cache()
-        assert slow == evaluate_cells_compiled(sentence, self._overlap())
+        assert slow == evaluate_cells(sentence, self._overlap())
 
     def test_public_dispatcher_forwards_timeout(self):
         from repro import evaluate_cells

@@ -1,8 +1,9 @@
 """Differential and chaos suites for the query service.
 
 The serving layer must be *transparent*: every answer bit-identical to
-direct evaluation — per endpoint, per engine, per pipeline backend,
-under concurrent clients, and under seeded fault schedules (where the
+direct evaluation — by the library and by the seed oracle
+(``evaluate_*_reference``) — per endpoint, per pipeline backend, under
+concurrent clients, and under seeded fault schedules (where the
 weakened guarantee is: the correct answer or a structured error, never
 a wrong answer).
 """
@@ -35,9 +36,13 @@ from repro.logic import (
     RealExists,
     RealVar,
     evaluate_cells,
+    evaluate_cells_reference,
     evaluate_point,
+    evaluate_point_reference,
     evaluate_real,
+    evaluate_real_reference,
     evaluate_rect,
+    evaluate_rect_reference,
     parse,
 )
 from repro.logic.pointlogic import AndF
@@ -104,7 +109,61 @@ POINT_QUERIES = [
     ),
 ]
 
+#: Every registered instance: the corpus plus the two quadrant
+#: instances the point/real logics need.
+INSTANCES = {**CORPUS, "quad": QUADRANT, "quad2": QUADRANT_2}
+
+#: ``(instance name, query)`` jobs per endpoint.
+CELL_JOBS = [(name, q) for q in GENERIC_CELL_QUERIES for name in CORPUS] + [
+    (name, q) for q in AB_CELL_QUERIES for name in ("lens", "apart", "nested")
+]
+RECT_JOBS = [
+    (name, q) for q in AB_RECT_QUERIES for name in ("lens", "apart", "nested")
+]
+REAL_JOBS = [("quad", q) for q in REAL_QUERIES]
+POINT_JOBS = [("quad2", q) for q in POINT_QUERIES]
+
 BACKENDS = ["serial", "threads", "processes"]
+
+
+#: Direct evaluators a served answer is compared with, per endpoint:
+#: the library's compiled evaluator and the seed oracle.
+DIRECT = {
+    "compiled": {
+        "cells": evaluate_cells,
+        "rect": evaluate_rect,
+        "real": evaluate_real,
+        "point": evaluate_point,
+    },
+    "reference": {
+        "cells": evaluate_cells_reference,
+        "rect": evaluate_rect_reference,
+        "real": evaluate_real_reference,
+        "point": evaluate_point_reference,
+    },
+}
+
+
+def direct_answers(evaluate, jobs) -> dict:
+    """``{job: answer}`` from one direct evaluator."""
+    answers = {}
+    for name, query in jobs:
+        formula = parse(query) if isinstance(query, str) else query
+        answers[(name, query)] = evaluate(formula, INSTANCES[name])
+    return answers
+
+
+def library_answers(evaluate, oracle, jobs) -> dict:
+    """``{job: answer}`` from the library evaluator, each answer
+    asserted equal to the seed oracle's.  Computed once per job, so
+    the slow oracle never runs once per service or shard count."""
+    answers = {}
+    for name, query in jobs:
+        formula = parse(query) if isinstance(query, str) else query
+        answer = evaluate(formula, INSTANCES[name])
+        assert answer == oracle(formula, INSTANCES[name]), (name, query)
+        answers[(name, query)] = answer
+    return answers
 
 
 def _retry(**kw):
@@ -114,59 +173,52 @@ def _retry(**kw):
 
 def _service(**kw):
     svc = QueryService(**kw)
-    for name, inst in CORPUS.items():
+    for name, inst in INSTANCES.items():
         svc.register(name, inst)
-    svc.register("quad", QUADRANT)
-    svc.register("quad2", QUADRANT_2)
     return svc
 
 
 class TestDifferentialAnswers:
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_cells_bit_identical_to_direct(self, engine):
+    """Served == direct answer, per endpoint, for each direct evaluator
+    in ``DIRECT``: the compiled library evaluator and the seed oracle."""
+
+    @pytest.mark.parametrize("direct", DIRECT)
+    def test_cells_bit_identical_to_direct(self, direct):
+        want = direct_answers(DIRECT[direct]["cells"], CELL_JOBS)
+
         async def main():
             async with _service() as svc:
-                for q in GENERIC_CELL_QUERIES:
-                    for name, inst in CORPUS.items():
-                        direct = evaluate_cells(parse(q), inst, engine=engine)
-                        served = await svc.ask_cells(name, q, engine=engine)
-                        assert served.value == direct, (name, q, engine)
-                for q in AB_CELL_QUERIES:
-                    for name in ("lens", "apart", "nested"):
-                        direct = evaluate_cells(
-                            parse(q), CORPUS[name], engine=engine
-                        )
-                        served = await svc.ask_cells(name, q, engine=engine)
-                        assert served.value == direct, (name, q, engine)
+                for (name, q), answer in want.items():
+                    served = await svc.ask_cells(name, q)
+                    assert served.value == answer, (name, q, direct)
 
         asyncio.run(main())
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_rect_bit_identical_to_direct(self, engine):
+    @pytest.mark.parametrize("direct", DIRECT)
+    def test_rect_bit_identical_to_direct(self, direct):
+        want = direct_answers(DIRECT[direct]["rect"], RECT_JOBS)
+
         async def main():
             async with _service() as svc:
-                for q in AB_RECT_QUERIES:
-                    for name in ("lens", "apart", "nested"):
-                        direct = evaluate_rect(
-                            parse(q), CORPUS[name], engine=engine
-                        )
-                        served = await svc.ask_rect(name, q, engine=engine)
-                        assert served.value == direct, (name, q, engine)
+                for (name, q), answer in want.items():
+                    served = await svc.ask_rect(name, q)
+                    assert served.value == answer, (name, q, direct)
 
         asyncio.run(main())
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_real_and_point_bit_identical_to_direct(self, engine):
+    @pytest.mark.parametrize("direct", DIRECT)
+    def test_real_and_point_bit_identical_to_direct(self, direct):
+        real = direct_answers(DIRECT[direct]["real"], REAL_JOBS)
+        point = direct_answers(DIRECT[direct]["point"], POINT_JOBS)
+
         async def main():
             async with _service() as svc:
-                for q in REAL_QUERIES:
-                    direct = evaluate_real(q, QUADRANT, engine=engine)
-                    served = await svc.ask_real("quad", q, engine=engine)
-                    assert served.value == direct, (q, engine)
-                for q in POINT_QUERIES:
-                    direct = evaluate_point(q, QUADRANT_2, engine=engine)
-                    served = await svc.ask_point("quad2", q, engine=engine)
-                    assert served.value == direct, (q, engine)
+                for (name, q), answer in real.items():
+                    served = await svc.ask_real(name, q)
+                    assert served.value == answer, (q, direct)
+                for (name, q), answer in point.items():
+                    served = await svc.ask_point(name, q)
+                    assert served.value == answer, (q, direct)
 
         asyncio.run(main())
 
@@ -205,15 +257,8 @@ class TestDifferentialAnswers:
 
 class TestConcurrentClients:
     def test_mixed_workload_is_bit_identical_under_concurrency(self):
-        jobs = []  # (name, query)
-        for q in GENERIC_CELL_QUERIES:
-            for name in CORPUS:
-                jobs.append((name, q))
-        for q in AB_CELL_QUERIES:
-            for name in ("lens", "apart", "nested"):
-                jobs.append((name, q))
         # Duplicate-heavy: every job issued three times concurrently.
-        jobs = jobs * 3
+        jobs = CELL_JOBS * 3
         reference = {
             (name, q): evaluate_cells(parse(q), CORPUS[name])
             for name, q in set(jobs)

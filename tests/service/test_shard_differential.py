@@ -2,14 +2,16 @@
 *transparent*.
 
 Every answer served at 1, 2, or 4 shards must be bit-identical to the
-single-process :class:`QueryService` and to direct evaluation — per
-endpoint, per engine, per shard-pipeline backend, under concurrent
-duplicate-heavy load, and under seeded fault schedules that kill shard
-workers and tear their pipes (the ``SHARD_POINTS``).  Under faults the
-guarantee weakens to: the bit-identical answer or a structured
-:class:`~repro.errors.ReproError` — never a wrong answer, never a
-hang (the service-suite flaky-watch and per-request deadlines hold
-"never a hang" to 30 s).
+single-process :class:`QueryService` and to direct evaluation, itself
+checked against the seed oracle — per endpoint, per shard-pipeline
+backend, under concurrent duplicate-heavy load, and under seeded fault
+schedules that kill shard workers and tear their pipes (the
+``SHARD_POINTS``).  Under faults the guarantee weakens to: the
+bit-identical answer or a structured :class:`~repro.errors.ReproError`
+— never a wrong answer, never a hang (the service-suite flaky-watch
+and per-request deadlines hold "never a hang" to 30 s).  A request the
+library rejects fails with the same error class from the
+single-process service and from every shard count.
 
 The corpus and query sets are shared with the single-process
 differential suite (``test_service_differential``) so the two suites
@@ -30,25 +32,33 @@ from repro import (
     invariant,
     topologically_equivalent,
 )
-from repro.errors import ShardDownError
+from repro.errors import InstanceError, QueryError, ShardDownError
 from repro.faults import SHARD_POINTS, Fault, FaultPlan, inject
 from repro.invariant import instance_key
 from repro.logic import (
+    PointVar,
+    PRegion,
+    RealVar,
+    RRegion,
     evaluate_cells,
+    evaluate_cells_reference,
     evaluate_point,
+    evaluate_point_reference,
     evaluate_real,
+    evaluate_real_reference,
     evaluate_rect,
+    evaluate_rect_reference,
     parse,
 )
 from tests.service.test_service_differential import (
-    AB_CELL_QUERIES,
-    AB_RECT_QUERIES,
+    CELL_JOBS,
     CORPUS,
     GENERIC_CELL_QUERIES,
-    POINT_QUERIES,
-    QUADRANT,
-    QUADRANT_2,
-    REAL_QUERIES,
+    INSTANCES,
+    POINT_JOBS,
+    REAL_JOBS,
+    RECT_JOBS,
+    library_answers,
 )
 
 SHARD_COUNTS = [1, 2, 4]
@@ -58,91 +68,87 @@ BACKENDS = ["serial", "threads", "processes"]
 def _sharded(n_shards, **kw):
     kw.setdefault("max_inflight", 8)
     svc = ShardedQueryService(n_shards=n_shards, **kw)
-    for name, inst in CORPUS.items():
+    for name, inst in INSTANCES.items():
         svc.register(name, inst)
-    svc.register("quad", QUADRANT)
-    svc.register("quad2", QUADRANT_2)
     return svc
 
 
 def _single(**kw):
     svc = QueryService(**kw)
-    for name, inst in CORPUS.items():
+    for name, inst in INSTANCES.items():
         svc.register(name, inst)
-    svc.register("quad", QUADRANT)
-    svc.register("quad2", QUADRANT_2)
     return svc
 
 
 class TestShardDifferentialAnswers:
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_cells_and_rect_identical_across_shard_counts(self, engine):
-        cell_jobs = [
-            (name, q)
-            for q in GENERIC_CELL_QUERIES
-            for name in CORPUS
-        ] + [
-            (name, q)
-            for q in AB_CELL_QUERIES
-            for name in ("lens", "apart", "nested")
-        ]
-        rect_jobs = [
-            (name, q)
-            for q in AB_RECT_QUERIES
-            for name in ("lens", "apart", "nested")
-        ]
-        cell_ref = {
-            (name, q): evaluate_cells(parse(q), CORPUS[name], engine=engine)
-            for name, q in cell_jobs
-        }
-        rect_ref = {
-            (name, q): evaluate_rect(parse(q), CORPUS[name], engine=engine)
-            for name, q in rect_jobs
-        }
+    def test_cells_and_rect_identical_across_shard_counts(self):
+        cells = library_answers(
+            evaluate_cells, evaluate_cells_reference, CELL_JOBS
+        )
+        rects = library_answers(
+            evaluate_rect, evaluate_rect_reference, RECT_JOBS
+        )
 
         async def main():
             # The single-process service is the second reference; the
             # sharded services must match both it and direct eval.
             async with _single() as single:
-                for name, q in cell_jobs:
-                    served = await single.ask_cells(name, q, engine=engine)
-                    assert served.value == cell_ref[(name, q)], (name, q)
+                for (name, q), answer in cells.items():
+                    served = await single.ask_cells(name, q)
+                    assert served.value == answer, (name, q)
             for shards in SHARD_COUNTS:
                 async with _sharded(shards) as svc:
-                    for name, q in cell_jobs:
-                        served = await svc.ask_cells(name, q, engine=engine)
-                        assert served.value == cell_ref[(name, q)], (
-                            shards, name, q, engine,
-                        )
-                    for name, q in rect_jobs:
-                        served = await svc.ask_rect(name, q, engine=engine)
-                        assert served.value == rect_ref[(name, q)], (
-                            shards, name, q, engine,
-                        )
+                    for (name, q), answer in cells.items():
+                        served = await svc.ask_cells(name, q)
+                        assert served.value == answer, (shards, name, q)
+                    for (name, q), answer in rects.items():
+                        served = await svc.ask_rect(name, q)
+                        assert served.value == answer, (shards, name, q)
 
         asyncio.run(main())
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_real_and_point_identical_across_shard_counts(self, engine):
-        real_ref = [
-            evaluate_real(q, QUADRANT, engine=engine) for q in REAL_QUERIES
-        ]
-        point_ref = [
-            evaluate_point(q, QUADRANT_2, engine=engine)
-            for q in POINT_QUERIES
-        ]
+    def test_real_and_point_identical_across_shard_counts(self):
+        real = library_answers(
+            evaluate_real, evaluate_real_reference, REAL_JOBS
+        )
+        point = library_answers(
+            evaluate_point, evaluate_point_reference, POINT_JOBS
+        )
 
         async def main():
             for shards in SHARD_COUNTS:
                 async with _sharded(shards) as svc:
-                    for q, expect in zip(REAL_QUERIES, real_ref):
-                        served = await svc.ask_real("quad", q, engine=engine)
-                        assert served.value == expect, (shards, q, engine)
-                    for q, expect in zip(POINT_QUERIES, point_ref):
-                        served = await svc.ask_point(
-                            "quad2", q, engine=engine
-                        )
-                        assert served.value == expect, (shards, q, engine)
+                    for (name, q), answer in real.items():
+                        served = await svc.ask_real(name, q)
+                        assert served.value == answer, (shards, q)
+                    for (name, q), answer in point.items():
+                        served = await svc.ask_point(name, q)
+                        assert served.value == answer, (shards, q)
+
+        asyncio.run(main())
+
+    def test_rejected_requests_raise_the_same_class(self):
+        requests = [
+            ("ask_cells", "lens", parse("subset(r, A)")),
+            ("ask_rect", "lens", "exists r . subset(r, C)"),
+            ("ask_real", "quad", RRegion("A", RealVar("x"), RealVar("y"))),
+            ("ask_point", "quad", PRegion("A", PointVar("p"))),
+        ]
+
+        async def classes(svc):
+            out = []
+            async with svc:
+                for endpoint, name, query in requests:
+                    with pytest.raises(ReproError) as err:
+                        await getattr(svc, endpoint)(name, query)
+                    out.append(type(err.value))
+            return out
+
+        async def main():
+            want = await classes(_single())
+            assert want == [QueryError, InstanceError, QueryError, QueryError]
+            for shards in (1, 2):
+                assert await classes(_sharded(shards)) == want, shards
 
         asyncio.run(main())
 
@@ -186,16 +192,7 @@ class TestShardDifferentialAnswers:
 class TestShardedConcurrentClients:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_duplicate_heavy_mixed_load_is_identical(self, shards):
-        jobs = [
-            (name, q)
-            for q in GENERIC_CELL_QUERIES
-            for name in CORPUS
-        ] + [
-            (name, q)
-            for q in AB_CELL_QUERIES
-            for name in ("lens", "apart", "nested")
-        ]
-        jobs = jobs * 3  # duplicate-heavy
+        jobs = CELL_JOBS * 3  # duplicate-heavy
         reference = {
             (name, q): evaluate_cells(parse(q), CORPUS[name])
             for name, q in set(jobs)

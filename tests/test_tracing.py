@@ -30,8 +30,7 @@ from repro.datasets.figures import all_figures
 from repro.faults import FaultPlan, inject
 from repro.instrument import stage
 from repro.invariant import canonical_hash
-from repro.logic import parse
-from repro.logic.cell_eval import evaluate_cells
+from repro.logic import evaluate_cells, parse
 from repro.logic.compiled import clear_universe_cache
 from repro.pipeline import BACKENDS, InvariantPipeline, RetryPolicy
 from repro.tracing import Span, Trace, Tracer
