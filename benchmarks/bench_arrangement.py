@@ -37,11 +37,11 @@ import resource
 import time
 from pathlib import Path
 
+from repro import tracing
 from repro.arrangement.builder import planarize, planarize_allpairs
 from repro.arrangement.complex import build_complex, build_complex_reference
 from repro.datasets import grid_instance, overlap_chain
 from repro.geometry.fastkernel import counters, exact_mode
-from repro.instrument import collecting
 from repro.invariant import TopologicalInvariant, canonical_hash
 from repro.pipeline import InvariantPipeline
 
@@ -67,15 +67,12 @@ def _boundary_segments(instance):
 
 
 def _cold_build(instance):
-    """Per-stage seconds of one cold fast-kernel build, plus the complex."""
-    times = {}
-
-    def record(name, seconds):
-        times[name] = times.get(name, 0.0) + seconds
-
-    with collecting(record):
+    """Per-stage seconds of one cold fast-kernel build, plus the complex:
+    each stage span's total duration, children included."""
+    with tracing.tracing() as tracer:
         cx = build_complex(instance)
-    return {name: times.get(name, 0.0) for name in STAGES}, cx
+    rollup = tracer.finish().self_times()
+    return {name: rollup[name]["seconds"] for name in STAGES}, cx
 
 
 def _planarize_ab(segments, rounds=AB_ROUNDS):

@@ -40,7 +40,7 @@ import numpy as np
 from ..geometry import Point, Segment
 from ..geometry import batchkernel
 from ..geometry.fastkernel import counters, filter_enabled
-from ..instrument import stage
+from ..tracing import span
 
 __all__ = ["planarize", "planarize_allpairs"]
 
@@ -113,13 +113,13 @@ def planarize(segments: Iterable[Segment]) -> list[Segment]:
     """
     segs: list[Segment] = list(dict.fromkeys(segments))
     cuts: list[set[Point]] = [set() for _ in segs]
-    with stage("planarize.sweep", segments=len(segs)):
+    with span("planarize.sweep", segments=len(segs)):
         arr = batchkernel.segments_to_array(segs) if filter_enabled() else None
         if arr is None:
             _sweep_scalar(segs, cuts)
         else:
             _sweep_batched(segs, arr, cuts)
-    with stage("planarize.pieces"):
+    with span("planarize.pieces"):
         return _pieces_from_cuts(segs, cuts)
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from ..errors import ArrangementError
 from ..geometry import Point, Segment
 from ..geometry.fastkernel import exact_mode
-from ..instrument import stage
 from ..regions import SpatialInstance
+from ..tracing import span
 from .builder import planarize, planarize_allpairs
 from .dcel import Subdivision
 from .labeling import (
@@ -299,13 +299,13 @@ def _build(instance: SpatialInstance, planarize_fn, labels_fn) -> CellComplex:
     segments: list[Segment] = []
     for _name, region in instance.items():
         segments.extend(region.boundary_segments())
-    with stage("arrangement.planarize"):
+    with span("arrangement.planarize"):
         pieces = planarize_fn(segments)
-    with stage("arrangement.subdivision"):
+    with span("arrangement.subdivision"):
         sub = Subdivision(pieces)
-    with stage("arrangement.labeling"):
+    with span("arrangement.labeling"):
         labels = labels_fn(instance, sub)
-    with stage("arrangement.reduce"):
+    with span("arrangement.reduce"):
         return _reduce(sub, labels)
 
 

@@ -73,9 +73,8 @@ draws from :data:`WORKER_POINTS` unless told otherwise.
 The worker-side points are drawn by the *parent* at submit time — the
 decision ships with the task — so counting stays centralized and
 deterministic even across process-pool workers.  Every fire is also
-tallied into a module-level counter source registered with
-:mod:`repro.instrument`, so ``fault.*`` counters show up in
-:class:`~repro.pipeline.PipelineStats` next to the ``kernel.*`` and
+tallied into the module-level ``fault.*``
+:class:`~repro.instrument.Counters` family, next to the ``kernel.*`` and
 ``query.*`` families.
 """
 
@@ -89,7 +88,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from .errors import WorkerError
-from .instrument import add_counter_source
+from .instrument import Counters
 
 __all__ = [
     "WORKER_POINTS",
@@ -233,7 +232,7 @@ class FaultPlan:
                 fault._fired += 1
                 self.fired[point] = self.fired.get(point, 0) + 1
                 self.log.append((point, key))
-                _count_fire(point)
+                counters.count(point)
                 return fault.payload()
         return None
 
@@ -251,23 +250,8 @@ class FaultPlan:
 _lock = threading.Lock()
 _stack: list[FaultPlan] = []
 
-# Module-wide monotone fire tally, exposed as a counter source so
-# injected faults appear as ``fault.*`` in PipelineStats.
-_fired_total: dict[str, int] = {}
-
-
-def _count_fire(point: str) -> None:
-    with _lock:
-        name = f"fault.{point}"
-        _fired_total[name] = _fired_total.get(name, 0) + 1
-
-
-def _snapshot() -> dict[str, int]:
-    with _lock:
-        return dict(_fired_total)
-
-
-add_counter_source(_snapshot)
+# Module-wide monotone fire tally, one ``fault.<point>`` per point.
+counters = Counters("fault")
 
 
 def active() -> FaultPlan | None:

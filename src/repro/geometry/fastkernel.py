@@ -23,9 +23,9 @@ interval filters of CGAL-like kernels:
 The filter therefore never changes an answer — it only answers when the
 error bound proves the sign — so every consumer remains exact.  The
 only observable difference is speed, plus the module-level
-:data:`counters` which record filter hits vs exact fallbacks; the batch
-pipeline snapshots them through :func:`repro.instrument.counter_snapshot`
-into :class:`~repro.pipeline.stats.PipelineStats`.
+:data:`counters` which record filter hits vs exact fallbacks — the
+``kernel.*`` family of :func:`repro.instrument.counter_snapshot`, which
+a tracer built with ``capture_counters=True`` diffs around every span.
 
 Error bound
 -----------
@@ -54,6 +54,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from ..instrument import Counters
 from .point import Point
 from . import predicates as _exact
 
@@ -72,7 +73,7 @@ _EPS = 2.220446049250313e-16
 _ORIENT_COEFF = 16.0 * _EPS
 
 
-class KernelCounters:
+class KernelCounters(Counters):
     """Filter hits vs exact fallbacks, per predicate family.
 
     ``orientation_fast`` / ``orientation_exact``
@@ -96,30 +97,6 @@ class KernelCounters:
         under the ``intersect_*`` / ``orientation_*`` families).
     """
 
-    __slots__ = (
-        "orientation_fast",
-        "orientation_exact",
-        "intersect_fast",
-        "intersect_exact",
-        "intersect_bbox_reject",
-        "planarize_pairs_tested",
-        "planarize_pairs_pruned",
-        "batch_pairs",
-        "batch_certified",
-        "batch_fallback",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        """Current values under ``kernel.``-prefixed names."""
-        return {f"kernel.{name}": getattr(self, name) for name in self.__slots__}
-
     def filter_hit_rate(self) -> float:
         """Fraction of predicate calls answered without exact fallback.
 
@@ -134,14 +111,22 @@ class KernelCounters:
         total = fast + self.orientation_exact + self.intersect_exact
         return fast / total if total else 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(
-            f"{name}={getattr(self, name)}" for name in self.__slots__
-        )
-        return f"KernelCounters({inner})"
 
-
-counters = KernelCounters()
+counters = KernelCounters(
+    "kernel",
+    (
+        "orientation_fast",
+        "orientation_exact",
+        "intersect_fast",
+        "intersect_exact",
+        "intersect_bbox_reject",
+        "planarize_pairs_tested",
+        "planarize_pairs_pruned",
+        "batch_pairs",
+        "batch_certified",
+        "batch_fallback",
+    ),
+)
 
 _filter_enabled = True
 
@@ -282,10 +267,3 @@ def segment_intersection(
         return ("point", Point(a.x + r.x * t, a.y + r.y * t))
     counters.intersect_exact += 1
     return _exact.segment_intersection(a, b, c, d)
-
-
-# Publish the counters to the instrumentation layer so PipelineStats can
-# snapshot them without importing geometry internals.
-from ..instrument import add_counter_source  # noqa: E402  (import cycle-free)
-
-add_counter_source(counters.snapshot)

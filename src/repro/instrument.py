@@ -1,55 +1,31 @@
-"""Lightweight stage instrumentation for the hot paths.
+"""Counters and deadlines for the hot paths.
 
-The arrangement builder, the invariant canonizer, and the isomorphism
-search wrap their phases in :func:`stage`.  With no collector installed
-the wrapper is a no-op apart from one truthiness check, so library users
-pay nothing; the batch pipeline installs a collector around its work and
-aggregates the timings into its :class:`~repro.pipeline.PipelineStats`.
+Stage *time* is recorded by spans (:func:`repro.tracing.span`); this
+module keeps what spans do not: monotone *counts* and cooperative time
+budgets.
 
-Collectors are plain callables ``(stage_name, seconds) -> None`` held in
-a module-level registry guarded by a lock (the threads backend records
-from worker threads).  A collector that raises is skipped for that
-stage — a broken observer must not poison the observed computation or
-the registry.
-
-On top of the flat collectors sits the hierarchical tracing layer of
-:mod:`repro.tracing`: when a tracer is installed, every ``stage()``
-block additionally opens a span (keyword arguments to :func:`stage`
-become span attributes; collectors ignore them).  Spans recorded inside
-process-pool workers are captured in the child interpreter and
-re-parented in the submitting pipeline — see :mod:`repro.tracing` for
-the cross-process story that closes the old "workers are not observed"
-blind spot.
-
-Alongside the stage timers this module aggregates *counter sources*:
-zero-argument callables returning a ``{name: int}`` snapshot of
-monotonically increasing counters (the fast geometry kernel registers
-its filter-hit/exact-fallback counters here at import).  Consumers take
-a :func:`counter_snapshot` before and after a unit of work and diff the
-two — that keeps the hot paths free of any per-call indirection.
+A :class:`Counters` object is one family of counters under a name
+prefix (``kernel.*``, ``query.*``, ``service.*``, ``store.*``,
+``scrub.*``, ``fault.*``).  Each family registers itself when it is
+built, so :func:`counter_snapshot` sees every family in the process.
+Consumers take a snapshot before and after a unit of work and diff the
+two with :func:`counter_delta` — which keeps the hot paths free of any
+per-call indirection.  A tracer built with ``capture_counters=True``
+does exactly that around every span.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
-    "stage",
-    "add_collector",
-    "remove_collector",
-    "collecting",
-    "add_counter_source",
-    "remove_counter_source",
+    "Counters",
     "counter_snapshot",
     "counter_delta",
     "Deadline",
 ]
-
-Collector = Callable[[str, float], None]
-CounterSource = Callable[[], dict[str, int]]
 
 
 class Deadline:
@@ -105,52 +81,64 @@ class Deadline:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Deadline({self.seconds!r})"
 
+
 _lock = threading.Lock()
-_collectors: list[Collector] = []
-_counter_sources: list[CounterSource] = []
-
-# Hierarchical tracing hook (set up by repro.tracing, which this module
-# must not import at module level — tracing imports the counter API from
-# here).  ``_trace_refs`` counts active tracers; ``stage()`` only looks
-# up the current tracer when it is non-zero, so the tracing-off path
-# stays two truthiness checks.
-_trace_refs = 0
-_trace_get: Callable[[], object] | None = None
+_families: list["Counters"] = []
 
 
-def _trace_ref(delta: int) -> None:
-    """Adjust the active-tracer count (called by :mod:`repro.tracing`)."""
-    global _trace_refs, _trace_get
-    with _lock:
-        if _trace_get is None:
-            from .tracing import current_tracer
+class Counters:
+    """One family of monotone counters, snapshotted as ``prefix.name``.
 
-            _trace_get = current_tracer
-        _trace_refs += delta
+    Hot paths increment a declared name as a bare attribute
+    (``counters.hits += 1``).  That takes no lock, so increments from
+    concurrent threads can be lost — acceptable for statistics, since
+    nothing correct depends on them.  Cold paths call :meth:`count`,
+    which takes the family's lock and creates an undeclared name on
+    first use.
+    """
 
+    def __init__(self, prefix: str, names: Iterable[str] = ()):
+        self._prefix = prefix
+        self._lock = threading.Lock()
+        # Listed, never read back from vars(self): materializing the
+        # instance __dict__ slows every bare increment about threefold.
+        self._names = list(names)
+        for name in self._names:
+            setattr(self, name, 0)
+        with _lock:
+            _families.append(self)
 
-def add_counter_source(source: CounterSource) -> None:
-    """Register a ``() -> {name: int}`` snapshot callable."""
-    with _lock:
-        _counter_sources.append(source)
+    def count(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            value = getattr(self, name, None)
+            if value is None:
+                self._names.append(name)
+                value = 0
+            setattr(self, name, value + n)
 
+    def reset(self) -> None:
+        """Zero every counter of the family (a delta spanning the reset
+        is clamped by :func:`counter_delta`)."""
+        with self._lock:
+            for name in self._names:
+                setattr(self, name, 0)
 
-def remove_counter_source(source: CounterSource) -> None:
-    """Unregister a counter source previously added (no error if absent)."""
-    with _lock:
-        try:
-            _counter_sources.remove(source)
-        except ValueError:
-            pass
+    def snapshot(self) -> dict[str, int]:
+        """Current values under ``prefix.``-qualified names."""
+        with self._lock:
+            return {
+                f"{self._prefix}.{name}": getattr(self, name)
+                for name in self._names
+            }
 
 
 def counter_snapshot() -> dict[str, int]:
-    """Merged snapshot of every registered counter source."""
+    """Merged snapshot of every counter family in the process."""
     with _lock:
-        sources = list(_counter_sources)
+        families = list(_families)
     merged: dict[str, int] = {}
-    for source in sources:
-        merged.update(source())
+    for family in families:
+        merged.update(family.snapshot())
     return merged
 
 
@@ -160,9 +148,8 @@ def counter_delta(
     """Per-counter increase between two snapshots (new counters count
     from zero).
 
-    Counters are monotone within one source's lifetime, but a source can
-    be *replaced* mid-interval — a process-pool respawn installs fresh
-    workers whose counters restart at zero — which would make the naive
+    Counters are monotone between resets, but a family can be reset
+    mid-interval (:meth:`Counters.reset`), which would make the naive
     difference negative and corrupt every rate derived from it.  A
     negative difference is therefore clamped to 0 and tallied in the
     returned ``counters_reset`` entry instead, so consumers can see that
@@ -179,64 +166,3 @@ def counter_delta(
     if resets:
         delta["counters_reset"] = delta.get("counters_reset", 0) + resets
     return delta
-
-
-def add_collector(collector: Collector) -> None:
-    """Register a ``(stage_name, seconds)`` callback."""
-    with _lock:
-        _collectors.append(collector)
-
-
-def remove_collector(collector: Collector) -> None:
-    """Unregister a callback previously added (no error if absent)."""
-    with _lock:
-        try:
-            _collectors.remove(collector)
-        except ValueError:
-            pass
-
-
-@contextmanager
-def collecting(collector: Collector) -> Iterator[None]:
-    """Scoped registration: install *collector* for the block."""
-    add_collector(collector)
-    try:
-        yield
-    finally:
-        remove_collector(collector)
-
-
-@contextmanager
-def stage(name: str, **attributes) -> Iterator[None]:
-    """Time the block as *name* if any collector or tracer is installed.
-
-    Keyword arguments become span attributes when a tracer is active
-    (:mod:`repro.tracing`); flat collectors see only ``(name, dt)``.
-    With neither installed the block costs two truthiness checks.
-    """
-    tracer = _trace_get() if _trace_refs else None
-    if not _collectors and tracer is None:
-        yield
-        return
-    span = (
-        tracer.start_span(name, push=True, attributes=attributes)
-        if tracer is not None
-        else None
-    )
-    t0 = perf_counter()
-    try:
-        yield
-    finally:
-        dt = perf_counter() - t0
-        if span is not None:
-            tracer.finish_span(span)
-        if _collectors:
-            with _lock:
-                active = list(_collectors)
-            for collector in active:
-                try:
-                    collector(name, dt)
-                except Exception:
-                    # A broken observer must not fail the observed
-                    # computation (or starve the collectors after it).
-                    pass

@@ -42,8 +42,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..errors import ReproError
-from ..instrument import stage
 from ..regions import AlgRegion, Poly, Rect, RectUnion, SpatialInstance
+from ..tracing import span
 from .structure import CCW, CW, TopologicalInvariant
 
 __all__ = [
@@ -395,7 +395,7 @@ def canonical_form(t: TopologicalInvariant) -> tuple:
     cached = getattr(t, "_canonical_form_cache", None)
     if cached is not None:
         return cached
-    with stage("invariant.canonicalize"):
+    with span("invariant.canonicalize"):
         form = min(_canonize(_Flat(t)), _canonize(_Flat(_mirror(t))))
     object.__setattr__(t, "_canonical_form_cache", form)
     return form

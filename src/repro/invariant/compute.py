@@ -8,8 +8,8 @@ H-equivalence through invariant isomorphism (Theorem 3.4).
 from __future__ import annotations
 
 from ..arrangement import build_complex
-from ..instrument import stage
 from ..regions import SpatialInstance
+from ..tracing import span
 from .structure import TopologicalInvariant
 
 __all__ = ["invariant", "topologically_equivalent"]
@@ -36,7 +36,7 @@ def invariant(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    with stage("invariant.build", regions=len(instance)):
+    with span("invariant.build", regions=len(instance)):
         t = TopologicalInvariant.from_complex(build_complex(instance))
     if cache is not None:
         cache.put(key, t)

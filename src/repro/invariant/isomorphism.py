@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Mapping
 
-from ..instrument import stage
+from ..tracing import span
 from .structure import CCW, CW, TopologicalInvariant
 
 __all__ = ["find_isomorphism", "are_isomorphic", "verify_isomorphism"]
@@ -60,9 +60,9 @@ def find_isomorphism(
     if len(t1.incidences) != len(t2.incidences):
         return None
     flips = (False, True) if use_orientation else (False,)
-    with stage("invariant.isomorphism", cells=len(t1.incidences)):
+    with span("invariant.isomorphism", cells=len(t1.incidences)):
         for flip in flips:
-            with stage("isomorphism.search", flip=flip):
+            with span("isomorphism.search", flip=flip):
                 mapping = _Search(
                     t1, t2, flip,
                     use_orientation=use_orientation,

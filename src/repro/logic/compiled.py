@@ -39,9 +39,10 @@ which stay callable by name as the test oracles
 ``benchmarks/bench_querylogic.py`` on every figure query).
 
 ``query.*`` counters (regions enumerated, universe cache hits, memo
-hits/misses, atoms evaluated, candidates pruned) are exposed through
-:mod:`repro.instrument` and therefore show up in
-:class:`~repro.pipeline.PipelineStats` summaries.
+hits/misses, atoms evaluated, candidates pruned) form one
+:class:`~repro.instrument.Counters` family, so they show up in
+:func:`~repro.instrument.counter_snapshot` and on the spans of a tracer
+built with ``capture_counters=True``.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ import numpy as np
 from ..arrangement.soa import mask_from_bool
 from ..errors import QueryError
 from ..geometry import Location, Point
-from ..instrument import Deadline, add_counter_source, stage
+from ..instrument import Counters, Deadline
 from ..regions import Rect, RectUnion, SpatialInstance
+from ..tracing import span
 from . import pointlogic as _pl
 from .ast import (
     And,
@@ -82,7 +84,6 @@ from .cell_eval import _MATRIX_OF, grid_refined_complex
 from .rect_eval import _atom_holds, breakpoints_of, instance_values
 
 __all__ = [
-    "QueryCounters",
     "counters",
     "CompiledRegion",
     "CompiledUniverse",
@@ -99,24 +100,22 @@ __all__ = [
 
 # -- counters ----------------------------------------------------------------
 
-
-class QueryCounters:
-    """Monotone counters for the compiled query engine.
-
-    ``regions_enumerated``
-        Disc regions admitted into a universe (cold enumerations only).
-    ``universe_hits`` / ``universe_misses``
-        Content-addressed universe cache lookups.
-    ``memo_hits`` / ``memo_misses``
-        Per-subformula memo table lookups at quantifier nodes.
-    ``atoms_evaluated``
-        4-intersection / order / membership atoms actually computed.
-    ``candidates_pruned``
-        Quantifier candidates rejected by compile-time filters before
-        the quantified remainder of the body was entered.
-    """
-
-    __slots__ = (
+#: The compiled engine's ``query.*`` counters:
+#:
+#: ``regions_enumerated``
+#:     Disc regions admitted into a universe (cold enumerations only).
+#: ``universe_hits`` / ``universe_misses``
+#:     Content-addressed universe cache lookups.
+#: ``memo_hits`` / ``memo_misses``
+#:     Per-subformula memo table lookups at quantifier nodes.
+#: ``atoms_evaluated``
+#:     4-intersection / order / membership atoms actually computed.
+#: ``candidates_pruned``
+#:     Quantifier candidates rejected by compile-time filters before
+#:     the quantified remainder of the body was entered.
+counters = Counters(
+    "query",
+    (
         "regions_enumerated",
         "universe_hits",
         "universe_misses",
@@ -124,27 +123,8 @@ class QueryCounters:
         "memo_misses",
         "atoms_evaluated",
         "candidates_pruned",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        """Current values under ``query.``-prefixed names."""
-        return {f"query.{name}": getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(
-            f"{name}={getattr(self, name)}" for name in self.__slots__
-        )
-        return f"QueryCounters({inner})"
-
-
-counters = QueryCounters()
+    ),
+)
 
 
 # -- compiled region values and universes ------------------------------------
@@ -612,7 +592,7 @@ def _build_universe(
     model: CompiledCellModel, instance: SpatialInstance
 ) -> CompiledUniverse:
     names = tuple(instance.names())
-    with stage("query.enumerate_universe", faces=len(model.face_indices)):
+    with span("query.enumerate_universe", faces=len(model.face_indices)):
         regions, candidates_seen = model.enumerate_universe()
     counters.regions_enumerated += len(regions)
     return CompiledUniverse(
@@ -826,7 +806,7 @@ class _CellCompiler:
         def raw(renv, nenv):
             # A span per (non-memoized) evaluation of this quantifier
             # node: a no-op truthiness check when tracing is off.
-            with stage(span_name, candidates=len(regions)):
+            with span(span_name, candidates=len(regions)):
                 prev = renv.get(var, _MISSING)
                 try:
                     for value in regions:
@@ -861,7 +841,7 @@ class _CellCompiler:
         )
 
         def raw(renv, nenv):
-            with stage(span_name, candidates=len(names)):
+            with span(span_name, candidates=len(names)):
                 prev = nenv.get(var, _MISSING)
                 try:
                     for name in names:
@@ -897,7 +877,7 @@ def evaluate_cells(
     """
     if not formula.is_sentence():
         raise QueryError("can only evaluate sentences")
-    with stage("query.evaluate_cells", refinement=refinement):
+    with span("query.evaluate_cells", refinement=refinement):
         universe = compiled_universe(
             instance, refinement, max_faces, max_regions, timeout=timeout
         )
@@ -1891,6 +1871,3 @@ def evaluate_rect(
     compiler = _RectCompiler(tables, max_assignments)
     fn = compiler.compile(formula)
     return fn({}, {}, tuple(tables.base_x), tuple(tables.base_y))
-
-
-add_counter_source(counters.snapshot)

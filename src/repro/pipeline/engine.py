@@ -33,11 +33,12 @@ after every sibling finished and was cached, so nothing is lost; the
 ``"skip"`` and ``"collect"`` modes return a
 :class:`~repro.pipeline.resilience.BatchResult` instead of raising.
 
-Stage timings (arrangement build, canonicalization, isomorphism),
-cache and recovery counters are exposed through
-:attr:`InvariantPipeline.stats`.  Process-pool workers run in separate
-interpreters; their internal stage breakdown is not observed (their
-wall time still shows up in the benchmark totals).
+:attr:`InvariantPipeline.stats` counts what the pipeline itself did:
+cache hits and misses, computed invariants, dispatch, retries and
+degradations.  Stage time and the ``kernel.*``/``query.*`` counters
+live in the trace: run a batch under :func:`repro.tracing.tracing` and
+every stage — including those inside process-pool workers — is a span
+under the batch's ``pipeline.compute_batch`` span.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from typing import Iterable, Sequence
 
 from .. import faults, tracing
 from ..errors import PipelineError
-from ..instrument import collecting, counter_delta, counter_snapshot
 from ..invariant import (
     TopologicalInvariant,
     find_isomorphism,
@@ -100,19 +100,20 @@ def _teardown_process_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _invariant_task(args: tuple):
-    """Process-pool worker: ``(key, payload, drawn fault, trace?)`` in,
+    """Process-pool worker: ``(key, payload, drawn fault, shipped)`` in,
     invariant JSON out.  The payload is either ``("json", text)`` or a
     ``("shm", name, offset, size)`` descriptor of a window in the
     batch's shared-memory arena (see :mod:`repro.pipeline.shm`), which
     is decoded zero-copy in place.  The fault decision was drawn by the
     parent at submit time (deterministic schedules survive the process
-    hop).  When the parent is tracing, the spans recorded in this
-    interpreter are captured and piggybacked on the result for
-    re-parenting."""
-    key, payload, fault, traced = args
+    hop).  When the parent is tracing (*shipped* is its tracer's
+    ``capture_counters`` flag, see :func:`repro.tracing.capture`), the
+    spans recorded in this interpreter are captured and piggybacked on
+    the result for re-parenting."""
+    key, payload, fault, shipped = args
     from ..io import invariant_to_json
 
-    with tracing.capture(force=traced) as cap:
+    with tracing.capture(shipped) as cap:
         faults.execute_in_worker(fault, key)
         if payload[0] == "shm":
             from ..io import instance_from_buffer
@@ -194,7 +195,6 @@ class InvariantPipeline:
         self.task_timeout = task_timeout
         self.max_pool_respawns = max_pool_respawns
         self.stats = PipelineStats()
-        self.last_trace: tracing.Trace | None = None
         self._pool: ProcessPoolExecutor | None = None
         self._thread_pool: ThreadPoolExecutor | None = None
 
@@ -259,7 +259,6 @@ class InvariantPipeline:
         self,
         instances: Sequence[SpatialInstance],
         on_error: str = "raise",
-        trace: "bool | tracing.Tracer | None" = None,
         keys: "Sequence[str] | None" = None,
     ) -> list[TopologicalInvariant] | BatchResult:
         """Invariants of *instances*, in order.
@@ -280,20 +279,12 @@ class InvariantPipeline:
           per-input :class:`~repro.pipeline.resilience.Outcome`
           objects (ok or failed, aligned with the inputs).
 
-        *trace* selects hierarchical tracing (:mod:`repro.tracing`):
-
-        * ``None`` (default) — no tracer is installed by the batch, but
-          an externally installed one observes it;
-        * ``True`` — the batch runs under a private tracer; the finished
-          :class:`~repro.tracing.Trace` lands at :attr:`last_trace` and
-          its self-time rollup is merged into :attr:`stats`;
-        * a :class:`~repro.tracing.Tracer` — the batch runs under it;
-          the caller owns and finishes it.
-
-        Spans recorded inside workers — including process-pool workers —
-        are captured in the worker and re-parented under the submitting
-        task's span.  Tracing never changes results (the differential
-        suite in ``tests/test_tracing.py`` holds the pipeline to that).
+        Under an installed tracer (:func:`repro.tracing.tracing`) the
+        batch records a ``pipeline.compute_batch`` span; spans recorded
+        inside workers — including process-pool workers — are captured
+        in the worker and re-parented under the submitting task's span.
+        Tracing never changes results (the differential suite in
+        ``tests/test_tracing.py`` holds the pipeline to that).
 
         *keys* optionally supplies the instances' content keys
         (aligned with *instances*), skipping re-derivation when the
@@ -307,97 +298,55 @@ class InvariantPipeline:
                 f"unknown on_error mode {on_error!r}; "
                 f"expected one of {ON_ERROR_MODES}"
             )
-        owned: tracing.Tracer | None = None
-        if trace is True:
-            owned = tracer = tracing.Tracer(capture_counters=True)
-        elif isinstance(trace, tracing.Tracer):
-            tracer = trace
-        elif trace in (None, False):
-            tracer = None
-        else:
-            raise PipelineError(
-                "trace must be None, True, or a repro.tracing.Tracer"
-            )
-        try:
-            if tracer is not None:
-                tracing.install(tracer)
-            return self._compute_batch_inner(instances, on_error, keys)
-        finally:
-            if tracer is not None:
-                tracing.uninstall(tracer)
-            if owned is not None:
-                self.last_trace = owned.finish(backend=self.backend)
-                self.stats.record_trace(self.last_trace)
-
-    def _compute_batch_inner(
-        self,
-        instances: Sequence[SpatialInstance],
-        on_error: str,
-        precomputed_keys: "Sequence[str] | None" = None,
-    ) -> list[TopologicalInvariant] | BatchResult:
         instances = list(instances)
-        if precomputed_keys is not None:
-            precomputed_keys = list(precomputed_keys)
-            if len(precomputed_keys) != len(instances):
+        if keys is not None:
+            keys = list(keys)
+            if len(keys) != len(instances):
                 raise PipelineError(
-                    f"keys length {len(precomputed_keys)} does not match "
+                    f"keys length {len(keys)} does not match "
                     f"{len(instances)} instances"
                 )
         self.stats.count("instances_seen", len(instances))
-        # Kernel counters (filter hits / exact fallbacks / planarize
-        # pruning) are monotone module globals; the batch records its
-        # increase.  Threads-backend increments land here too; process
-        # workers count in their own interpreters, same caveat as the
-        # flat stage timings (the span tree does observe workers).
-        kernel_before = counter_snapshot()
         failures: dict[str, Outcome] = {}
         computed_outcomes: dict[str, Outcome] = {}
-        try:
-            with collecting(self.stats.record_stage), tracing.span(
-                "pipeline.compute_batch",
-                backend=self.backend,
-                instances=len(instances),
-            ):
-                with tracing.span("pipeline.resolve"):
-                    keys = (
-                        precomputed_keys
-                        if precomputed_keys is not None
-                        else [instance_key(inst) for inst in instances]
-                    )
-                    resolved: dict[str, TopologicalInvariant] = {}
-                    misses: dict[str, SpatialInstance] = {}
-                    for key, inst in zip(keys, instances):
-                        if key in resolved or key in misses:
-                            self.stats.count("cache_hits")
-                            continue
-                        hit = self.cache.get(key)
-                        if hit is not None:
-                            self.stats.count("cache_hits")
-                            resolved[key] = hit
-                        else:
-                            self.stats.count("cache_misses")
-                            misses[key] = inst
-                if misses:
-                    with tracing.span("pipeline.map", misses=len(misses)):
-                        outcomes = self._map_invariants(misses)
-                    computed = 0
-                    for key in misses:
-                        out = outcomes[key]
-                        computed_outcomes[key] = out
-                        if out.ok:
-                            computed += 1
-                            self.cache.put(key, out.value)
-                            resolved[key] = out.value
-                        else:
-                            failures[key] = out
-                    self.stats.count("invariants_computed", computed)
-                self.stats.set_gauge("store_hits", self.cache.store_hits)
-                self.stats.set_gauge(
-                    "store_write_failures", self.cache.store_write_failures
-                )
-        finally:
-            self.stats.record_counters(
-                counter_delta(kernel_before, counter_snapshot())
+        with tracing.span(
+            "pipeline.compute_batch",
+            backend=self.backend,
+            instances=len(instances),
+        ):
+            with tracing.span("pipeline.resolve"):
+                if keys is None:
+                    keys = [instance_key(inst) for inst in instances]
+                resolved: dict[str, TopologicalInvariant] = {}
+                misses: dict[str, SpatialInstance] = {}
+                for key, inst in zip(keys, instances):
+                    if key in resolved or key in misses:
+                        self.stats.count("cache_hits")
+                        continue
+                    hit = self.cache.get(key)
+                    if hit is not None:
+                        self.stats.count("cache_hits")
+                        resolved[key] = hit
+                    else:
+                        self.stats.count("cache_misses")
+                        misses[key] = inst
+            if misses:
+                with tracing.span("pipeline.map", misses=len(misses)):
+                    outcomes = self._map_invariants(misses)
+                computed = 0
+                for key in misses:
+                    out = outcomes[key]
+                    computed_outcomes[key] = out
+                    if out.ok:
+                        computed += 1
+                        self.cache.put(key, out.value)
+                        resolved[key] = out.value
+                    else:
+                        failures[key] = out
+                self.stats.count("invariants_computed", computed)
+            self.stats.set_gauge("store_hits", self.cache.store_hits)
+            self.stats.set_gauge(
+                "store_write_failures", self.cache.store_write_failures
             )
         if on_error == "raise":
             for key in keys:
@@ -469,11 +418,12 @@ class InvariantPipeline:
                 payloads[key] = ("json", instance_to_json(misses[key]))
             # Drawn in the parent at submit time, like the fault payload:
             # the worker interpreter cannot see the parent's tracer.
-            traced = tracing.current_tracer() is not None
+            tracer = tracing.current_tracer()
+            shipped = tracer.capture_counters if tracer is not None else None
             runners["processes"] = ExecutorRunner(
                 "processes",
                 submit=lambda key, fault: self._process_pool().submit(
-                    _invariant_task, (key, payloads[key], fault, traced)
+                    _invariant_task, (key, payloads[key], fault, shipped)
                 ),
                 respawn=self._respawn_processes,
                 decode=invariant_from_json,
@@ -510,9 +460,7 @@ class InvariantPipeline:
         raises).
         """
         invariants = self.compute_batch(instances)
-        with collecting(self.stats.record_stage), tracing.span(
-            "pipeline.equivalence", instances=len(instances)
-        ):
+        with tracing.span("pipeline.equivalence", instances=len(instances)):
             buckets: dict[str, list[int]] = {}
             for i, t in enumerate(invariants):
                 buckets.setdefault(canonical_hash(t), []).append(i)

@@ -1,11 +1,13 @@
-"""Pipeline instrumentation: stage timings and cache counters.
+"""Pipeline accounting: what one pipeline did, plus endpoint windows.
 
 A :class:`PipelineStats` is owned by an
-:class:`~repro.pipeline.engine.InvariantPipeline` and filled from two
-sides: the stage collector (per-phase wall time for arrangement build,
-canonicalization, isomorphism — see :mod:`repro.instrument`) and the
-cache (hit/miss counters).  All mutation is lock-guarded so the threads
-backend can record concurrently.
+:class:`~repro.pipeline.engine.InvariantPipeline` and counts the
+pipeline's own work — cache hits and misses, computed invariants,
+dispatch, retries and degradations — and, for a service, per-endpoint
+request windows.  Stage time lives in spans (:mod:`repro.tracing`) and
+process-wide counters in :mod:`repro.instrument`; neither is copied
+here.  All mutation is lock-guarded so the threads backend can record
+concurrently.
 """
 
 from __future__ import annotations
@@ -32,13 +34,10 @@ def _percentile(samples: list[float], q: float) -> float:
 
 
 class PipelineStats:
-    """Aggregated timings and counters for one pipeline."""
+    """Aggregated counters and endpoint windows for one pipeline."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.stage_seconds: dict[str, float] = defaultdict(float)
-        self.stage_calls: dict[str, int] = defaultdict(int)
-        self.counters: dict[str, int] = defaultdict(int)
         self.cache_hits = 0
         self.cache_misses = 0
         self.store_hits = 0
@@ -63,32 +62,8 @@ class PipelineStats:
         # request tallies, a rolling latency window for percentile
         # estimation, and SLO attainment against a configured target.
         self._endpoints: dict[str, dict] = {}
-        # Hierarchical tracing rollup (see repro.tracing): per-span-name
-        # total/self seconds aggregated over every recorded trace, plus
-        # the latest trace's critical path.
-        self.span_rollup: dict[str, dict] = {}
-        self.critical_path: list[tuple[str, float]] = []
 
-    # -- recording (collector-compatible) ----------------------------------
-
-    def record_stage(self, name: str, seconds: float) -> None:
-        """The :mod:`repro.instrument` collector entry point."""
-        with self._lock:
-            self.stage_seconds[name] += seconds
-            self.stage_calls[name] += 1
-
-    def record_counters(self, deltas: dict[str, int]) -> None:
-        """Merge a :func:`repro.instrument.counter_delta` into the stats.
-
-        The engine snapshots the kernel counters (filter hits vs exact
-        fallbacks, planarize candidate pruning) around each batch and
-        records the increase here.  Process-pool workers mutate their
-        own interpreters' counters and are not observed, same as stages.
-        """
-        with self._lock:
-            for name, delta in deltas.items():
-                if delta:
-                    self.counters[name] += delta
+    # -- recording ----------------------------------------------------------
 
     def count(self, counter: str, delta: int = 1) -> None:
         with self._lock:
@@ -100,24 +75,6 @@ class PipelineStats:
         assignment would race with concurrent recorders)."""
         with self._lock:
             setattr(self, counter, value)
-
-    def record_trace(self, trace) -> None:
-        """Merge a :class:`repro.tracing.Trace`'s per-stage self-time
-        rollup into the stats and remember its critical path."""
-        rollup = trace.self_times()
-        path = [
-            (span.name, span.duration or 0.0)
-            for span in trace.critical_path()
-        ]
-        with self._lock:
-            for name, cell in rollup.items():
-                agg = self.span_rollup.setdefault(
-                    name, {"seconds": 0.0, "self_seconds": 0.0, "calls": 0}
-                )
-                agg["seconds"] += cell["seconds"]
-                agg["self_seconds"] += cell["self_seconds"]
-                agg["calls"] += cell["calls"]
-            self.critical_path = path
 
     # -- service rollups ----------------------------------------------------
 
@@ -175,17 +132,6 @@ class PipelineStats:
     def as_dict(self) -> dict:
         with self._lock:
             return {
-                "stages": {
-                    name: {
-                        "seconds": self.stage_seconds[name],
-                        "calls": self.stage_calls[name],
-                    }
-                    for name in sorted(self.stage_seconds)
-                },
-                "counters": {
-                    name: self.counters[name]
-                    for name in sorted(self.counters)
-                },
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "store_hits": self.store_hits,
@@ -195,13 +141,6 @@ class PipelineStats:
                 "isomorphism_calls": self.isomorphism_calls,
                 "dispatch_shm": self.dispatch_shm,
                 "dispatch_json": self.dispatch_json,
-                "spans": {
-                    name: dict(cell)
-                    for name, cell in sorted(self.span_rollup.items())
-                },
-                "critical_path": [
-                    [name, seconds] for name, seconds in self.critical_path
-                ],
                 "resilience": {
                     "retries": self.retries,
                     "timeouts": self.timeouts,
@@ -245,22 +184,6 @@ class PipelineStats:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    def kernel_filter_rate(self) -> float:
-        """Fraction of geometry predicate calls the float filter
-        answered without exact fallback (0.0 when none recorded)."""
-        with self._lock:
-            fast = (
-                self.counters["kernel.orientation_fast"]
-                + self.counters["kernel.intersect_fast"]
-                + self.counters["kernel.intersect_bbox_reject"]
-            )
-            exact = (
-                self.counters["kernel.orientation_exact"]
-                + self.counters["kernel.intersect_exact"]
-            )
-        total = fast + exact
-        return fast / total if total else 0.0
-
     def summary(self) -> str:
         """A compact human-readable report (benchmarks print this)."""
         data = self.as_dict()
@@ -302,49 +225,6 @@ class PipelineStats:
                 f"({', '.join(f'{n} {s}' for s, n in sorted(cell['statuses'].items()))}), "
                 f"p50 {cell['p50_ms']:.1f}ms / p99 {cell['p99_ms']:.1f}ms, "
                 f"{cell['throughput_rps']:.0f} rps{slo}"
-            )
-        if data["counters"]:
-            tested = data["counters"].get("kernel.planarize_pairs_tested", 0)
-            pruned = data["counters"].get("kernel.planarize_pairs_pruned", 0)
-            lines.append(
-                f"kernel: {self.kernel_filter_rate():.0%} filter hit rate, "
-                f"planarize pairs {tested} tested / {pruned} y-pruned"
-            )
-        if any(name.startswith("query.") for name in data["counters"]):
-            qc = data["counters"]
-            lines.append(
-                "query: "
-                f"{qc.get('query.regions_enumerated', 0)} regions "
-                f"({qc.get('query.universe_hits', 0)} universe hits / "
-                f"{qc.get('query.universe_misses', 0)} misses), "
-                f"memo {qc.get('query.memo_hits', 0)} hits / "
-                f"{qc.get('query.memo_misses', 0)} misses, "
-                f"{qc.get('query.atoms_evaluated', 0)} atoms, "
-                f"{qc.get('query.candidates_pruned', 0)} candidates pruned"
-            )
-        for name, cell in data["stages"].items():
-            lines.append(
-                f"  {name}: {cell['seconds']:.3f}s / {cell['calls']} calls"
-            )
-        if data["critical_path"]:
-            chain = " > ".join(
-                f"{name} {seconds * 1e3:.1f}ms"
-                for name, seconds in data["critical_path"][:6]
-            )
-            lines.append(f"critical path: {chain}")
-        if data["spans"]:
-            top = sorted(
-                data["spans"].items(),
-                key=lambda kv: kv[1]["self_seconds"],
-                reverse=True,
-            )[:5]
-            lines.append(
-                "span self-time: "
-                + ", ".join(
-                    f"{name} {cell['self_seconds'] * 1e3:.1f}ms"
-                    f"/{cell['calls']}"
-                    for name, cell in top
-                )
             )
         return "\n".join(lines)
 

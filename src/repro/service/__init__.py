@@ -26,7 +26,7 @@ counter family.
 from .admission import AdmissionController
 from .breaker import CircuitBreaker
 from .coalesce import CoalesceTable
-from .metrics import ServiceCounters, counters
+from .metrics import counters
 from .router import Batcher, HashRing
 from .service import DEFAULT_SLOS, QueryAnswer, QueryService
 from .shard import ShardServer, ShardedQueryService
@@ -40,7 +40,6 @@ __all__ = [
     "HashRing",
     "QueryAnswer",
     "QueryService",
-    "ServiceCounters",
     "ShardServer",
     "ShardedQueryService",
     "counters",

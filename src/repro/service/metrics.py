@@ -1,80 +1,70 @@
 """Monotone counters for the query service (the ``service.*`` family).
 
-Mirrors the ``query.*`` counters of :mod:`repro.logic.compiled` and the
-``fault.*`` counters of :mod:`repro.faults`: a module-level singleton
-registered as an :func:`repro.instrument.add_counter_source`, so tests
-and traces observe service behaviour with the same snapshot/delta
-protocol as every other counter family.
+One :class:`~repro.instrument.Counters` family, like ``query.*`` and
+``fault.*``, so tests and traces observe service behaviour with the
+same snapshot/delta protocol as every other counter family.
 
-All mutation happens on the event loop thread (the service counts in
-its request coroutine, never in executor workers), so plain attribute
-increments are race-free.
+``requests``
+    Every request accepted into :meth:`QueryService._serve`
+    (including ones later shed or timed out).
+``computes``
+    Coalesce-group leaders: evaluations actually launched.
+``coalesced``
+    Followers that piggybacked on an identical in-flight request.
+``shed``
+    Requests rejected by admission control (compute and queue both
+    full) — never started, safe to retry.
+``timeouts``
+    Requests whose :class:`~repro.instrument.Deadline` expired
+    (queued, coalesced, or mid-evaluation).
+``errors``
+    Requests that failed for any other reason.
+``store_registers``
+    Instances registered by key out of the segment store
+    (:meth:`QueryService.register_from_store`).
+``store_read_errors``
+    Store reads that failed with a structured
+    :class:`~repro.errors.StoreError` (fed to the circuit breaker).
+``breaker_opens``
+    Times the store-read circuit breaker tripped open (including
+    re-opens after a failed half-open probe).
+``breaker_probes``
+    Half-open probes the breaker let through.
+``breaker_short_circuits``
+    Store reads refused without touching the store because the
+    breaker was open.
+``drains``
+    Graceful drains completed (service close with in-flight work
+    allowed to finish).
+``shard_batches`` / ``shard_batch_items``
+    Request batches shipped to shard workers, and the items they
+    carried — ``items / batches`` is the realized batching factor
+    (1.0 means the window never amortized anything).
+``shard_cache_hits``
+    Invariant requests answered from the router's decoded-invariant
+    read-through cache, without touching a shard.
+``shard_respawns``
+    Shard worker processes respawned after a crash or pipe loss.
+``shard_retries``
+    Requests re-dispatched to a respawned worker after their batch
+    was lost with it.
+``shard_pipe_failures``
+    Shard connections lost (worker death or pipe drop), each of which
+    fails or retries one in-flight batch.
+``shard_fast_fails``
+    Requests refused immediately because their shard was permanently
+    down (respawn budget exhausted).
 """
 
 from __future__ import annotations
 
-from ..instrument import add_counter_source
+from ..instrument import Counters
 
-__all__ = ["ServiceCounters", "counters"]
+__all__ = ["counters"]
 
-
-class ServiceCounters:
-    """Monotone counters for the query service.
-
-    ``requests``
-        Every request accepted into :meth:`QueryService._serve`
-        (including ones later shed or timed out).
-    ``computes``
-        Coalesce-group leaders: evaluations actually launched.
-    ``coalesced``
-        Followers that piggybacked on an identical in-flight request.
-    ``shed``
-        Requests rejected by admission control (compute and queue both
-        full) — never started, safe to retry.
-    ``timeouts``
-        Requests whose :class:`~repro.instrument.Deadline` expired
-        (queued, coalesced, or mid-evaluation).
-    ``errors``
-        Requests that failed for any other reason.
-    ``store_registers``
-        Instances registered by key out of the segment store
-        (:meth:`QueryService.register_from_store`).
-    ``store_read_errors``
-        Store reads that failed with a structured
-        :class:`~repro.errors.StoreError` (fed to the circuit
-        breaker).
-    ``breaker_opens``
-        Times the store-read circuit breaker tripped open (including
-        re-opens after a failed half-open probe).
-    ``breaker_probes``
-        Half-open probes the breaker let through.
-    ``breaker_short_circuits``
-        Store reads refused without touching the store because the
-        breaker was open.
-    ``drains``
-        Graceful drains completed (service close with in-flight work
-        allowed to finish).
-    ``shard_batches`` / ``shard_batch_items``
-        Request batches shipped to shard workers, and the items they
-        carried — ``items / batches`` is the realized batching factor
-        (1.0 means the window never amortized anything).
-    ``shard_cache_hits``
-        Invariant requests answered from the router's decoded-
-        invariant read-through cache, without touching a shard.
-    ``shard_respawns``
-        Shard worker processes respawned after a crash or pipe loss.
-    ``shard_retries``
-        Requests re-dispatched to a respawned worker after their
-        batch was lost with it.
-    ``shard_pipe_failures``
-        Shard connections lost (worker death or pipe drop), each of
-        which fails or retries one in-flight batch.
-    ``shard_fast_fails``
-        Requests refused immediately because their shard was
-        permanently down (respawn budget exhausted).
-    """
-
-    __slots__ = (
+counters = Counters(
+    "service",
+    (
         "requests",
         "computes",
         "coalesced",
@@ -94,31 +84,5 @@ class ServiceCounters:
         "shard_retries",
         "shard_pipe_failures",
         "shard_fast_fails",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def count(self, name: str, delta: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> dict[str, int]:
-        """Current values under ``service.``-prefixed names."""
-        return {
-            f"service.{name}": getattr(self, name) for name in self.__slots__
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(
-            f"{name}={getattr(self, name)}" for name in self.__slots__
-        )
-        return f"ServiceCounters({inner})"
-
-
-counters = ServiceCounters()
-
-add_counter_source(counters.snapshot)
+    ),
+)

@@ -641,12 +641,6 @@ class QueryService:
     def queued(self) -> int:
         return self._admission.waiting
 
-    def coalescing_hit_rate(self) -> float:
-        """Fraction of requests served by piggybacking on an identical
-        in-flight compute (0.0 when no requests yet)."""
-        total = counters.requests
-        return counters.coalesced / total if total else 0.0
-
     @property
     def breaker(self) -> CircuitBreaker:
         return self._breaker

@@ -883,12 +883,12 @@ class ShardedQueryService(QueryService):
         returned without admission, batching, or IPC — it is a pure
         memory read of a content-addressed value, so none of those
         disciplines have anything left to bound."""
+        t0 = perf_counter()
         if not (self._closed or self._draining):
             entry = self._instances.get(name)
             if entry is not None:
                 inv = self._inv_cache.get(entry[1])
                 if inv is not None:
-                    t0 = perf_counter()
                     counters.count("requests")
                     counters.count("shard_cache_hits")
                     seconds = perf_counter() - t0

@@ -38,10 +38,10 @@ from . import codec
 from .segment import KIND_COMPLEX, KIND_INVARIANT, KIND_TOMBSTONE
 from .store import (
     SegmentStore,
-    _count,
     _cx_key,
     _raw_key,
     _safe_float_bbox,
+    counters,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -140,7 +140,7 @@ class MirroredStore:
     def _mark_down(self, index: int) -> None:
         if not self._down[index]:
             self._down[index] = True
-            _count("replica_marked_down")
+            counters.count("replica_marked_down")
 
     # -- writes -------------------------------------------------------------
 
@@ -161,7 +161,7 @@ class MirroredStore:
                 self._replicas[i].put_raw(raw, payload, kind, bbox)
                 wrote = True
             except StoreError as exc:
-                _count("replica_write_failures")
+                counters.count("replica_write_failures")
                 self._mark_down(i)
                 last_error = exc
         if not wrote:
@@ -195,7 +195,7 @@ class MirroredStore:
         raw = _raw_key(key)
         payload = codec.encode_complex(arrays)
         if payload is None:
-            _count("complex_fallbacks")
+            counters.count("complex_fallbacks")
             return False
         with self._lock:
             self._fanout(_cx_key(raw), payload, KIND_COMPLEX)
@@ -236,7 +236,7 @@ class MirroredStore:
                 "no replica is up", op="read", errno=None
             )
         if len(up) < len(self._replicas):
-            _count("degraded_reads")
+            counters.count("degraded_reads")
         lagging: list[tuple[int, bool]] = []  # (index, was_error)
         answer: tuple[int, bytes, tuple] | None = None
         errors = 0
@@ -244,8 +244,8 @@ class MirroredStore:
             try:
                 res = self._replicas[i].get_raw(raw)
             except StoreError:
-                _count("replica_read_errors")
-                _count("replica_failovers")
+                counters.count("replica_read_errors")
+                counters.count("replica_failovers")
                 lagging.append((i, True))
                 errors += 1
                 continue
@@ -273,9 +273,9 @@ class MirroredStore:
                 continue
             try:
                 self._replicas[i].put_raw(raw, payload, kind, bbox)
-                _count("replica_repairs")
+                counters.count("replica_repairs")
             except StoreError:
-                _count("replica_write_failures")
+                counters.count("replica_write_failures")
                 self._mark_down(i)
         return answer
 
@@ -289,9 +289,9 @@ class MirroredStore:
         with self._lock:
             res = self._resolve_raw(raw)
         if res is None or res[0] == KIND_TOMBSTONE:
-            _count("misses")
+            counters.count("misses")
             return None
-        _count("hits")
+        counters.count("hits")
         return codec.decode_record(res[1])
 
     def get(self, key: str | bytes) -> "TopologicalInvariant | None":
@@ -312,7 +312,7 @@ class MirroredStore:
             res = self._resolve_raw(raw)
         if res is None or res[0] == KIND_TOMBSTONE:
             return None
-        _count("complex_hits")
+        counters.count("complex_hits")
         return codec.decode_complex(res[1])
 
     def __contains__(self, key: str | bytes) -> bool:
@@ -325,7 +325,7 @@ class MirroredStore:
             if not up:
                 raise StoreError("no replica is up", op="read")
             if len(up) < len(self._replicas):
-                _count("degraded_reads")
+                counters.count("degraded_reads")
             return self._replicas[up[0]]
 
     def keys(self) -> Iterator[str]:
@@ -411,7 +411,7 @@ class MirroredStore:
                     copied += 1
             self._down[index] = False
         if copied:
-            _count("replica_repairs", copied)
+            counters.count("replica_repairs", copied)
         return copied
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -21,9 +21,9 @@ are evidence, not data) and every key it was serving is **repaired**:
 * counted ``scrub.keys_unrepairable`` and left missing (a structured
   miss — never a wrong record).
 
-Progress and outcomes tally into a ``scrub.*`` counter family
-registered with :mod:`repro.instrument`, so scrub state shows up in
-:class:`~repro.pipeline.PipelineStats` and the service ``health()``
+Progress and outcomes tally into the ``scrub.*``
+:class:`~repro.instrument.Counters` family, so scrub state shows up in
+:func:`~repro.instrument.counter_snapshot` and the service ``health()``
 payload alongside ``store.*`` and ``fault.*``.
 """
 
@@ -33,7 +33,7 @@ import threading
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import StoreError
-from ..instrument import add_counter_source
+from ..instrument import Counters
 from . import codec
 from .segment import KIND_INVARIANT, KIND_TOMBSTONE, Segment
 from .store import SegmentStore
@@ -44,24 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Scrubber", "ScrubReport"]
 
-# -- scrub.* counters ---------------------------------------------------------
-
-_tally_lock = threading.Lock()
-_tally: dict[str, int] = {}
-
-
-def _count(name: str, n: int = 1) -> None:
-    with _tally_lock:
-        key = f"scrub.{name}"
-        _tally[key] = _tally.get(key, 0) + n
-
-
-def _snapshot() -> dict[str, int]:
-    with _tally_lock:
-        return dict(_tally)
-
-
-add_counter_source(_snapshot)
+counters = Counters("scrub")
 
 
 class ScrubReport:
@@ -185,7 +168,7 @@ class Scrubber:
         self._offset = None
         self._footer_checked = False
         self._report = ScrubReport()
-        _count("passes_started")
+        counters.count("passes_started")
 
     def _finish_pass(self) -> ScrubReport:
         report = self._report
@@ -194,9 +177,9 @@ class Scrubber:
         self._report = None
         self._passes += 1
         self._last_report = report
-        _count("passes_completed")
+        counters.count("passes_completed")
         if not report.clean:
-            _count("dirty_passes")
+            counters.count("dirty_passes")
         return report
 
     def _advance_segment(self) -> None:
@@ -255,8 +238,8 @@ class Scrubber:
                         ok = False
                     if not ok:
                         report.defects += 1
-                        _count("defects_found")
-                        _count("footer_defects")
+                        counters.count("defects_found")
+                        counters.count("footer_defects")
                         self._quarantine_and_repair(store, seg)
                         self._advance_segment()
                         continue
@@ -272,15 +255,15 @@ class Scrubber:
                     )
                 budget -= verified + len(defects)
                 report.records_verified += verified
-                _count("records_verified", verified)
+                counters.count("records_verified", verified)
                 if defects:
                     report.defects += len(defects)
-                    _count("defects_found", len(defects))
+                    counters.count("defects_found", len(defects))
                     self._quarantine_and_repair(store, seg)
                     self._advance_segment()
                 elif next_offset is None:
                     report.segments_verified += 1
-                    _count("segments_verified")
+                    counters.count("segments_verified")
                     self._advance_segment()
                 else:
                     self._offset = next_offset
@@ -324,7 +307,7 @@ class Scrubber:
         if dest is None:
             return  # raced: no longer in the serving set
         report.quarantined += 1
-        _count("segments_quarantined")
+        counters.count("segments_quarantined")
         for raw, kind in sorted(lost.items()):
             try:
                 have = store.get_raw(raw)
@@ -377,7 +360,7 @@ class Scrubber:
                 except StoreError:
                     break  # target cannot accept writes; give up here
                 report.repaired += 1
-                _count("keys_repaired")
+                counters.count("keys_repaired")
                 return
         # 2. Recompute through the pipeline.
         if (
@@ -408,7 +391,7 @@ class Scrubber:
                     pass
                 else:
                     report.recomputed += 1
-                    _count("keys_recomputed")
+                    counters.count("keys_recomputed")
                     return
         report.unrepairable += 1
-        _count("keys_unrepairable")
+        counters.count("keys_unrepairable")

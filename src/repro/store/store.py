@@ -22,10 +22,10 @@ number, so it wins), fsyncs, then unlinks the inputs; tombstones that
 still shadow an older record are carried along, which keeps deletes
 in force even if a crash lands between the rename and the unlinks.
 
-Every operation tallies into a module-level ``store.*`` counter family
-registered with :mod:`repro.instrument`, so store traffic shows up in
-:class:`~repro.pipeline.PipelineStats` next to ``kernel.*`` and
-``cache'``s counters.
+Every operation tallies into the module-level ``store.*``
+:class:`~repro.instrument.Counters` family, so store traffic shows up in
+:func:`~repro.instrument.counter_snapshot` next to ``kernel.*`` and
+``fault.*``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .. import faults
 from ..errors import InstanceError, StoreError
-from ..instrument import add_counter_source
+from ..instrument import Counters
 from . import codec
 from .segment import (
     KIND_COMPLEX,
@@ -75,24 +75,7 @@ _DEFAULT_SEGMENT_BYTES = 64 << 20
 #:     guarantee).
 SYNC_POLICIES = ("never", "seal", "always")
 
-# -- store.* counters ---------------------------------------------------------
-
-_tally_lock = threading.Lock()
-_tally: dict[str, int] = {}
-
-
-def _count(name: str, n: int = 1) -> None:
-    with _tally_lock:
-        key = f"store.{name}"
-        _tally[key] = _tally.get(key, 0) + n
-
-
-def _snapshot() -> dict[str, int]:
-    with _tally_lock:
-        return dict(_tally)
-
-
-add_counter_source(_snapshot)
+counters = Counters("store")
 
 
 def _raw_key(key: str | bytes) -> bytes:
@@ -185,24 +168,28 @@ class SegmentStore:
                 seg.close()
                 writable = Segment(path, readonly=False)
                 if writable.truncated_bytes:
-                    _count("truncated_bytes", writable.truncated_bytes)
-                _count("recovered_segments")
+                    counters.count(
+                        "truncated_bytes", writable.truncated_bytes
+                    )
+                counters.count("recovered_segments")
                 try:
                     writable.seal(sync=self.sync != "never")
                 except StoreError:
                     # A failed seal (full disk, injected seal crash)
                     # costs the footer, never the records: the
                     # read-only reopen below scans and indexes them.
-                    _count("seal_failures")
+                    counters.count("seal_failures")
                 writable.close()
                 seg = Segment(path, readonly=True)
             self._sealed.append(seg)
         if paths:
             active = Segment(paths[-1], readonly=False)
             if active.recovered:
-                _count("recovered_segments")
+                counters.count("recovered_segments")
                 if active.truncated_bytes:
-                    _count("truncated_bytes", active.truncated_bytes)
+                    counters.count(
+                        "truncated_bytes", active.truncated_bytes
+                    )
             self._active = active
         else:
             self._active = Segment(self.root / "seg-00000.seg")
@@ -224,7 +211,7 @@ class SegmentStore:
                         try:
                             self._active.seal(sync=self.sync != "never")
                         except StoreError:
-                            _count("seal_failures")
+                            counters.count("seal_failures")
                 self._active.close()
                 self._active = None
             for seg in self._sealed:
@@ -275,7 +262,7 @@ class SegmentStore:
                 active.seal(sync=self.sync != "never")
                 sealed_ok = True
             except StoreError:
-                _count("seal_failures")
+                counters.count("seal_failures")
         active.close()
         self._active = None
         if sealed_ok:
@@ -289,8 +276,8 @@ class SegmentStore:
             # Could not even write a fresh 32-byte header (disk truly
             # full).  Reads keep working; the next successful append
             # path retries the open.
-            _count("active_open_failures")
-        _count("segments_rolled")
+            counters.count("active_open_failures")
+        counters.count("segments_rolled")
 
     def _fsync_dir(self) -> None:
         """fsync the store directory so renames/creates are durable.
@@ -316,12 +303,14 @@ class SegmentStore:
         try:
             writable = Segment(path, readonly=False)
         except (StoreError, OSError):
-            _count("unreadable_segments")
+            counters.count("unreadable_segments")
             return
         if writable.truncated_bytes:
-            _count("truncated_bytes", writable.truncated_bytes)
+            counters.count(
+                "truncated_bytes", writable.truncated_bytes
+            )
         if writable.recovered:
-            _count("recovered_segments")
+            counters.count("recovered_segments")
         if not len(writable):
             writable.close()
             path.unlink(missing_ok=True)
@@ -329,12 +318,12 @@ class SegmentStore:
         try:
             writable.seal(sync=self.sync != "never")
         except StoreError:
-            _count("seal_failures")
+            counters.count("seal_failures")
         writable.close()
         try:
             self._sealed.append(Segment(path, readonly=True))
         except (StoreError, OSError):
-            _count("unreadable_segments")
+            counters.count("unreadable_segments")
 
     # -- writes -------------------------------------------------------------
 
@@ -376,7 +365,7 @@ class SegmentStore:
                 raw, payload, kind, bbox, sync=self.sync == "always"
             )
         except StoreError as exc:
-            _count("append_errors")
+            counters.count("append_errors")
             if exc.errno is not None:
                 # An OS-level failure, not a modelled crash: retire the
                 # segment so the store stays serviceable.
@@ -406,8 +395,8 @@ class SegmentStore:
         with self._lock:
             self._append(raw, payload, KIND_INVARIANT, bbox)
             self._index_class(raw, payload, canonical_hash)
-        _count("puts")
-        _count("put_bytes", len(payload))
+        counters.count("puts")
+        counters.count("put_bytes", len(payload))
         return len(payload)
 
     def put_raw(
@@ -428,7 +417,7 @@ class SegmentStore:
                 self._index_class(raw, payload, None)
             elif kind == KIND_TOMBSTONE:
                 self._unindex_class(raw)
-        _count("raw_puts")
+        counters.count("raw_puts")
 
     def put_complex(self, key: str | bytes, arrays: "ComplexArrays") -> bool:
         """Store the cell complex for *key* (derived namespace key).
@@ -436,11 +425,11 @@ class SegmentStore:
         raw = _raw_key(key)
         payload = codec.encode_complex(arrays)
         if payload is None:
-            _count("complex_fallbacks")
+            counters.count("complex_fallbacks")
             return False
         with self._lock:
             self._append(_cx_key(raw), payload, KIND_COMPLEX)
-        _count("complex_puts")
+        counters.count("complex_puts")
         return True
 
     def delete(self, key: str | bytes) -> None:
@@ -452,7 +441,7 @@ class SegmentStore:
             if self._find(_cx_key(raw)) is not None:
                 self._append(_cx_key(raw), b"", KIND_TOMBSTONE)
             self._unindex_class(raw)
-        _count("tombstones")
+        counters.count("tombstones")
 
     # -- reads --------------------------------------------------------------
 
@@ -481,7 +470,7 @@ class SegmentStore:
         try:
             return seg.payload(entry)
         except StoreError:
-            _count("read_errors")
+            counters.count("read_errors")
             raise
 
     def get_record(self, key: str | bytes) -> codec.StoredRecord | None:
@@ -494,11 +483,11 @@ class SegmentStore:
             self._check_open("read")
             found = self._find(raw)
             if found is None or found[1].kind == KIND_TOMBSTONE:
-                _count("misses")
+                counters.count("misses")
                 return None
             seg, entry = found
             payload = self._payload_of(seg, entry, raw)
-        _count("hits")
+        counters.count("hits")
         return codec.decode_record(payload)
 
     def get_raw(
@@ -546,7 +535,7 @@ class SegmentStore:
                 return None
             seg, entry = found
             payload = self._payload_of(seg, entry, raw)
-        _count("complex_hits")
+        counters.count("complex_hits")
         return codec.decode_complex(payload)
 
     def __contains__(self, key: str | bytes) -> bool:
@@ -644,11 +633,11 @@ class SegmentStore:
                 try:
                     record = codec.decode_record(seg.payload(entry))
                 except StoreError:
-                    _count("class_index_skipped")
+                    counters.count("class_index_skipped")
                     continue
                 ch = record.canonical_hash
                 if ch is None:
-                    _count("class_index_unhashed")
+                    counters.count("class_index_unhashed")
                     continue
                 key = raw.hex()
                 key_class[key] = ch
@@ -665,7 +654,7 @@ class SegmentStore:
             self._check_open("read")
             if self._class_index is None:
                 self._build_class_index()
-            _count("class_lookups")
+            counters.count("class_lookups")
             return sorted(self._class_index.get(class_hash, ()))
 
     # -- scrub support ------------------------------------------------------
@@ -705,7 +694,7 @@ class SegmentStore:
             # lazy class index; rebuild on next use.
             self._class_index = None
             self._key_class = {}
-        _count("segments_quarantined")
+        counters.count("segments_quarantined")
         return dest
 
     @property
@@ -725,7 +714,7 @@ class SegmentStore:
         """Hex keys of live instances whose stored bbox intersects the
         window — Morton-range scans over the per-segment z-order
         indexes, then a newest-wins resolve of each candidate."""
-        _count("window_queries")
+        counters.count("window_queries")
         candidates: set[bytes] = set()
         with self._lock:
             segments = [self._active, *self._sealed]
@@ -751,7 +740,7 @@ class SegmentStore:
                     )
                 ):
                     out.append(raw.hex())
-        _count("window_hits", len(out))
+        counters.count("window_hits", len(out))
         out.sort()
         return out
 
@@ -771,7 +760,7 @@ class SegmentStore:
                 for raw, entry in seg.scan():
                     scanned += 1
                     newest[raw] = (entry.kind, entry.bbox)
-        _count("scan_records", scanned)
+        counters.count("scan_records", scanned)
         out = []
         for raw, (kind, bbox) in newest.items():
             if kind != KIND_INVARIANT or bbox[0] != bbox[0]:
@@ -827,7 +816,7 @@ class SegmentStore:
         if batch:
             _drain()
         self.flush()
-        _count("bulk_loaded", loaded)
+        counters.count("bulk_loaded", loaded)
         return loaded
 
     # -- compaction ---------------------------------------------------------
@@ -887,7 +876,9 @@ class SegmentStore:
                         # it is unreadable either way — drop it, count
                         # it, and let the scrubber's repair path bring
                         # the key back from a replica.
-                        _count("compaction_skipped_corrupt")
+                        counters.count(
+                            "compaction_skipped_corrupt"
+                        )
                         skipped_corrupt += 1
                         dropped += 1
                         continue
@@ -931,8 +922,10 @@ class SegmentStore:
                 # Dropped keys may still sit in the class index.
                 self._class_index = None
                 self._key_class = {}
-        _count("compactions")
-        _count("compaction_reclaimed_bytes", max(0, before - after))
+        counters.count("compactions")
+        counters.count(
+            "compaction_reclaimed_bytes", max(0, before - after)
+        )
         return {
             "before": before,
             "after": after,

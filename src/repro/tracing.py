@@ -1,9 +1,9 @@
 """Hierarchical tracing with cross-process span capture.
 
-The flat collector protocol of :mod:`repro.instrument` answers "how
-much total time went into stage X" but not "where inside *this* batch
-did the time go", and it is blind to process-pool workers entirely.
-This module supplies the tree-shaped layer on top:
+Spans are the one record of where time goes.  :func:`span` is the
+call-site API of every instrumented stage — the arrangement build,
+canonicalization, isomorphism, universe enumeration, quantifier
+evaluation, the batch pipeline:
 
 * a :class:`Span` is one timed operation — name, start time, duration,
   attributes (``instance_key``, ``stage``, ``backend``, …), point
@@ -17,21 +17,26 @@ This module supplies the tree-shaped layer on top:
   *or* process) into a detached tracer whose serialized forest rides
   back to the parent piggybacked on the task result
   (:func:`pack_result` / :func:`unpack_result`), where the resilient
-  mapper re-parents it under the submitting task's span — closing the
-  process-pool blind spot documented since PR 1;
+  mapper re-parents it under the submitting task's span;
 * a :class:`Trace` exports as nested JSON or as Chrome ``trace_event``
   JSON (loadable in ``chrome://tracing`` and `Perfetto
-  <https://ui.perfetto.dev>`_), and supplies
-  :meth:`~Trace.critical_path` and the per-stage self-time rollup that
-  feeds :meth:`repro.pipeline.PipelineStats.as_dict`.
+  <https://ui.perfetto.dev>`_), and supplies the per-name self-time
+  rollup (:meth:`~Trace.self_times`) and :meth:`~Trace.critical_path`.
 
-The single call-site API stays :func:`repro.instrument.stage`: with no
-tracer installed and no collector registered it remains a no-op apart
-from two truthiness checks, so the library's hot paths pay nothing
-(``benchmarks/bench_pipeline.py --smoke`` asserts the tracing-off
-overhead stays under 2%).  Installing a tracer (:func:`install`, or the
-scoped :func:`tracing` context manager) makes every ``stage()`` block
-open a span.
+With no tracer installed and no capture open, :func:`span` returns a
+shared no-op context manager after one truthiness check, so the
+library's hot paths pay nothing (``benchmarks/bench_pipeline.py
+--smoke`` asserts the tracing-off overhead stays under 2%).  Installing
+a tracer (:func:`install`, or the scoped :func:`tracing` context
+manager) makes every ``span()`` block record::
+
+    with tracing.tracing() as tracer:
+        pipeline.compute_batch(corpus)
+    trace = tracer.finish()
+
+A tracer built with ``capture_counters=True`` also stores on every
+span the increase of the :mod:`repro.instrument` counters across it,
+including the spans recorded inside workers.
 
 Timestamps are wall-aligned but monotone within a process: a tracer
 records ``time.time()`` and ``perf_counter()`` once at construction and
@@ -418,11 +423,36 @@ class Trace:
 _install_lock = threading.Lock()
 _installed: list[Tracer] = []
 _local = threading.local()
+# Installed tracers plus open captures: zero means no thread can have a
+# tracer, so span() and current_tracer() return before any lookup.
+_active = 0
+
+
+def _activate(delta: int) -> None:
+    global _active
+    with _install_lock:
+        _active += delta
+
+
+def _forget_tracers() -> None:
+    """Fork hook: a child process starts with nothing installed (a pool
+    worker forked inside a traced batch must not record into a copy of
+    the parent's tracer)."""
+    global _active, _install_lock, _local
+    _install_lock = threading.Lock()
+    _installed.clear()
+    _local = threading.local()
+    _active = 0
+
+
+os.register_at_fork(after_in_child=_forget_tracers)
 
 
 def current_tracer() -> Tracer | None:
     """The active tracer: this thread's capture override if one is in
     force, else the innermost installed tracer."""
+    if not _active:
+        return None
     override = getattr(_local, "tracer", None)
     if override is not None:
         return override
@@ -432,21 +462,20 @@ def current_tracer() -> Tracer | None:
 
 def install(tracer: Tracer) -> Tracer:
     """Install *tracer* process-wide (nestable; innermost wins)."""
+    global _active
     with _install_lock:
         _installed.append(tracer)
-    instrument._trace_ref(1)
+        _active += 1
     return tracer
 
 
 def uninstall(tracer: Tracer) -> None:
     """Remove *tracer* from the installed stack (no error if absent)."""
-    removed = False
+    global _active
     with _install_lock:
         if tracer in _installed:
             _installed.remove(tracer)
-            removed = True
-    if removed:
-        instrument._trace_ref(-1)
+            _active -= 1
 
 
 @contextmanager
@@ -473,7 +502,11 @@ def tracing(capture_counters: bool = False) -> Iterator[Tracer]:
 
 
 def span(name: str, **attributes):
-    """A span under the active tracer, or a no-op context manager."""
+    """A span under the active tracer, or a no-op context manager.
+
+    Keyword arguments become span attributes."""
+    if not _active:
+        return _NULL_SPAN
     tracer = current_tracer()
     if tracer is None:
         return _NULL_SPAN
@@ -524,26 +557,31 @@ class TracedResult:
 
 
 @contextmanager
-def capture(force: bool = False) -> Iterator[Tracer | None]:
+def capture(shipped: bool | None = None) -> Iterator[Tracer | None]:
     """Record this thread's spans into a detached tracer.
 
-    Engaged when a tracer is active (thread workers under an installed
-    tracer) or when *force* is true (process workers, where the parent's
-    tracer is invisible and the decision ships with the task).  Yields
-    the capture tracer, or None when disabled — feed it to
+    A worker thread passes nothing: the capture is engaged when a
+    tracer is active and copies its ``capture_counters``.  A process
+    worker cannot see the parent's tracer, so the parent ships the
+    decision with the task: *shipped* is the parent tracer's
+    ``capture_counters`` flag, or None when the parent is not tracing.
+    Yields the capture tracer, or None when disabled — feed it to
     :func:`pack_result`.
     """
-    if not force and current_tracer() is None:
-        yield None
-        return
-    tracer = Tracer()
+    if shipped is None:
+        active = current_tracer()
+        if active is None:
+            yield None
+            return
+        shipped = active.capture_counters
+    tracer = Tracer(capture_counters=shipped)
     previous = getattr(_local, "tracer", None)
     _local.tracer = tracer
-    instrument._trace_ref(1)
+    _activate(1)
     try:
         yield tracer
     finally:
-        instrument._trace_ref(-1)
+        _activate(-1)
         _local.tracer = previous
 
 

@@ -194,7 +194,19 @@ class TestCountersAndModes:
     def test_snapshot_names_are_prefixed(self):
         snap = fastkernel.counters.snapshot()
         assert set(snap) == {
-            f"kernel.{name}" for name in fastkernel.KernelCounters.__slots__
+            f"kernel.{name}"
+            for name in (
+                "orientation_fast",
+                "orientation_exact",
+                "intersect_fast",
+                "intersect_exact",
+                "intersect_bbox_reject",
+                "planarize_pairs_tested",
+                "planarize_pairs_pruned",
+                "batch_pairs",
+                "batch_certified",
+                "batch_fallback",
+            )
         }
 
     def test_bbox_reject_counted(self):

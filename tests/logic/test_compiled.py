@@ -450,10 +450,3 @@ class TestCounters:
         before = counters.candidates_pruned
         evaluate_rect(q, inst)
         assert counters.candidates_pruned > before
-
-    def test_stats_summary_renders_query_line(self):
-        from repro.pipeline.stats import PipelineStats
-
-        stats = PipelineStats()
-        stats.record_counters({"query.memo_hits": 3, "query.atoms_evaluated": 7})
-        assert "query:" in stats.summary()

@@ -36,7 +36,7 @@ from repro.faults import (
     active,
     inject,
 )
-from repro.instrument import Deadline
+from repro.instrument import Deadline, counter_delta, counter_snapshot
 from repro.invariant import canonical_hash, instance_key
 from repro.pipeline import BatchResult, InvariantPipeline, RetryPolicy
 from repro.pipeline.resilience import Outcome
@@ -321,9 +321,11 @@ class TestRetrySemantics:
         insts = _corpus(2)
         plan = FaultPlan(Fault("invariant_raises", times=1))
         pipe = InvariantPipeline(retry=_policy())
+        before = counter_snapshot()
         with inject(plan):
             pipe.compute_batch(insts)
-        assert pipe.stats.counters["fault.invariant_raises"] == 1
+        delta = counter_delta(before, counter_snapshot())
+        assert delta["fault.invariant_raises"] == 1
 
 
 # -- worker recovery (threads and processes) ----------------------------------

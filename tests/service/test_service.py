@@ -536,6 +536,9 @@ class TestObservability:
                 delta = counter_delta(before, counter_snapshot())
                 assert delta["service.requests"] == 4
                 assert delta["service.coalesced"] == 3
-                assert 0.0 < svc.coalescing_hit_rate() <= 1.0
+                assert (
+                    delta["service.coalesced"] / delta["service.requests"]
+                    == 0.75
+                )
 
         run(main())

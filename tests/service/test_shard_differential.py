@@ -19,6 +19,7 @@ can never drift apart on what "correct" means.
 """
 
 import asyncio
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -300,6 +301,27 @@ class TestShardChaos:
 
 
 class TestShardLifecycle:
+    def test_cache_hit_latency_includes_the_lookup(self, monkeypatch):
+        async def main():
+            async with _sharded(1) as svc:
+                await svc.invariant_of("lens", timeout=30.0)  # fills it
+                cache_get = svc._inv_cache.get
+
+                def slow_get(key):
+                    time.sleep(0.010)
+                    return cache_get(key)
+
+                monkeypatch.setattr(svc._inv_cache, "get", slow_get)
+                hits = [
+                    await svc.invariant_of("lens", timeout=30.0)
+                    for _ in range(3)
+                ]
+                assert all(hit.seconds >= 0.010 for hit in hits)
+                window = svc.stats.as_dict()["service"]["invariant"]
+                assert window["p50_ms"] >= 10.0
+
+        asyncio.run(main())
+
     def test_crash_respawns_and_health_reports_it(self):
         async def main():
             async with _sharded(2) as svc:

@@ -1,8 +1,6 @@
-"""Edge cases of the flat instrumentation layer.
-
-Previously untested corners called out in the PR-5 issue: deadline
-remaining-time queries, idempotent deregistration, collector failure
-isolation, and the counter-reset clamp in :func:`counter_delta`.
+"""Edge cases of the instrumentation layer: deadline remaining-time
+queries, counter families, and the counter-reset clamp in
+:func:`counter_delta`.
 """
 
 import pytest
@@ -11,15 +9,10 @@ from repro.errors import TimeoutError
 from tests.helpers import FakeClock
 
 from repro.instrument import (
+    Counters,
     Deadline,
-    add_collector,
-    add_counter_source,
-    collecting,
     counter_delta,
     counter_snapshot,
-    remove_collector,
-    remove_counter_source,
-    stage,
 )
 
 
@@ -49,62 +42,29 @@ class TestDeadline:
             Deadline(-1.0)
 
 
-class TestRegistryRemoval:
-    def test_remove_collector_absent_is_noop(self):
-        remove_collector(lambda name, dt: None)  # never registered
+class TestCounters:
+    def test_declared_and_counted_names_snapshot_under_prefix(self):
+        family = Counters("test.family", ("hot",))
+        family.hot += 2
+        family.count("cold", 3)
+        family.count("hot")
+        snap = counter_snapshot()
+        assert snap["test.family.hot"] == 3
+        assert snap["test.family.cold"] == 3
+        assert family.snapshot() == {
+            "test.family.hot": 3,
+            "test.family.cold": 3,
+        }
 
-    def test_remove_counter_source_absent_is_noop(self):
-        remove_counter_source(dict)  # never registered
-
-    def test_remove_is_idempotent(self):
-        seen = []
-        collector = lambda name, dt: seen.append(name)  # noqa: E731
-        add_collector(collector)
-        remove_collector(collector)
-        remove_collector(collector)
-        with stage("after-removal"):
-            pass
-        assert seen == []
-
-    def test_counter_source_registration_round_trip(self):
-        source = lambda: {"test.edge_counter": 7}  # noqa: E731
-        add_counter_source(source)
-        try:
-            assert counter_snapshot().get("test.edge_counter") == 7
-        finally:
-            remove_counter_source(source)
-        assert "test.edge_counter" not in counter_snapshot()
-
-
-class TestCollectorIsolation:
-    def test_broken_collector_does_not_poison_stage(self):
-        seen = []
-
-        def broken(name, dt):
-            raise RuntimeError("observer bug")
-
-        with collecting(broken), collecting(
-            lambda name, dt: seen.append(name)
-        ):
-            with stage("observed"):
-                pass
-            # The broken collector stayed registered and kept being
-            # skipped, while the healthy one kept firing.
-            with stage("observed-again"):
-                pass
-        assert seen == ["observed", "observed-again"]
-
-    def test_stage_exception_still_reported_to_collectors(self):
-        seen = []
-        with collecting(lambda name, dt: seen.append(name)):
-            with pytest.raises(ValueError):
-                with stage("failing"):
-                    raise ValueError("work failed")
-        assert seen == ["failing"]
-
-    def test_stage_is_noop_without_observers(self):
-        with stage("nothing-installed", attr=1):
-            pass  # no collector, no tracer: must not raise
+    def test_delta_clamps_a_reset(self):
+        family = Counters("test.resettable", ("hits",))
+        family.hits = 5
+        before = counter_snapshot()
+        family.reset()
+        family.hits += 1
+        delta = counter_delta(before, counter_snapshot())
+        assert delta["test.resettable.hits"] == 0
+        assert delta["counters_reset"] == 1
 
 
 class TestCounterDelta:

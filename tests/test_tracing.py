@@ -19,6 +19,7 @@ Three families:
 import json
 import os
 import threading
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from repro import tracing
 from repro.datasets import mixed_corpus
 from repro.datasets.figures import all_figures
 from repro.faults import FaultPlan, inject
-from repro.instrument import stage
 from repro.invariant import canonical_hash
 from repro.logic import evaluate_cells, parse
 from repro.logic.compiled import clear_universe_cache
@@ -231,8 +231,8 @@ class TestTracerMechanics:
 
     def test_stage_opens_spans_under_installed_tracer(self):
         with tracing.tracing() as tracer:
-            with stage("outer", size=3):
-                with stage("inner"):
+            with tracing.span("outer", size=3):
+                with tracing.span("inner"):
                     pass
         trace = tracer.finish()
         (root,) = trace.roots
@@ -243,8 +243,8 @@ class TestTracerMechanics:
     def test_capture_requires_tracer_or_force(self):
         with tracing.capture() as cap:
             assert cap is None
-        with tracing.capture(force=True) as cap:
-            with stage("worker.stage"):
+        with tracing.capture(shipped=False) as cap:
+            with tracing.span("worker.stage"):
                 pass
         packed = tracing.pack_result("value", cap)
         value, spans = tracing.unpack_result(packed)
@@ -259,13 +259,24 @@ class TestTracerMechanics:
 # -- cross-process capture ----------------------------------------------------
 
 
+def _kernel_total(span: Span) -> int:
+    return sum(
+        v for k, v in (span.counters or {}).items() if k.startswith("kernel.")
+    )
+
+
+def _worker_sees_tracer() -> bool:
+    return tracing.current_tracer() is not None
+
+
 class TestWorkerCapture:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_task_spans_carry_worker_spans(self, backend):
         corpus = mixed_corpus(6, seed=5)
         with InvariantPipeline(backend=backend, workers=2) as pipe:
-            pipe.compute_batch(corpus, trace=True)
-        trace = pipe.last_trace
+            with tracing.tracing() as tracer:
+                pipe.compute_batch(corpus)
+        trace = tracer.finish()
         tasks = trace.find("task")
         assert tasks, "no task spans recorded"
         for task in tasks:
@@ -285,30 +296,52 @@ class TestWorkerCapture:
 
     def test_trace_feeds_stats_rollup(self):
         corpus = mixed_corpus(4, seed=5)
-        pipe = InvariantPipeline()
-        pipe.compute_batch(corpus, trace=True)
-        data = pipe.stats.as_dict()
-        assert "invariant.build" in data["spans"]
-        assert data["spans"]["task"]["calls"] >= 1
-        assert data["critical_path"][0][0] == "pipeline.compute_batch"
-        assert "critical path:" in pipe.stats.summary()
-
-    def test_caller_owned_tracer(self):
-        corpus = mixed_corpus(3, seed=6)
-        pipe = InvariantPipeline()
-        tracer = Tracer()
-        pipe.compute_batch(corpus, trace=tracer)
+        with tracing.tracing() as tracer:
+            InvariantPipeline().compute_batch(corpus)
         trace = tracer.finish()
-        assert trace.find("pipeline.compute_batch")
-        assert pipe.last_trace is None
+        rollup = trace.self_times()
+        assert "invariant.build" in rollup
+        assert rollup["task"]["calls"] >= 1
+        assert trace.critical_path()[0].name == "pipeline.compute_batch"
 
-    def test_trace_argument_validated(self):
-        from repro.errors import PipelineError
+    def test_self_times_sum_to_the_batch_span(self):
+        with tracing.tracing() as tracer:
+            InvariantPipeline().compute_batch(mixed_corpus(6, seed=5))
+        trace = tracer.finish()
+        (root,) = trace.roots
+        assert root.name == "pipeline.compute_batch"
+        self_total = sum(
+            cell["self_seconds"] for cell in trace.self_times().values()
+        )
+        assert self_total == pytest.approx(root.duration, abs=1e-3)
 
-        with pytest.raises(PipelineError):
-            InvariantPipeline().compute_batch(
-                mixed_corpus(1, seed=0), trace="yes"
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_spans_carry_kernel_counters(self, backend):
+        corpus = mixed_corpus(6, seed=21)
+        with tracing.tracing(capture_counters=True) as serial:
+            InvariantPipeline().compute_batch(corpus)
+        (root,) = serial.finish().find("pipeline.compute_batch")
+        with InvariantPipeline(backend=backend, workers=2) as pipe:
+            with tracing.tracing(capture_counters=True) as tracer:
+                pipe.compute_batch(corpus)
+        builds = tracer.finish().find("invariant.build")
+        assert builds
+        for build in builds:
+            assert _kernel_total(build) > 0, build
+        if backend == "processes":
+            # One task per worker at a time: the worker-side deltas
+            # partition the batch's kernel work exactly.
+            assert sum(_kernel_total(b) for b in builds) == _kernel_total(
+                root
             )
+
+    def test_forked_workers_start_untraced(self):
+        with InvariantPipeline(backend="processes", workers=2) as pipe:
+            with tracing.tracing():
+                # The pool's workers are forked inside this batch.
+                pipe.compute_batch(mixed_corpus(6, seed=5))
+            probe = pipe._process_pool().submit(_worker_sees_tracer)
+            assert probe.result(timeout=60) is False
 
     def test_retry_events_annotated(self):
         from repro.faults import Fault
@@ -318,11 +351,11 @@ class TestWorkerCapture:
         pipe = InvariantPipeline(
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0, sleep=lambda s: None)
         )
-        with inject(plan):
-            pipe.compute_batch(corpus, trace=True)
+        with inject(plan), tracing.tracing() as tracer:
+            pipe.compute_batch(corpus)
         events = [
             ev
-            for span in pipe.last_trace.spans()
+            for span in tracer.finish().spans()
             for ev in span.events
         ]
         assert any(ev["name"] == "retry" for ev in events)
@@ -348,12 +381,13 @@ class TestDifferential:
         traced = InvariantPipeline(backend=backend, workers=2)
         try:
             off = _hashes(plain.compute_batch(corpus))
-            on = _hashes(traced.compute_batch(corpus, trace=True))
+            with tracing.tracing() as tracer:
+                on = _hashes(traced.compute_batch(corpus))
         finally:
             plain.close()
             traced.close()
         assert on == off
-        assert traced.last_trace is not None and len(traced.last_trace) > 0
+        assert len(tracer.finish()) > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_compute_batch_identical_under_seeded_faults(self, backend):
@@ -373,12 +407,10 @@ class TestDifferential:
                     max_attempts=4, backoff_base=0.0, sleep=lambda s: None
                 ),
             ) as pipe:
-                with inject(plan):
-                    batch = pipe.compute_batch(
-                        corpus,
-                        on_error="collect",
-                        trace=(mode == "on"),
-                    )
+                with inject(plan), (
+                    tracing.tracing() if mode == "on" else nullcontext()
+                ):
+                    batch = pipe.compute_batch(corpus, on_error="collect")
             results[mode] = [
                 (out.key, canonical_hash(out.value)) if out.ok else
                 (out.key, None)
