@@ -44,6 +44,7 @@ from typing import Mapping, Sequence
 from ..errors import ReproError
 from ..regions import AlgRegion, Poly, Rect, RectUnion, SpatialInstance
 from ..tracing import span
+from .isomorphism import _backtrack
 from .structure import CCW, CW, TopologicalInvariant
 
 __all__ = [
@@ -272,7 +273,6 @@ def _has_automorphism(
     candidates = {i: by_color[colors1[i]] for i in range(flat.n)}
     order = sorted(range(flat.n), key=lambda i: (len(candidates[i]), i))
     mapping: dict[int, int] = {}
-    used: set[int] = set()
 
     def consistent(cell: int, target: int) -> bool:
         for other in flat.adj[cell]:
@@ -302,22 +302,7 @@ def _has_automorphism(
                     return False
         return True
 
-    def backtrack(i: int) -> bool:
-        if i == flat.n:
-            return True
-        cell = order[i]
-        for target in candidates[cell]:
-            if target in used or not consistent(cell, target):
-                continue
-            mapping[cell] = target
-            used.add(target)
-            if backtrack(i + 1):
-                return True
-            del mapping[cell]
-            used.discard(target)
-        return False
-
-    return backtrack(0)
+    return _backtrack(order, candidates, consistent, mapping, lambda: True)
 
 
 # ---------------------------------------------------------------------------

@@ -163,29 +163,21 @@ class _Search:
         }
         order = sorted(candidates, key=lambda c: (len(candidates[c]), c))
         mapping: dict[str, str] = {}
-        used: set[str] = set()
-        if self._backtrack(order, 0, candidates, mapping, used):
-            return mapping
-        return None
 
-    def _backtrack(self, order, i, candidates, mapping, used) -> bool:
-        if i == len(order):
+        def complete() -> bool:
             if not self.use_orientation:
                 return True
             return _orientation_ok(self.t1, self.t2, mapping, self.flip)
-        cell = order[i]
-        for target in candidates[cell]:
-            if target in used:
-                continue
-            if not self._consistent(cell, target, mapping):
-                continue
-            mapping[cell] = target
-            used.add(target)
-            if self._backtrack(order, i + 1, candidates, mapping, used):
-                return True
-            del mapping[cell]
-            used.discard(target)
-        return False
+
+        if _backtrack(
+            order,
+            candidates,
+            lambda cell, target: self._consistent(cell, target, mapping),
+            mapping,
+            complete,
+        ):
+            return mapping
+        return None
 
     def _consistent(self, cell: str, target: str, mapping) -> bool:
         t1, t2 = self.t1, self.t2
@@ -222,6 +214,41 @@ class _Search:
                 if (s2, trial[v], trial[e1], trial[e2]) not in self.o2:
                     return False
         return True
+
+
+def _backtrack(order, candidates, consistent, mapping, complete) -> bool:
+    """Depth-first search for an injective assignment of every cell of
+    *order*, trying each cell's *candidates* in list order and keeping
+    those ``consistent(cell, target)`` accepts against *mapping* so far;
+    a full assignment must also pass ``complete()``.  On success
+    *mapping* holds it.
+
+    The search keeps one candidate iterator per assigned cell on an
+    explicit stack rather than recursing per cell, so invariants of
+    thousands of cells stay within the interpreter's recursion limit;
+    the order of trials, and so the mapping found, is the recursive
+    search's."""
+    if not order:
+        return complete()
+    used = set()
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        cell = order[len(stack) - 1]
+        if cell in mapping:  # back here: withdraw the last trial
+            used.discard(mapping.pop(cell))
+        for target in stack[-1]:
+            if target not in used and consistent(cell, target):
+                mapping[cell] = target
+                used.add(target)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(order):
+            stack.append(iter(candidates[order[len(stack)]]))
+        elif complete():
+            return True
+    return False
 
 
 def _adjacency(t: TopologicalInvariant) -> dict[str, set[str]]:

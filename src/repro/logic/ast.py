@@ -332,9 +332,9 @@ def flatten_and(f: Formula) -> list[Formula] | None:
     """The conjunct list of a (possibly nested) conjunction, in left-to-
     right order, or None when *f* is not an ``And``.
 
-    The compiled evaluator partitions these conjuncts into cheap
-    quantifier-free candidate filters and the quantified remainder; the
-    reference evaluators never need the flattened view.
+    The compiled rectangle evaluator partitions these conjuncts into
+    cheap quantifier-free candidate filters and the quantified
+    remainder; the reference evaluators never need the flattened view.
     """
     if not isinstance(f, And):
         return None

@@ -20,9 +20,13 @@ module compiles both logics down to integer machinery:
 * **formula compilation** — each AST node becomes a Python closure;
   quantifier nodes carry a per-node memo table keyed on the bindings of
   their *free* variables (sound because evaluation is a pure function
-  of the model and those bindings — see DESIGN.md), and conjunctive
-  bodies are partitioned at compile time into quantifier-free candidate
-  filters and the quantified remainder, extending the
+  of the model and those bindings — see DESIGN.md).  The
+  quantifier-free part of a cell-logic region quantifier's body becomes
+  one *candidate bitset* over the universe's regions, built from rows
+  of a per-universe transposed index (cell → regions containing it),
+  and only the quantified remainder runs per candidate; the
+  point/rectangle logics partition conjunctive bodies into
+  quantifier-free candidate filters instead, extending the
   ``hoist_conjuncts`` idea of the point logic to candidate pruning;
 * **slab tables for the point logics** — on rectilinear instances the
   region-membership atoms of FO(R, <, Region') and FO(P, <x, <y,
@@ -109,10 +113,15 @@ __all__ = [
 #: ``memo_hits`` / ``memo_misses``
 #:     Per-subformula memo table lookups at quantifier nodes.
 #: ``atoms_evaluated``
-#:     4-intersection / order / membership atoms actually computed.
+#:     4-intersection / order / membership atoms actually computed.  In
+#:     the cell logic a candidate-bitset row counts once, although it
+#:     decides its atom for every region of the universe.
 #: ``candidates_pruned``
-#:     Quantifier candidates rejected by compile-time filters before
-#:     the quantified remainder of the body was entered.
+#:     Quantifier candidates rejected before the quantified remainder of
+#:     the body was entered: by compile-time filters in the point and
+#:     rectangle logics; in the cell logic, the regions whose bit is
+#:     clear in the candidate bitset of a quantifier with a quantified
+#:     remainder, all counted at once.
 counters = Counters(
     "query",
     (
@@ -149,7 +158,9 @@ class CompiledUniverse:
     """Everything a compiled query needs: the numbered cells, the disc
     region universe, and the named regions — all as masks."""
 
-    __slots__ = ("cell_ids", "names", "regions", "named", "candidates_seen")
+    __slots__ = (
+        "cell_ids", "names", "regions", "named", "candidates_seen", "_by_cell"
+    )
 
     def __init__(
         self,
@@ -164,6 +175,47 @@ class CompiledUniverse:
         self.regions = regions
         self.named = named
         self.candidates_seen = candidates_seen
+        self._by_cell = None
+
+    def by_cell(self) -> tuple[list[int], list[int], list[int]]:
+        """The transposed index: for each cell, the bitsets of the
+        regions whose interior, boundary and closure contain it (bit *i*
+        stands for ``regions[i]``).  Built on first use and kept with
+        the universe, so warm queries share it."""
+        if self._by_cell is None:
+            # One transpose: boundary cells ride above the interior ones.
+            n = len(self.cell_ids)
+            rows = _transpose(
+                [r.interior | r.boundary << n for r in self.regions], 2 * n
+            )
+            inside, edge = rows[:n], rows[n:]
+            closed = [i | b for i, b in zip(inside, edge)]
+            self._by_cell = (inside, edge, closed)
+        return self._by_cell
+
+
+#: Regions transposed per numpy pass; bounds the unpacked bit matrix
+#: at this many bytes per cell.
+_TRANSPOSE_BLOCK = 4096
+
+
+def _transpose(masks: list[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit *c* of ``masks[i]`` becomes bit *i*
+    of row *c*, for *width* columns."""
+    nbytes = (width + 7) // 8
+    rows = [bytearray() for _ in range(width)]
+    for lo in range(0, len(masks), _TRANSPOSE_BLOCK):
+        block = masks[lo : lo + _TRANSPOSE_BLOCK]
+        raw = np.frombuffer(
+            b"".join(m.to_bytes(nbytes, "little") for m in block), np.uint8
+        ).reshape(len(block), nbytes)
+        bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
+        # The block holds a multiple of 8 regions (or the last few), so
+        # its packed bytes append to each row without a shift.
+        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        for row, part in zip(rows, packed):
+            row += part.tobytes()
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 class CompiledCellModel:
@@ -609,15 +661,153 @@ def _build_universe(
 _MISSING = object()
 
 _CellFn = Callable[[dict, dict], bool]
+_BitsFn = Callable[[dict, dict], int]
+
+
+def _holds(relation: str, p: CompiledRegion, q: CompiledRegion) -> bool:
+    """One atom on two compiled region values."""
+    if relation == "connect":
+        return p.closure & q.closure != 0
+    if relation == "subset":
+        return p.interior & ~q.interior == 0
+    if relation == "equal":
+        return p.interior == q.interior
+    m0, m1, m2, m3 = _MATRIX_OF[relation]
+    return (
+        ((p.interior & q.interior) != 0) == m0
+        and ((p.interior & q.boundary) != 0) == m1
+        and ((p.boundary & q.interior) != 0) == m2
+        and ((p.boundary & q.boundary) != 0) == m3
+    )
+
+
+def _meets(index: list[int], cells: int) -> int:
+    """The regions (bitset) whose cells, as *index* transposes them,
+    meet *cells*: one OR per cell of *cells*."""
+    out = 0
+    while cells:
+        low = cells & -cells
+        cells ^= low
+        out |= index[low.bit_length() - 1]
+    return out
+
+
+_Scope = tuple[frozenset, frozenset, int]
+
+
+def _scope(f: Formula, cache: dict) -> _Scope:
+    """``(free region variables, free name variables, region quantifier
+    depth)`` of *f*, each node computed once per *cache*.  Entries keep
+    their node alive, so ids stay unique while the cache lives."""
+    got = cache.get(id(f))
+    if got is not None:
+        return got[1]
+    if isinstance(f, (Rel, NameEq)):
+        out = (f.free_region_vars(), f.free_name_vars(), 0)
+    elif isinstance(f, Not):
+        out = _scope(f.inner, cache)
+    elif isinstance(f, (ExistsRegion, ForAllRegion)):
+        region_vars, name_vars, depth = _scope(f.body, cache)
+        out = (region_vars - {f.variable}, name_vars, depth + 1)
+    elif isinstance(f, (ExistsName, ForAllName)):
+        region_vars, name_vars, depth = _scope(f.body, cache)
+        out = (region_vars, name_vars - {f.variable}, depth)
+    elif isinstance(f, (And, Or, Implies)):
+        parts = (
+            (f.antecedent, f.consequent)
+            if isinstance(f, Implies)
+            else f.parts
+        )
+        region_vars, name_vars, depth = _scope(parts[0], cache)
+        for p in parts[1:]:
+            more_region, more_name, more_depth = _scope(p, cache)
+            region_vars = region_vars | more_region
+            name_vars = name_vars | more_name
+            depth = max(depth, more_depth)
+        out = (region_vars, name_vars, depth)
+    else:
+        raise QueryError(f"cannot compile {type(f).__name__}")
+    cache[id(f)] = (f, out)
+    return out
+
+
+def _covers(index: list[int], cells: int, everything: int) -> int:
+    """The regions (bitset, within *everything*) whose cells, as *index*
+    transposes them, include all of *cells*."""
+    out = everything
+    while cells and out:
+        low = cells & -cells
+        cells ^= low
+        out &= index[low.bit_length() - 1]
+    return out
+
+
+def _conjuncts(f: Formula, positive: bool, scopes: dict) -> list[Formula]:
+    """Formulas whose conjunction is *f* (¬*f* when not *positive*),
+    with negation pushed through ``Not``, ``Or`` and ``Implies`` so the
+    quantifier-free parts come apart from the quantified ones.
+
+    A region quantifier that is existential here (``∃v``, or ``∀v``
+    under negation) hands out the quantifier-free conjuncts of its body
+    that do not mention ``v``: ``∃v. P ∧ Q(v)`` is ``P ∧ ∃v. Q(v)``, on
+    an empty universe too.  So ``∀r ∀r′ (r ⊆ A ∧ r′ ⊆ A → …)`` draws
+    ``r`` from the bitset of ``r ⊆ A`` instead of every region."""
+    if isinstance(f, Not):
+        return _conjuncts(f.inner, not positive, scopes)
+    if positive and isinstance(f, And):
+        return [c for p in f.parts for c in _conjuncts(p, True, scopes)]
+    if not positive and isinstance(f, Or):
+        return [c for p in f.parts for c in _conjuncts(p, False, scopes)]
+    if not positive and isinstance(f, Implies):
+        return _conjuncts(f.antecedent, True, scopes) + _conjuncts(
+            f.consequent, False, scopes
+        )
+    if isinstance(f, ExistsRegion if positive else ForAllRegion):
+        outer, kept = [], []
+        for c in _conjuncts(f.body, positive, scopes):
+            region_vars, _names, depth = _scope(c, scopes)
+            if depth == 0 and f.variable not in region_vars:
+                outer.append(c)
+            else:
+                kept.append(c)
+        if outer and kept:
+            return outer + [ExistsRegion(f.variable, _conjunction(kept))]
+    return [f] if positive else [Not(f)]
+
+
+def _conjunction(parts: list[Formula]) -> Formula:
+    return parts[0] if len(parts) == 1 else And(*parts)
+
+
+def _restore(env: dict, var: str, prev: object) -> None:
+    if prev is _MISSING:
+        env.pop(var, None)
+    else:
+        env[var] = prev
 
 
 class _CellCompiler:
     """Compiles an FO(Region, Region') formula into nested closures over
     a compiled universe.  Closures take ``(renv, nenv)`` — mutable
-    binding environments for region and name variables."""
+    binding environments for region and name variables.
 
-    def __init__(self, universe: CompiledUniverse):
+    A region quantifier ``∃v. φ`` splits φ into conjuncts, and
+    ``∀v. φ`` splits ¬φ, looking for a counterexample.  The
+    quantifier-free conjuncts compile to one *candidate bitset*: bit
+    *i* is set when they hold with ``v`` bound to ``regions[i]``.  Only
+    the quantified conjuncts run per candidate, over the set bits in
+    ascending region order.  An atom relating ``v`` to a fixed value (a
+    bound region or ``ext`` of a name) is a *row* read off the
+    universe's transposed index (:meth:`CompiledUniverse.by_cell`),
+    memoized in this compiler — one evaluation — by relation, side of
+    ``v`` and the fixed value's key.
+    """
+
+    def __init__(self, universe: CompiledUniverse, scopes: dict):
         self.universe = universe
+        self.everything = (1 << len(universe.regions)) - 1
+        self._scopes = scopes
+        self._rows: dict = {}
 
     # -- terms ---------------------------------------------------------------
 
@@ -671,7 +861,6 @@ class _CellCompiler:
     # -- formulas ------------------------------------------------------------
 
     def compile(self, f: Formula) -> _CellFn:
-        c = counters
         if isinstance(f, NameEq):
             left = self._name_getter(f.left)
             right = self._name_getter(f.right)
@@ -680,47 +869,11 @@ class _CellCompiler:
             left = self._region_getter(f.left)
             right = self._region_getter(f.right)
             rel = f.relation
-            if rel == "connect":
-
-                def atom(renv, nenv):
-                    c.atoms_evaluated += 1
-                    return (
-                        left(renv, nenv).closure & right(renv, nenv).closure
-                    ) != 0
-
-                return atom
-            if rel == "subset":
-
-                def atom(renv, nenv):
-                    c.atoms_evaluated += 1
-                    return (
-                        left(renv, nenv).interior
-                        & ~right(renv, nenv).interior
-                    ) == 0
-
-                return atom
-            if rel == "equal":
-
-                def atom(renv, nenv):
-                    c.atoms_evaluated += 1
-                    return (
-                        left(renv, nenv).interior
-                        == right(renv, nenv).interior
-                    )
-
-                return atom
-            m0, m1, m2, m3 = _MATRIX_OF[rel]
+            c = counters
 
             def atom(renv, nenv):
                 c.atoms_evaluated += 1
-                p = left(renv, nenv)
-                q = right(renv, nenv)
-                return (
-                    ((p.interior & q.interior) != 0) == m0
-                    and ((p.interior & q.boundary) != 0) == m1
-                    and ((p.boundary & q.interior) != 0) == m2
-                    and ((p.boundary & q.boundary) != 0) == m3
-                )
+                return _holds(rel, left(renv, nenv), right(renv, nenv))
 
             return atom
         if isinstance(f, Not):
@@ -744,25 +897,9 @@ class _CellCompiler:
             return self._compile_name_quantifier(f)
         raise QueryError(f"cannot compile {type(f).__name__}")
 
-    def _partition_body(self, body: Formula):
-        """Split a conjunctive body into quantifier-free candidate
-        filters and the quantified remainder (compiled; None if the
-        body has no quantified part).  Returns (None, compiled_body)
-        when the body is not a conjunction."""
-        parts = flatten_and(body)
-        if parts is None:
-            return None, self.compile(body)
-        cheap = [p for p in parts if p.quantifier_depth() == 0]
-        deep = [p for p in parts if p.quantifier_depth() > 0]
-        if not cheap or not deep:
-            return None, self.compile(body)
-        filters = [self.compile(p) for p in cheap]
-        rest = self.compile(deep[0] if len(deep) == 1 else And(*deep))
-        return filters, rest
-
     def _memoized(self, f: Formula, raw: _CellFn) -> _CellFn:
-        free_r = sorted(f.free_region_vars())
-        free_n = sorted(f.free_name_vars())
+        free_r, free_n, _depth = _scope(f, self._scopes)
+        free_r, free_n = sorted(free_r), sorted(free_n)
         memo: dict = {}
         c = counters
 
@@ -786,47 +923,42 @@ class _CellCompiler:
         want = isinstance(f, ExistsRegion)
         var = f.variable
         regions = self.universe.regions
+        n = len(regions)
+        everything = self.everything
         c = counters
-        body = f.body
         span_name = (
             f"query.exists_region.{var}" if want
             else f"query.forall_region.{var}"
         )
-
-        guard = None  # ForAll-Implies: skip candidates failing the guard
-        filters = None  # Exists-And: quantifier-free candidate filters
-        if want:
-            filters, rest = self._partition_body(body)
-        elif isinstance(body, Implies):
-            guard = self.compile(body.antecedent)
-            rest = self.compile(body.consequent)
-        else:
-            rest = self.compile(body)
+        # ∃ looks for a region satisfying the body, ∀ for one
+        # satisfying its negation: either way, a conjunction.
+        cheap, deep = [], []
+        for p in _conjuncts(f.body, want, self._scopes):
+            (deep if _scope(p, self._scopes)[2] else cheap).append(p)
+        candidates = self._bits(_conjunction(cheap), var) if cheap else None
+        rest = self.compile(_conjunction(deep)) if deep else None
 
         def raw(renv, nenv):
             # A span per (non-memoized) evaluation of this quantifier
             # node: a no-op truthiness check when tracing is off.
-            with span(span_name, candidates=len(regions)):
+            with span(span_name, candidates=n):
+                bits = everything if candidates is None else candidates(
+                    renv, nenv
+                )
+                if rest is None:
+                    return (bits != 0) == want
+                c.candidates_pruned += n - bits.bit_count()
                 prev = renv.get(var, _MISSING)
                 try:
-                    for value in regions:
-                        renv[var] = value
-                        if filters is not None and not all(
-                            g(renv, nenv) for g in filters
-                        ):
-                            c.candidates_pruned += 1
-                            continue
-                        if guard is not None and not guard(renv, nenv):
-                            c.candidates_pruned += 1
-                            continue
-                        if rest(renv, nenv) == want:
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        renv[var] = regions[low.bit_length() - 1]
+                        if rest(renv, nenv):
                             return want
                     return not want
                 finally:
-                    if prev is _MISSING:
-                        renv.pop(var, None)
-                    else:
-                        renv[var] = prev
+                    _restore(renv, var, prev)
 
         return self._memoized(f, raw)
 
@@ -850,12 +982,148 @@ class _CellCompiler:
                             return want
                     return not want
                 finally:
-                    if prev is _MISSING:
-                        nenv.pop(var, None)
-                    else:
-                        nenv[var] = prev
+                    _restore(nenv, var, prev)
 
         return self._memoized(f, raw)
+
+    # -- candidate bitsets ---------------------------------------------------
+
+    def _bits(self, f: Formula, var: str) -> _BitsFn:
+        """The candidate bitset of the quantifier-free *f* over the
+        values of region variable *var*."""
+        everything = self.everything
+        if isinstance(f, Rel):
+            on_left = f.left == RegionVar(var)
+            on_right = f.right == RegionVar(var)
+            if on_left and on_right:
+                counters.atoms_evaluated += 1
+                row = 0
+                for i, r in enumerate(self.universe.regions):
+                    if _holds(f.relation, r, r):
+                        row |= 1 << i
+                return lambda renv, nenv: row
+            if on_left or on_right:
+                fixed = self._region_getter(f.right if on_left else f.left)
+                return self._row(f.relation, on_left, fixed)
+        if isinstance(f, (Rel, NameEq)):
+            holds = self.compile(f)
+            return lambda renv, nenv: everything if holds(renv, nenv) else 0
+        if isinstance(f, Not):
+            inner = self._bits(f.inner, var)
+            return lambda renv, nenv: everything ^ inner(renv, nenv)
+        if isinstance(f, Implies):
+            return self._bits(Or(Not(f.antecedent), f.consequent), var)
+        if isinstance(f, And):
+            parts = [self._bits(p, var) for p in f.parts]
+
+            def conj(renv, nenv):
+                out = everything
+                for p in parts:
+                    out &= p(renv, nenv)
+                    if not out:
+                        break
+                return out
+
+            return conj
+        if isinstance(f, Or):
+            parts = [self._bits(p, var) for p in f.parts]
+
+            def disj(renv, nenv):
+                out = 0
+                for p in parts:
+                    out |= p(renv, nenv)
+                    if out == everything:
+                        break
+                return out
+
+            return disj
+        if isinstance(f, (ExistsName, ForAllName)):
+            return self._name_bits(f, var)
+        raise QueryError(f"cannot compile {type(f).__name__}")
+
+    def _name_bits(self, f, var: str) -> _BitsFn:
+        """A name quantifier inside a candidate bitset: the OR (∃) or
+        AND (∀) of its body's bitsets over the instance names."""
+        exists = isinstance(f, ExistsName)
+        name_var = f.variable
+        names = self.universe.names
+        body = self._bits(f.body, var)
+        everything = self.everything
+        done = everything if exists else 0
+
+        def quantified(renv, nenv):
+            out = everything ^ done
+            prev = nenv.get(name_var, _MISSING)
+            try:
+                for name in names:
+                    nenv[name_var] = name
+                    if exists:
+                        out |= body(renv, nenv)
+                    else:
+                        out &= body(renv, nenv)
+                    if out == done:
+                        break
+            finally:
+                _restore(nenv, name_var, prev)
+            return out
+
+        return quantified
+
+    def _row(self, relation: str, on_left: bool, fixed) -> _BitsFn:
+        rows = self._rows
+
+        def row(renv, nenv):
+            q = fixed(renv, nenv)
+            key = (relation, on_left, q.key)
+            got = rows.get(key)
+            if got is None:
+                got = rows[key] = self._compute_row(relation, on_left, q)
+            return got
+
+        return row
+
+    def _compute_row(
+        self, relation: str, on_left: bool, q: CompiledRegion
+    ) -> int:
+        """Bit *i*: ``relation(regions[i], q)`` when *on_left*, else
+        ``relation(q, regions[i])``."""
+        counters.atoms_evaluated += 1
+        inside, edge, closed = self.universe.by_cell()
+        everything = self.everything
+        if relation == "connect":
+            return _meets(closed, q.closure)
+        if relation in ("subset", "equal"):
+            # v ⊆ q: no interior cell of v outside q's interior.
+            outside = ((1 << len(inside)) - 1) ^ q.interior
+            within = everything ^ _meets(inside, outside)
+            # q ⊆ v: every interior cell of q in v's interior.
+            around = _covers(inside, q.interior, everything)
+            if relation == "equal":
+                return within & around
+            return within if on_left else around
+        # The 4-intersection matrix entries, in the order of
+        # _MATRIX_OF, as (index of the variable side, fixed side's cells).
+        if on_left:
+            tests = (
+                (inside, q.interior),
+                (inside, q.boundary),
+                (edge, q.interior),
+                (edge, q.boundary),
+            )
+        else:
+            tests = (
+                (inside, q.interior),
+                (edge, q.interior),
+                (inside, q.boundary),
+                (edge, q.boundary),
+            )
+        out = everything
+        for want, (index, cells) in zip(_MATRIX_OF[relation], tests):
+            hit = _meets(index, cells)
+            out &= hit if want else everything ^ hit
+            if not out:
+                break
+        return out
 
 
 def evaluate_cells(
@@ -875,13 +1143,15 @@ def evaluate_cells(
     budget is exceeded (see :func:`compiled_universe`).  Answers are
     identical to :func:`~repro.logic.cell_eval.evaluate_cells_reference`.
     """
-    if not formula.is_sentence():
+    scopes: dict = {}
+    free_region_vars, free_name_vars, _depth = _scope(formula, scopes)
+    if free_region_vars or free_name_vars:
         raise QueryError("can only evaluate sentences")
     with span("query.evaluate_cells", refinement=refinement):
         universe = compiled_universe(
             instance, refinement, max_faces, max_regions, timeout=timeout
         )
-        fn = _CellCompiler(universe).compile(formula)
+        fn = _CellCompiler(universe, scopes).compile(formula)
         return fn({}, {})
 
 

@@ -174,3 +174,37 @@ class TestRelabeledSelfIsomorphism:
                 c: f"x{i}" for i, c in enumerate(sorted(t.all_cells()))
             }
             assert are_isomorphic(t, t.relabeled(mapping)), name
+
+
+class TestLargeInvariants:
+    """``grid_instance(7)`` has 1,250 cells, more than the interpreter's
+    default recursion limit: the backtracking search keeps an explicit
+    stack, so every entry point answers instead of raising
+    ``RecursionError``."""
+
+    @staticmethod
+    def _grid_and_copy():
+        from repro.datasets import grid_instance
+        from repro.transforms import AffineMap
+
+        grid = grid_instance(7)
+        return grid, AffineMap.translation(5, 3).apply_to_instance(grid)
+
+    def test_are_isomorphic(self):
+        grid, moved = self._grid_and_copy()
+        t1, t2 = invariant(grid), invariant(moved)
+        assert len(t1.all_cells()) == 1250
+        mapping = find_isomorphism(t1, t2)
+        assert mapping is not None and verify_isomorphism(t1, t2, mapping)
+        assert are_isomorphic(t1, t2)
+
+    def test_topologically_equivalent(self):
+        assert topologically_equivalent(*self._grid_and_copy())
+
+    def test_equivalence_groups(self):
+        from repro.pipeline import InvariantPipeline
+
+        groups = InvariantPipeline().equivalence_groups(
+            list(self._grid_and_copy())
+        )
+        assert groups == [[0, 1]]

@@ -27,10 +27,15 @@ from repro.instrument import counter_delta, counter_snapshot
 from repro.logic import (
     And,
     AndF,
+    ExistsName,
     ExistsRegion,
     Ext,
+    ForAllName,
     ForAllRegion,
+    Implies,
     NameConst,
+    NameEq,
+    NameVar,
     Not,
     Or,
     OrF,
@@ -135,34 +140,68 @@ _RELATIONS = (
 
 
 @st.composite
-def _cell_formula(draw, names, depth, rvars=()):
-    """A closed FO(Region, Region') formula of quantifier depth ≤ depth."""
-    kind = draw(
-        st.sampled_from(
-            ("atom", "not", "and", "or")
-            + (("exists", "forall") if depth > 0 else ())
-        )
-    )
+def _cell_formula(draw, names, depth, rvars=(), nvars=(), nested=False):
+    """A FO(Region, Region') formula over the bound variables *rvars*
+    and *nvars*, of region quantifier depth ≤ depth, with at most two
+    nested name quantifiers whose variables appear in ``ext(name
+    variable)`` terms and name equalities.  Connectives take
+    quantifier-free operands unless *nested*."""
+    kinds = ("atom", "not", "and", "or", "implies")
+    if depth > 0:
+        kinds += ("exists", "forall")
+    if len(nvars) < 2:
+        kinds += ("exists_name", "forall_name")
+    kind = draw(st.sampled_from(kinds))
+    inner = depth if nested else 0
     if kind in ("exists", "forall"):
         var = f"v{len(rvars)}"
-        body = draw(_cell_formula(names, depth - 1, rvars + (var,)))
+        body = draw(
+            _cell_formula(names, depth - 1, rvars + (var,), nvars, nested)
+        )
         cls = ExistsRegion if kind == "exists" else ForAllRegion
         return cls(var, body)
-    if kind == "not":
-        return Not(draw(_cell_formula(names, 0, rvars)))
-    if kind in ("and", "or"):
-        cls = And if kind == "and" else Or
-        return cls(
-            draw(_cell_formula(names, 0, rvars)),
-            draw(_cell_formula(names, 0, rvars)),
+    if kind in ("exists_name", "forall_name"):
+        var = f"n{len(nvars)}"
+        body = draw(
+            _cell_formula(names, depth, rvars, nvars + (var,), nested)
         )
-    terms = [Ext(NameConst(n)) for n in names] + [
-        RegionVar(v) for v in rvars
-    ]
+        cls = ExistsName if kind == "exists_name" else ForAllName
+        return cls(var, body)
+    if kind == "not":
+        return Not(draw(_cell_formula(names, inner, rvars, nvars, nested)))
+    if kind in ("and", "or", "implies"):
+        cls = {"and": And, "or": Or, "implies": Implies}[kind]
+        return cls(
+            draw(_cell_formula(names, inner, rvars, nvars, nested)),
+            draw(_cell_formula(names, inner, rvars, nvars, nested)),
+        )
+    if nvars and draw(st.booleans()):
+        name_terms = [NameConst(n) for n in names] + [
+            NameVar(v) for v in nvars
+        ]
+        return NameEq(
+            draw(st.sampled_from(name_terms)),
+            draw(st.sampled_from(name_terms)),
+        )
+    terms = (
+        [Ext(NameConst(n)) for n in names]
+        + [Ext(NameVar(v)) for v in nvars]
+        + [RegionVar(v) for v in rvars]
+    )
     rel = draw(st.sampled_from(_RELATIONS))
     left = draw(st.sampled_from(terms))
     right = draw(st.sampled_from(terms))
     return Rel(rel, left, right)
+
+
+def _assert_cells_agree(q, inst, **kwargs):
+    try:
+        want = evaluate_cells_reference(q, inst, **kwargs)
+    except QueryError:
+        with pytest.raises(QueryError):
+            evaluate_cells(q, inst, **kwargs)
+        return
+    assert evaluate_cells(q, inst, **kwargs) == want
 
 
 class TestRandomCellFormulas:
@@ -172,14 +211,49 @@ class TestRandomCellFormulas:
         inst = _CORPUS[data.draw(st.integers(0, len(_CORPUS) - 1))]
         names = sorted(inst.names())
         q = data.draw(_cell_formula(tuple(names), depth=2))
-        kwargs = dict(max_faces=2, max_regions=50_000)
-        try:
-            want = evaluate_cells_reference(q, inst, **kwargs)
-        except QueryError:
-            with pytest.raises(QueryError):
-                evaluate_cells(q, inst, **kwargs)
-            return
-        assert evaluate_cells(q, inst, **kwargs) == want
+        _assert_cells_agree(q, inst, max_faces=2, max_regions=50_000)
+
+    #: Depth 3 is the ∀∀∃ shape of Example 4.2: two outer region
+    #: quantifiers over a body whose connectives may hold the third, so
+    #: candidate bitset rows are keyed by two outer bindings.  The
+    #: figures it separates join the corpus.
+    DEPTH_3 = _CORPUS + [fig_1c(), fig_1d()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_compiled_matches_reference_at_depth_3(self, data):
+        inst = self.DEPTH_3[data.draw(st.integers(0, len(self.DEPTH_3) - 1))]
+        names = tuple(sorted(inst.names()))
+        quantifiers = st.sampled_from((ExistsRegion, ForAllRegion))
+        outer, middle = data.draw(quantifiers), data.draw(quantifiers)
+        body = data.draw(
+            _cell_formula(names, 1, ("v0", "v1"), nested=True)
+        )
+        q = outer("v0", middle("v1", body))
+        _assert_cells_agree(q, inst, max_faces=2, max_regions=50_000)
+
+
+    #: Sentences whose answer turns on a candidate bitset row built
+    #: for an outer binding other than the first: a row reused across
+    #: region or name bindings changes them.  Random formulas over the
+    #: small corpus universes are mostly decided at the first binding.
+    OUTER_BINDINGS = (
+        "exists r . exists s . subset(s, r) and not equal(s, r)",
+        "forall r . exists s . connect(s, r) and not subset(s, r)",
+        "forall name a . exists r . subset(r, a)",
+        "exists name a, b . not (a = b) and "
+        "exists r . subset(r, a) and subset(r, b)",
+        "exists name a, b . not (a = b) and forall r . forall s . "
+        "subset(r, a) and subset(r, b) and subset(s, a) and subset(s, b) "
+        "-> exists t . subset(t, a) and subset(t, b) and connect(t, r) "
+        "and connect(t, s)",
+    )
+
+    @pytest.mark.parametrize("text", OUTER_BINDINGS)
+    def test_rows_follow_outer_bindings(self, text):
+        q = parse(text)
+        for inst in self.DEPTH_3:
+            _assert_cells_agree(q, inst, max_faces=2, max_regions=50_000)
 
 
 @st.composite

@@ -114,3 +114,16 @@ class TestInvariantHashability:
         t = invariant(fig_1c())
         table = {t: "lens"}
         assert table[_relabeled(t)] == "lens"
+
+
+class TestAutomorphismSearch:
+    def test_large_structure_within_recursion_limit(self):
+        # 1,250 cells: one stack frame per cell used to raise
+        # RecursionError; the identity must be found.
+        from repro.datasets import grid_instance
+        from repro.invariant.canonical import _Flat, _has_automorphism
+
+        flat = _Flat(invariant(grid_instance(7)))
+        colors = flat.refine({})
+        assert flat.n == 1250
+        assert _has_automorphism(flat, colors, colors)
