@@ -24,17 +24,17 @@ separate pass replays the pipeline-backed endpoints across all three
 pipeline backends (serial/threads/processes) and must also be
 bit-identical.
 
-A second pass — the **shard sweep** — drives a distinct-instance
-invariant workload (the shape that serializes on the single-pipeline
-service, ROADMAP open item 1) through the one-pipeline baseline and
-through :class:`repro.ShardedQueryService` at 1/2/4 shards.  Cold rows
-(first touch of every instance) are recorded ungated; warm rows gate
-the PR: ≥2x closed-loop distinct-instance throughput at 4 shards over
-the single-pipeline baseline, and an open-loop offered load of
-1.25x the baseline's measured capacity — which sheds on the baseline —
-held at 4 shards with zero sheds and p99 under a threshold.  Gate knobs
-are env-overridable (``REPRO_BENCH_SHARD_SPEEDUP_MIN``,
-``REPRO_BENCH_SHARD_P99_MS``) for slower CI hardware.
+A second pass — the **distinct-lookup sweep** — drives invariant
+lookups of pairwise-distinct instances through one service, in a
+closed loop of 8 clients.  The cold loop (first touch of every
+instance: each lookup is a miss, and the misses that arrive while a
+``compute_batch`` runs ride the next one) runs on a serial and on a
+2-worker ``processes`` pipeline, ``SWEEP_RUNS`` fresh services each,
+alternating which pipeline goes first; every run is recorded and the
+median is reported.  The process pool is started before the clock.
+Then a warm closed loop re-asks the corpus on the last service; every
+warm lookup is an inline hit of the pipeline cache's memory tier, and
+the sweep asserts that the warm loop made zero computes.
 
 Run as a pytest module (``pytest benchmarks/bench_service.py``) or as
 a script::
@@ -43,16 +43,16 @@ a script::
     PYTHONPATH=src python benchmarks/bench_service.py --smoke  # CI smoke
 
 Both modes write ``BENCH_service.json`` at the repo root.  Smoke mode
-asserts a >0 coalescing hit-rate on the duplicate-heavy workload, the
-shard-sweep gates, and zero wrong answers everywhere (the full sweep
-asserts the same, over more traffic).
+asserts a >0 coalescing hit-rate on the duplicate-heavy workload, zero
+computes over the warm distinct-lookup loop, and zero wrong answers
+everywhere (the full sweep asserts the same, over more traffic).
 """
 
 import argparse
 import asyncio
 import json
-import os
 import resource
+import statistics
 import time
 from collections import Counter, deque
 from pathlib import Path
@@ -63,7 +63,6 @@ from repro import (
     Rect,
     ReproError,
     RetryPolicy,
-    ShardedQueryService,
     SpatialInstance,
     canonical_hash,
     invariant,
@@ -336,15 +335,15 @@ def run_backend_check():
     return rows
 
 
-# -- shard sweep --------------------------------------------------------------
+# -- distinct-lookup sweep ----------------------------------------------------
 
-SHARD_SPEEDUP_MIN = float(
-    os.environ.get("REPRO_BENCH_SHARD_SPEEDUP_MIN", "2.0")
-)
-SHARD_P99_MS = float(os.environ.get("REPRO_BENCH_SHARD_P99_MS", "50.0"))
-SHARD_RATE_FACTOR = float(
-    os.environ.get("REPRO_BENCH_SHARD_RATE_FACTOR", "2.0")
-)
+#: Cold runs per pipeline; the row reports their median.
+SWEEP_RUNS = 5
+SWEEP_CLIENTS = 8
+SWEEP_PIPELINES = {
+    "serial": lambda: InvariantPipeline(),
+    "processes-2": lambda: InvariantPipeline(backend="processes", workers=2),
+}
 
 _DISTINCT_SHAPES = [
     lambda x: {"A": Rect(x, 0, x + 4, 4), "B": Rect(x + 2, 2, x + 6, 6)},
@@ -354,216 +353,151 @@ _DISTINCT_SHAPES = [
 
 
 def make_distinct_corpus(n):
-    """*n* instances with pairwise-distinct ``instance_key``s — the
-    distinct-instance load that serializes on a single pipeline."""
+    """*n* instances with pairwise-distinct ``instance_key``s: every
+    first lookup is a cache miss, and no two of them coalesce."""
     return {
         f"d{i:03d}": SpatialInstance(_DISTINCT_SHAPES[i % 3](i * 16))
         for i in range(n)
     }
 
 
-def make_sharded(n_shards, **kw):
-    kw.setdefault("max_inflight", 4)
-    kw.setdefault("max_queue", 64)
-    return ShardedQueryService(n_shards=n_shards, **kw)
+def _start_pool(pipeline):
+    """Start a ``processes`` pipeline's workers on two throwaway
+    instances, so the cold loop measures serving, not process start."""
+    if pipeline.backend == "processes":
+        pipeline.compute_batch(
+            [SpatialInstance(_DISTINCT_SHAPES[0](-16 * (i + 1))) for i in (0, 1)]
+        )
 
 
-def _distinct_jobs(corpus, expected):
-    return [("invariant", (name,), expected[name]) for name in corpus]
+async def _closed_loop(svc, rec, jobs, clients):
+    """*clients* clients sending *jobs* back to back; returns the
+    seconds taken and the ``service.*`` counter delta."""
+    queue = deque(jobs)
+
+    async def client():
+        while queue:
+            await rec.request(svc, queue.popleft())
+
+    before = counter_snapshot()
+    t0 = time.perf_counter()
+    await asyncio.gather(*[client() for _ in range(clients)])
+    elapsed = time.perf_counter() - t0
+    return elapsed, counter_delta(before, counter_snapshot())
 
 
-def run_shard_closed(factory, corpus, expected, clients, rounds, **label):
-    """One cold pass (sequential first touch, recorded ungated) then a
-    warm closed loop of *rounds* passes over the distinct corpus."""
+def run_distinct_loops(pipeline_name, corpus, expected, rounds=0):
+    """One fresh service on a *pipeline_name* pipeline: the cold closed
+    loop over *corpus*, then (when *rounds* > 0) a warm closed loop of
+    *rounds* passes.  Returns the cold row and the warm row (or None)."""
+    jobs = [("invariant", (name,), expected[name]) for name in corpus]
     cold, warm = Recorder(), Recorder()
 
     async def main():
-        async with factory() as svc:
-            for name, inst in corpus.items():
-                svc.register(name, inst)
-            jobs = _distinct_jobs(corpus, expected)
-            before = counter_snapshot()
-            t0 = time.perf_counter()
-            for job in jobs:
-                await cold.request(svc, job)
-            cold_elapsed = time.perf_counter() - t0
-            cold_delta = counter_delta(before, counter_snapshot())
-            queue = deque(jobs * rounds)
-
-            async def client():
-                while True:
-                    try:
-                        job = queue.popleft()
-                    except IndexError:
-                        return
-                    await warm.request(svc, job)
-
-            before = counter_snapshot()
-            t0 = time.perf_counter()
-            await asyncio.gather(*[client() for _ in range(clients)])
-            warm_elapsed = time.perf_counter() - t0
-            warm_delta = counter_delta(before, counter_snapshot())
-        return (
-            cold.row("closed", cold_elapsed, cold_delta, phase="cold", **label),
-            warm.row(
-                "closed",
-                warm_elapsed,
-                warm_delta,
-                phase="warm",
-                clients=clients,
-                **label,
-            ),
-        )
-
-    return asyncio.run(main())
-
-
-def run_shard_open(factory, corpus, expected, rate, n_requests, **label):
-    """Warm open loop at *rate* req/s with tick-batched pacing: each
-    5 ms tick issues however many arrivals the wall clock says are due,
-    so the offered schedule self-corrects when the loop lags instead of
-    silently under-offering (coordinated omission)."""
-    rec = Recorder()
-    tick = 0.005
-
-    async def main():
-        async with factory() as svc:
-            for name, inst in corpus.items():
-                svc.register(name, inst)
-            jobs = _distinct_jobs(corpus, expected)
-            for job in jobs:  # prime: the open loop measures warm serving
-                await rec.request(svc, job)
-            rec.latencies.clear()
-            rec.statuses.clear()
-            schedule = [jobs[i % len(jobs)] for i in range(n_requests)]
-            tasks = []
-            issued = 0
-            before = counter_snapshot()
-            t0 = time.perf_counter()
-            while issued < n_requests:
-                due = min(
-                    n_requests, int((time.perf_counter() - t0) * rate) + 1
+        pipe = SWEEP_PIPELINES[pipeline_name]()
+        try:
+            _start_pool(pipe)
+            async with make_service(pipeline=pipe, max_queue=64) as svc:
+                for name, inst in corpus.items():
+                    svc.register(name, inst)
+                elapsed, delta = await _closed_loop(
+                    svc, cold, jobs, SWEEP_CLIENTS
                 )
-                while issued < due:
-                    tasks.append(
-                        asyncio.ensure_future(
-                            rec.request(svc, schedule[issued], timeout=10.0)
-                        )
+                cold_row = cold.row(
+                    "closed",
+                    elapsed,
+                    delta,
+                    phase="cold",
+                    pipeline=pipeline_name,
+                    clients=SWEEP_CLIENTS,
+                    seconds=elapsed,
+                )
+                warm_row = None
+                if rounds:
+                    elapsed, delta = await _closed_loop(
+                        svc, warm, jobs * rounds, SWEEP_CLIENTS
                     )
-                    issued += 1
-                await asyncio.sleep(tick)
-            await asyncio.gather(*tasks)
-            elapsed = time.perf_counter() - t0
-            delta = counter_delta(before, counter_snapshot())
-        return rec.row(
-            "open", elapsed, delta, phase="warm", offered_rps=rate, **label
-        )
+                    warm_row = warm.row(
+                        "closed",
+                        elapsed,
+                        delta,
+                        phase="warm",
+                        pipeline=pipeline_name,
+                        clients=SWEEP_CLIENTS,
+                        seconds=elapsed,
+                    )
+                return cold_row, warm_row
+        finally:
+            pipe.close()
 
     return asyncio.run(main())
 
 
-def run_shard_sweep(smoke=False):
-    """The sharding benchmark: single-pipeline baseline vs 1/2/4-shard
-    :class:`ShardedQueryService` on the distinct-instance workload.
-    Returns ``(rows, gates)``; the caller asserts ``gates['passed']``."""
+def run_distinct_sweep(smoke=False):
+    """The one-service distinct-lookup sweep.  Returns ``(rows, gates)``;
+    the caller asserts ``gates['passed']``."""
     n = 24 if smoke else 48
-    clients = 4 if smoke else 8
     rounds = 25 if smoke else 100
     corpus = make_distinct_corpus(n)
     expected = {
         name: canonical_hash(invariant(inst))
         for name, inst in corpus.items()
     }
-
-    rows = []
-    warm_tp = {}
-    configs = [("unsharded", lambda: make_service())] + [
-        (f"sharded-{s}", lambda s=s: make_sharded(s)) for s in (1, 2, 4)
+    names = list(SWEEP_PIPELINES)
+    runs = {name: [] for name in names}
+    warm_row = None
+    for i in range(SWEEP_RUNS):
+        order = names if i % 2 == 0 else names[::-1]
+        for j, name in enumerate(order):
+            last = i == SWEEP_RUNS - 1 and j == len(order) - 1
+            cold_row, maybe_warm = run_distinct_loops(
+                name, corpus, expected, rounds=rounds if last else 0
+            )
+            runs[name].append(cold_row)
+            warm_row = maybe_warm or warm_row
+    rows = [
+        {
+            "phase": "cold",
+            "pipeline": name,
+            "clients": SWEEP_CLIENTS,
+            "lookups": n,
+            "median_s": statistics.median(r["seconds"] for r in runs[name]),
+            "runs_s": [r["seconds"] for r in runs[name]],
+            "wrong_answers": sum(r["wrong_answers"] for r in runs[name]),
+            "runs": runs[name],
+        }
+        for name in names
     ]
-    for config, factory in configs:
-        cold_row, warm_row = run_shard_closed(
-            factory, corpus, expected, clients, rounds, config=config
-        )
-        rows.extend([cold_row, warm_row])
-        warm_tp[config] = warm_row["throughput_rps"]
-
-    # Open loop past the baseline's measured closed-loop capacity.  The
-    # corpus must be wider than max_inflight + max_queue (4 + 64): once
-    # the backlog holds more *distinct* leaders than admission can seat,
-    # the single pipeline must shed — duplicates would merely coalesce.
-    # The sharded service holds the same schedule without shedding.
-    open_corpus = make_distinct_corpus(96 if smoke else 160)
-    open_expected = {
-        name: canonical_hash(invariant(inst))
-        for name, inst in open_corpus.items()
-    }
-    rate = round(SHARD_RATE_FACTOR * warm_tp["unsharded"])
-    n_requests = min(20_000, max(500, int(rate * (0.4 if smoke else 1.0))))
-    baseline_open = run_shard_open(
-        lambda: make_service(),
-        open_corpus,
-        open_expected,
-        rate,
-        n_requests,
-        config="unsharded",
-    )
-    sharded_open = run_shard_open(
-        lambda: make_sharded(4),
-        open_corpus,
-        open_expected,
-        rate,
-        n_requests,
-        config="sharded-4",
-    )
-    rows.extend([baseline_open, sharded_open])
-
-    speedup = (
-        warm_tp["sharded-4"] / warm_tp["unsharded"]
-        if warm_tp["unsharded"]
-        else 0.0
-    )
+    rows.append(warm_row)
     wrong = sum(r["wrong_answers"] for r in rows)
     gates = {
-        "closed_loop_speedup_4shard_vs_baseline": speedup,
-        "speedup_min_required": SHARD_SPEEDUP_MIN,
-        "offered_rps": rate,
-        "baseline_open_shed": baseline_open["statuses"].get("shed", 0),
-        "sharded_open_shed": sharded_open["statuses"].get("shed", 0),
-        "sharded_open_p99_ms": sharded_open["p99_ms"],
-        "p99_threshold_ms": SHARD_P99_MS,
         "wrong_answers": wrong,
+        "warm_computes": warm_row["computes"],
+        "warm_requests": warm_row["requests"],
     }
-    gates["passed"] = (
-        speedup >= SHARD_SPEEDUP_MIN
-        and gates["baseline_open_shed"] > 0
-        and gates["sharded_open_shed"] == 0
-        and gates["sharded_open_p99_ms"] <= SHARD_P99_MS
-        and wrong == 0
-    )
+    gates["passed"] = wrong == 0 and warm_row["computes"] == 0
     return rows, gates
 
 
-def _print_shard_rows(rows, gates):
-    print(
-        f"{'config':>11} {'mode':>7} {'phase':>5} {'req':>6} {'ok':>6} "
-        f"{'shed':>5} {'p50':>8} {'p99':>8} {'rps':>8} {'wrong':>6}"
-    )
+def _print_sweep(rows, gates):
     for row in rows:
-        print(
-            f"{row['config']:>11} {row['mode']:>7} {row['phase']:>5} "
-            f"{row['requests']:>6} {row['statuses'].get('ok', 0):>6} "
-            f"{row['statuses'].get('shed', 0):>5} "
-            f"{row['p50_ms']:>7.3f}m {row['p99_ms']:>7.3f}m "
-            f"{row['throughput_rps']:>8.0f} {row['wrong_answers']:>6}"
-        )
+        if row["phase"] == "cold":
+            runs = " ".join(f"{s:.3f}" for s in row["runs_s"])
+            print(
+                f"cold {row['pipeline']:>11}: {row['lookups']} distinct "
+                f"lookups, {row['clients']} clients, median "
+                f"{row['median_s']:.3f} s (runs {runs}), "
+                f"{row['wrong_answers']} wrong"
+            )
+        else:
+            print(
+                f"warm {row['pipeline']:>11}: {row['requests']} lookups in "
+                f"{row['seconds'] * 1e3:.1f} ms, {row['computes']} computes, "
+                f"{row['wrong_answers']} wrong"
+            )
     print(
-        f"shard gates: 4-shard/baseline warm speedup "
-        f"{gates['closed_loop_speedup_4shard_vs_baseline']:.1f}x "
-        f"(need >= {gates['speedup_min_required']:.1f}x); open loop at "
-        f"{gates['offered_rps']} rps sheds {gates['baseline_open_shed']} "
-        f"on the baseline, {gates['sharded_open_shed']} at 4 shards "
-        f"(p99 {gates['sharded_open_p99_ms']:.2f} ms <= "
-        f"{gates['p99_threshold_ms']:.0f} ms) -> "
+        f"sweep gates: {gates['wrong_answers']} wrong answers, "
+        f"{gates['warm_computes']} computes over the warm loop -> "
         f"{'PASS' if gates['passed'] else 'FAIL'}"
     )
 
@@ -615,25 +549,22 @@ def test_burst_coalesces():
     assert row["coalesce_hit_rate"] > 0.9
 
 
-def test_sharded_distinct_load_bit_identical():
-    """A small sharded closed loop over the distinct-instance corpus:
-    zero wrong answers, cold and warm."""
+def test_distinct_lookups_bit_identical():
+    """A small cold and warm closed loop over the distinct-instance
+    corpus on one service: zero wrong answers, and the warm loop
+    computes nothing."""
     corpus = make_distinct_corpus(12)
     expected = {
         name: canonical_hash(invariant(inst))
         for name, inst in corpus.items()
     }
-    cold_row, warm_row = run_shard_closed(
-        lambda: make_sharded(2),
-        corpus,
-        expected,
-        clients=4,
-        rounds=4,
-        config="sharded-2",
+    cold_row, warm_row = run_distinct_loops(
+        "serial", corpus, expected, rounds=4
     )
     for row in (cold_row, warm_row):
         assert row["wrong_answers"] == 0, row
         assert row["statuses"].get("ok", 0) == row["requests"], row
+    assert warm_row["computes"] == 0, warm_row
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -670,7 +601,7 @@ def main(argv=None):
             run_open_loop(jobs, rate=r) for r in (100, 400)
         ] + [run_burst(burst_job, 64)]
     backend_rows = run_backend_check()
-    shard_rows, shard_gates = run_shard_sweep(smoke=args.smoke)
+    sweep_rows, sweep_gates = run_distinct_sweep(smoke=args.smoke)
 
     rows = closed_rows + open_rows
     _print_rows(rows)
@@ -679,7 +610,7 @@ def main(argv=None):
             f"backend {row['backend']}: {row['requests']} requests, "
             f"{row['wrong_answers']} wrong"
         )
-    _print_shard_rows(shard_rows, shard_gates)
+    _print_sweep(sweep_rows, sweep_gates)
 
     payload = {
         "benchmark": "service_load",
@@ -689,11 +620,12 @@ def main(argv=None):
         "closed_loop_rows": closed_rows,
         "open_loop_rows": open_rows,
         "backend_rows": backend_rows,
-        "shard_sweep": {
-            "workload": "distinct-instance invariant lookups (the load "
-            "that serializes on one pipeline)",
-            "rows": shard_rows,
-            "gates": shard_gates,
+        "distinct_sweep": {
+            "workload": "invariant lookups of pairwise-distinct "
+            f"instances, {SWEEP_CLIENTS} clients; cold rows are the "
+            f"median of {SWEEP_RUNS} alternating runs per pipeline",
+            "rows": sweep_rows,
+            "gates": sweep_gates,
         },
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -701,19 +633,19 @@ def main(argv=None):
     wrong = (
         sum(r["wrong_answers"] for r in rows)
         + sum(r["wrong_answers"] for r in backend_rows)
-        + sum(r["wrong_answers"] for r in shard_rows)
+        + sweep_gates["wrong_answers"]
     )
     assert wrong == 0, f"{wrong} wrong answers served"
     duplicate_heavy = max(rows, key=lambda r: r["coalesce_hit_rate"])
     assert duplicate_heavy["coalesce_hit_rate"] > 0, (
         "no coalescing on the duplicate-heavy workload"
     )
-    assert shard_gates["passed"], f"shard sweep gates failed: {shard_gates}"
+    assert sweep_gates["passed"], f"sweep gates failed: {sweep_gates}"
     best = duplicate_heavy["coalesce_hit_rate"]
     print(
         f"zero wrong answers across {len(rows)} load rows, "
-        f"{len(backend_rows)} backends, and {len(shard_rows)} shard-sweep "
-        f"rows; peak coalescing {best:.0%} -> {args.out}"
+        f"{len(backend_rows)} backends, and the distinct-lookup sweep; "
+        f"peak coalescing {best:.0%} -> {args.out}"
     )
     return 0
 

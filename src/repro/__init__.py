@@ -52,7 +52,6 @@ from .errors import (
     SchemaError,
     ServiceClosedError,
     ServiceError,
-    ShardDownError,
     StoreError,
     StoreUnavailableError,
     UnknownInstanceError,
@@ -95,7 +94,7 @@ from .regions import (
     Region,
     SpatialInstance,
 )
-from .service import QueryAnswer, QueryService, ShardedQueryService
+from .service import QueryAnswer, QueryService
 from .store import MirroredStore, Scrubber, SegmentStore
 from .tracing import Trace, Tracer
 
@@ -138,8 +137,6 @@ __all__ = [
     "SegmentStore",
     "ServiceClosedError",
     "ServiceError",
-    "ShardDownError",
-    "ShardedQueryService",
     "StoreError",
     "StoreUnavailableError",
     "SimplePolygon",

@@ -246,27 +246,3 @@ class StoreUnavailableError(ServiceError):
     ):
         super().__init__(message, endpoint=endpoint)
         self.breaker_state = breaker_state
-
-
-class ShardDownError(ServiceError):
-    """The shard owning this request's instance is permanently down:
-    its worker process died and the respawn budget is exhausted.  The
-    request was refused without queueing (a fast 503) — other shards
-    keep serving, and retrying against a rebuilt service is safe.
-
-    Attributes
-    ----------
-    shard:
-        The shard id that is down.
-    """
-
-    status = 503
-
-    def __init__(
-        self,
-        message: str,
-        endpoint: str | None = None,
-        shard: int | None = None,
-    ):
-        super().__init__(message, endpoint=endpoint)
-        self.shard = shard

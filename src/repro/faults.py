@@ -18,10 +18,10 @@ same fault sequence.
 Injection points
 ----------------
 
-The points come in three families, one tuple each: :data:`WORKER_POINTS`
-(the pipeline's tasks), :data:`STORE_POINTS` (the segment store) and
-:data:`SHARD_POINTS` (the sharded service).  :meth:`FaultPlan.seeded`
-draws from :data:`WORKER_POINTS` unless told otherwise.
+The points come in two families, one tuple each: :data:`WORKER_POINTS`
+(the pipeline's tasks) and :data:`STORE_POINTS` (the segment store).
+:meth:`FaultPlan.seeded` draws from :data:`WORKER_POINTS` unless told
+otherwise.
 
 ``worker_crash``
     A pool worker dies while holding a task.  In a process worker the
@@ -60,16 +60,6 @@ draws from :data:`WORKER_POINTS` unless told otherwise.
     fall back to the recovery scan: no record is lost, the footer is
     rebuilt at the next successful seal.
 
-``shard_worker_crash``
-    A shard worker process dies hard (``os._exit``) upon receiving a
-    request batch, before evaluating any of it.  The router must
-    respawn the worker, replay its registrations, and retry or
-    structurally fail the batch — never answer wrong.
-``shard_pipe_drop``
-    The parent's end of a shard socket is closed at batch-flush time
-    (modelling a torn pipe / socket reset).  Same obligations as a
-    crash; the worker is reaped and respawned.
-
 The worker-side points are drawn by the *parent* at submit time — the
 decision ships with the task — so counting stays centralized and
 deterministic even across process-pool workers.  Every fire is also
@@ -101,7 +91,6 @@ __all__ = [
     "draw",
     "execute_inline",
     "execute_in_worker",
-    "SHARD_POINTS",
 ]
 
 WORKER_POINTS = ("worker_crash", "worker_hang", "invariant_raises")
@@ -112,16 +101,7 @@ STORE_POINTS = (
     "store_disk_full",
     "store_seal_crash",
 )
-# Shard-serving points.  ``shard_worker_crash`` ships with a batch message
-# and kills the shard worker process before it evaluates
-# (``os._exit(13)``, the same hard death the pool uses);
-# ``shard_pipe_drop`` severs the parent side of the shard socket at
-# flush time, so the in-flight batch surfaces as a connection loss.
-# Both are drawn by the *parent* at batch-flush time against the first
-# item's instance key, so seeded schedules stay deterministic across
-# the process boundary.
-SHARD_POINTS = ("shard_worker_crash", "shard_pipe_drop")
-_ALL_POINTS = WORKER_POINTS + STORE_POINTS + SHARD_POINTS
+_ALL_POINTS = WORKER_POINTS + STORE_POINTS
 
 
 class InjectedFailure(RuntimeError):

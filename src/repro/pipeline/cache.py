@@ -60,17 +60,27 @@ class InvariantCache:
         with self._lock:
             return len(self._memory)
 
-    def get(self, key: str) -> Any | None:
-        """The cached artifact for *key*, or None.
+    def peek(self, key: str) -> Any | None:
+        """The artifact for *key* if the memory tier holds it, else None.
 
-        Memory first, then the store; a store hit is promoted into
-        memory."""
+        Never touches the store, so it is cheap enough to call from an
+        event loop.  A hit counts and refreshes like :meth:`get`; a miss
+        is not counted, because the caller falls back to :meth:`get`."""
         with self._lock:
             hit = self._memory.get(key)
             if hit is not None:
                 self._memory.move_to_end(key)
                 self.hits += 1
-                return hit
+            return hit
+
+    def get(self, key: str) -> Any | None:
+        """The cached artifact for *key*, or None.
+
+        Memory first, then the store; a store hit is promoted into
+        memory."""
+        hit = self.peek(key)
+        if hit is not None:
+            return hit
         loaded = None
         if self.store is not None:
             try:

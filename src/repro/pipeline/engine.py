@@ -288,10 +288,10 @@ class InvariantPipeline:
 
         *keys* optionally supplies the instances' content keys
         (aligned with *instances*), skipping re-derivation when the
-        caller already holds them — the shard workers route by key, so
-        every batch arrives pre-keyed.  The keys are trusted; passing
-        a key that is not ``instance_key(inst)`` corrupts the
-        content-addressed cache.
+        caller already holds them — the query service keys every
+        instance at registration, so its invariant batches arrive
+        pre-keyed.  The keys are trusted; passing a key that is not
+        ``instance_key(inst)`` corrupts the content-addressed cache.
         """
         if on_error not in ON_ERROR_MODES:
             raise PipelineError(

@@ -6,7 +6,7 @@ same snapshot/delta protocol as every other counter family.
 
 ``requests``
     Every request accepted into :meth:`QueryService._serve`
-    (including ones later shed or timed out).
+    (including inline cache hits and ones later shed or timed out).
 ``computes``
     Coalesce-group leaders: evaluations actually launched.
 ``coalesced``
@@ -36,24 +36,6 @@ same snapshot/delta protocol as every other counter family.
 ``drains``
     Graceful drains completed (service close with in-flight work
     allowed to finish).
-``shard_batches`` / ``shard_batch_items``
-    Request batches shipped to shard workers, and the items they
-    carried — ``items / batches`` is the realized batching factor
-    (1.0 means the window never amortized anything).
-``shard_cache_hits``
-    Invariant requests answered from the router's decoded-invariant
-    read-through cache, without touching a shard.
-``shard_respawns``
-    Shard worker processes respawned after a crash or pipe loss.
-``shard_retries``
-    Requests re-dispatched to a respawned worker after their batch
-    was lost with it.
-``shard_pipe_failures``
-    Shard connections lost (worker death or pipe drop), each of which
-    fails or retries one in-flight batch.
-``shard_fast_fails``
-    Requests refused immediately because their shard was permanently
-    down (respawn budget exhausted).
 """
 
 from __future__ import annotations
@@ -77,12 +59,5 @@ counters = Counters(
         "breaker_probes",
         "breaker_short_circuits",
         "drains",
-        "shard_batches",
-        "shard_batch_items",
-        "shard_cache_hits",
-        "shard_respawns",
-        "shard_retries",
-        "shard_pipe_failures",
-        "shard_fast_fails",
     ),
 )

@@ -8,8 +8,15 @@ is produced by the existing engines (:mod:`repro.logic` evaluators, the
 shared :class:`~repro.pipeline.InvariantPipeline` cache) under the
 service's concurrency discipline:
 
+* **inline hits** — an invariant lookup whose ``T_I`` sits in the
+  pipeline cache's memory tier is answered on the event loop, with no
+  admission slot, no coalescing and no executor hop;
 * **coalescing** — identical in-flight requests share one compute
   (:mod:`repro.service.coalesce`);
+* **conflated misses** — distinct invariant misses share one
+  ``compute_batch``: one batch runs at a time and the misses that
+  arrive meanwhile ride the next, so a ``processes`` pipeline computes
+  them in parallel;
 * **admission control** — bounded in-flight compute with FIFO queueing
   and 503-style shedding (:mod:`repro.service.admission`);
 * **deadlines** — a per-request :class:`~repro.instrument.Deadline`
@@ -86,28 +93,6 @@ DEFAULT_SLOS: dict[str, float] = {
 }
 
 
-def evaluate_logic(spec: dict, inst, deadline: Deadline) -> bool:
-    """Answer a logic request spec (kind ``cells``, ``rect``, ``real``
-    or ``point``) on *inst* under *deadline*.  Shared by the in-process
-    service and the shard workers, so both evaluate alike."""
-    kind = spec["kind"]
-    deadline.check(kind)
-    if kind == "cells":
-        return evaluate_cells(
-            spec["formula"],
-            inst,
-            refinement=spec["refinement"],
-            timeout=deadline.remaining(),
-        )
-    if kind == "rect":
-        return evaluate_rect(spec["formula"], inst)
-    if kind == "real":
-        return evaluate_real(spec["formula"], inst)
-    if kind == "point":
-        return evaluate_point(spec["formula"], inst)
-    raise ServiceError(f"unknown request kind {kind!r}", endpoint=kind)
-
-
 class QueryAnswer:
     """One served answer: the value plus how it was produced."""
 
@@ -141,7 +126,9 @@ class QueryService:
     pipeline:
         The shared invariant pipeline (cache + stats).  Owned by the
         caller when passed; created (and closed on shutdown) by the
-        service otherwise.
+        service otherwise, over *store* when one is given, so the
+        invariants the store holds are read rather than recomputed and
+        computed ones are written through to it.
     max_inflight:
         Compute slots: evaluations running concurrently.
     max_queue:
@@ -184,7 +171,9 @@ class QueryService:
         scrubber=None,
     ):
         self._owns_pipeline = pipeline is None
-        self.pipeline = pipeline if pipeline is not None else InvariantPipeline()
+        self.pipeline = (
+            pipeline if pipeline is not None else InvariantPipeline(store=store)
+        )
         self.store = (
             store if store is not None else self.pipeline.cache.store
         )
@@ -199,8 +188,13 @@ class QueryService:
         # The pipeline is not re-entrant across threads (lazy pool
         # construction, batch bookkeeping), so pipeline-backed
         # endpoints serialize on this lock; its cache makes repeats
-        # cheap and coalescing absorbs the duplicates.
+        # cheap, coalescing absorbs the duplicates and the invariant
+        # batch absorbs distinct misses.
         self._pipeline_lock = threading.Lock()
+        # Invariant misses waiting for the next batch, as
+        # ``(key, instance, deadline, future)``, and the running batch.
+        self._misses: list[tuple] = []
+        self._batch: asyncio.Future | None = None
         self._closed = False
         self._draining = False
         self._breaker = CircuitBreaker(
@@ -244,9 +238,6 @@ class QueryService:
                 name=name,
             )
         counters.count("store_registers")
-        # Through register() so subclasses observe store-backed
-        # registrations too (the sharded service ships geometry to the
-        # owning shard from there).
         return self.register(name, instance)
 
     def _store_read(self, endpoint: str, fn, *args):
@@ -303,13 +294,9 @@ class QueryService:
     #
     # Each endpoint builds a *request spec* — a plain dict of the
     # evaluation's ingredients — plus the coalesce key, and hands both
-    # to ``_serve``.  The base service turns the spec into a local
-    # closure (``_local_fn``) run on its executor; the sharded
-    # subclass overrides ``_launch_compute`` and ships the same spec
-    # to a worker process instead.  Specs are picklable by
-    # construction (strings, ints, parsed sentence ASTs, and the
-    # instance itself, which the sharded path strips — workers already
-    # hold the geometry from registration).
+    # to ``_serve``.  An invariant spec joins the conflated batch
+    # (``_start_batch``); every other spec becomes a local closure
+    # (``_local_fn``) run on the executor.
 
     async def ask_cells(
         self,
@@ -412,7 +399,8 @@ class QueryService:
     # -- the serving core ----------------------------------------------------
 
     def _local_fn(self, spec: dict) -> Callable[[Deadline], object]:
-        """The in-process evaluation closure for a request spec."""
+        """The in-process evaluation closure for a request spec (any
+        kind but ``invariant``, which is batched)."""
         kind = spec["kind"]
         if kind == "equivalent":
 
@@ -427,34 +415,127 @@ class QueryService:
                 deadline.check("equivalent")
                 return are_isomorphic(inv_a, inv_b)
 
-        elif kind == "invariant":
-
-            def fn(deadline: Deadline):
-                deadline.check("invariant")
-                with self._pipeline_lock:
-                    return self.pipeline.compute(spec["inst"])
-
         else:
 
             def fn(deadline: Deadline) -> bool:
-                return evaluate_logic(spec, spec["inst"], deadline)
+                deadline.check(kind)
+                if kind == "cells":
+                    return evaluate_cells(
+                        spec["formula"],
+                        spec["inst"],
+                        refinement=spec["refinement"],
+                        timeout=deadline.remaining(),
+                    )
+                if kind == "rect":
+                    return evaluate_rect(spec["formula"], spec["inst"])
+                if kind == "real":
+                    return evaluate_real(spec["formula"], spec["inst"])
+                if kind == "point":
+                    return evaluate_point(spec["formula"], spec["inst"])
+                raise ServiceError(
+                    f"unknown request kind {kind!r}", endpoint=kind
+                )
 
         return fn
 
     def _launch_compute(self, spec, deadline: Deadline) -> asyncio.Future:
         """Start the evaluation for *spec* and return its future.
 
-        The base service runs the spec's local closure on the
-        service-owned executor; :class:`ShardedQueryService` overrides
-        this to ship the spec to a shard worker.  *spec* may also be a
-        raw ``fn(deadline)`` callable (tests drive ``_serve``
-        directly with one) — it bypasses spec translation.
+        An invariant miss joins the pending batch; every other spec
+        runs its local closure on the service-owned executor.  *spec*
+        may also be a raw ``fn(deadline)`` callable (tests drive
+        ``_serve`` directly with one) — it bypasses spec translation.
         """
-        fn = spec if callable(spec) else self._local_fn(spec)
         loop = asyncio.get_running_loop()
+        if not callable(spec) and spec["kind"] == "invariant":
+            miss = loop.create_future()
+            self._misses.append((spec["key"], spec["inst"], deadline, miss))
+            if self._batch is None:
+                self._start_batch()
+            return miss
+        fn = spec if callable(spec) else self._local_fn(spec)
         return loop.run_in_executor(
             self._executor, self._run_traced, fn, deadline
         )
+
+    def _start_batch(self) -> None:
+        """Compute every pending invariant miss in one ``compute_batch``.
+
+        One batch runs at a time; misses that arrive meanwhile wait and
+        ride the next one, each settled with its own outcome.  Each
+        miss holds an admission slot, so admission bounds the batch.
+        A miss whose deadline expired while it waited fails with
+        :class:`~repro.errors.TimeoutError` and is not computed.
+        """
+        batch = []
+        for key, inst, deadline, miss in self._misses:
+            if deadline.expired():
+                miss.set_exception(
+                    TimeoutError(
+                        "invariant request spent its "
+                        f"{deadline.seconds:g}s budget waiting for a batch",
+                        key=key,
+                        stage="invariant",
+                    )
+                )
+            else:
+                batch.append((key, inst, miss))
+        self._misses = []
+        if not batch:
+            return
+        keys = [key for key, _, _ in batch]
+        insts = [inst for _, inst, _ in batch]
+        self._batch = asyncio.get_running_loop().run_in_executor(
+            self._executor, self._run_traced, self._compute_misses, keys, insts
+        )
+        self._batch.add_done_callback(
+            lambda done: self._finish_batch(batch, done)
+        )
+
+    def _compute_misses(self, keys: list, insts: list):
+        with self._pipeline_lock:
+            return self.pipeline.compute_batch(
+                insts, on_error="collect", keys=keys
+            )
+
+    def _finish_batch(self, batch: list, done: asyncio.Future) -> None:
+        """Settle each miss of a finished batch with its own outcome,
+        then start the next batch — or, once the service is closed,
+        fail the misses still waiting."""
+        self._batch = None
+        if done.cancelled():
+            error = ServiceClosedError(
+                "service shut down mid-batch", endpoint="invariant"
+            )
+        else:
+            error = done.exception()
+        if error is not None:
+            for _key, _inst, miss in batch:
+                miss.set_exception(error)
+        else:
+            result, worker_spans = tracing.unpack_result(done.result())
+            for (_key, _inst, miss), outcome in zip(batch, result.outcomes):
+                if not outcome.ok:
+                    miss.set_exception(outcome.error)
+                elif worker_spans:
+                    # The batch's spans are adopted once, under the
+                    # first request it answers.
+                    miss.set_result(
+                        tracing.TracedResult(outcome.value, worker_spans)
+                    )
+                    worker_spans = None
+                else:
+                    miss.set_result(outcome.value)
+        if self._closed:
+            self._fail_misses()
+        elif self._misses:
+            self._start_batch()
+
+    def _fail_misses(self) -> None:
+        """Fail every invariant miss not yet in a batch (shutdown)."""
+        misses, self._misses = self._misses, []
+        for _key, _inst, _deadline, miss in misses:
+            miss.set_exception(ServiceClosedError("service closed"))
 
     async def _serve(
         self,
@@ -494,6 +575,18 @@ class QueryService:
         t0 = perf_counter()
         status = "error"
         try:
+            if endpoint == "invariant":
+                # A memory-tier hit is a read of a content-addressed
+                # value: nothing is left for admission, coalescing or
+                # the executor to bound.
+                value = self.pipeline.cache.peek(spec["key"])
+                if value is not None:
+                    if span is not None:
+                        span.attributes["cached"] = True
+                    status = "ok"
+                    return QueryAnswer(
+                        endpoint, value, False, perf_counter() - t0
+                    )
             shared = self._coalesce.peek(ckey)
             if shared is not None:
                 counters.count("coalesced")
@@ -517,6 +610,12 @@ class QueryService:
                     await self._await_slot(endpoint, waiter, deadline)
                     holding = True
                 deadline.check(endpoint)
+                if self._closed:
+                    # close() ran while this request queued: its
+                    # executor is gone, so nothing can be launched.
+                    raise ServiceClosedError(
+                        "service closed", endpoint=endpoint
+                    )
             except BaseException as exc:
                 # The compute never started; fail the fan-out future so
                 # followers get the same structured error.
@@ -525,14 +624,7 @@ class QueryService:
                 self._coalesce.reject(ckey, exc)
                 raise
 
-            try:
-                compute = self._launch_compute(spec, deadline)
-            except BaseException as exc:
-                # Launch refused (e.g. a permanently-down shard): the
-                # slot and the fan-out entry must not leak.
-                self._admission.release()
-                self._coalesce.reject(ckey, exc)
-                raise
+            compute = self._launch_compute(spec, deadline)
 
             def _settle(f: asyncio.Future) -> None:
                 # Runs on the event loop when the evaluation finishes —
@@ -583,11 +675,11 @@ class QueryService:
                 tracer.finish_span(span)
             self.stats.record_request(endpoint, seconds, status)
 
-    def _run_traced(self, fn: Callable[[Deadline], object], deadline: Deadline):
-        """Executor-side wrapper: run *fn* with worker-thread spans
-        captured for adoption under the request span."""
+    def _run_traced(self, fn: Callable, *args):
+        """Executor-side wrapper: run ``fn(*args)`` with worker-thread
+        spans captured for adoption under the request span."""
         with tracing.capture() as cap:
-            value = fn(deadline)
+            value = fn(*args)
         return tracing.pack_result(value, cap)
 
     async def _await_shared(
@@ -721,11 +813,7 @@ class QueryService:
         await asyncio.get_running_loop().run_in_executor(
             None, self._executor.shutdown
         )
-        self._coalesce.reject_all(
-            ServiceClosedError("service closed")
-        )
-        if self._owns_pipeline:
-            self.pipeline.close()
+        self._release()
 
     def close(self) -> None:
         """Synchronous teardown (for non-async callers and tests).
@@ -735,6 +823,12 @@ class QueryService:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
+        self._release()
+
+    def _release(self) -> None:
+        """Fail every request still waiting and close what the service
+        owns (the tail of :meth:`close` and :meth:`aclose`)."""
+        self._fail_misses()
         self._coalesce.reject_all(ServiceClosedError("service closed"))
         if self._owns_pipeline:
             self.pipeline.close()

@@ -1,10 +1,9 @@
 """Shared deterministic-time helpers for the test suite.
 
-Several suites (service health/breaker, pipeline resilience, the
-router property tests) need to drive time-dependent machinery —
-circuit-breaker reset windows, cooperative deadlines, batching-window
-timers — without sleeping.  The components all take injectable clocks
-or schedulers for exactly this reason; these are the standard test
+Several suites (service health/breaker, pipeline resilience) need to
+drive time-dependent machinery — circuit-breaker reset windows,
+cooperative deadlines — without sleeping.  The components all take
+injectable clocks for exactly this reason; these are the standard test
 doubles, factored here so each suite stops growing its own copy.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 from repro.instrument import Deadline
 
-__all__ = ["FakeClock", "ManualTimer", "expired_deadline", "ticking_deadline"]
+__all__ = ["FakeClock", "expired_deadline", "ticking_deadline"]
 
 
 class FakeClock:
@@ -32,57 +31,6 @@ class FakeClock:
     def advance(self, seconds: float) -> float:
         self.now += seconds
         return self.now
-
-
-class _TimerHandle:
-    __slots__ = ("cancelled",)
-
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class ManualTimer:
-    """A deterministic ``schedule(delay, callback)`` stand-in for
-    ``loop.call_later`` (the :class:`repro.service.Batcher` window
-    timer).  Callbacks fire — in deadline order — when the test calls
-    :meth:`advance` past their due time; nothing fires spontaneously.
-    """
-
-    def __init__(self):
-        self.now = 0.0
-        self._scheduled: list[tuple[float, int, object, _TimerHandle]] = []
-        self._seq = 0
-
-    def schedule(self, delay: float, callback) -> _TimerHandle:
-        handle = _TimerHandle()
-        self._seq += 1
-        self._scheduled.append(
-            (self.now + float(delay), self._seq, callback, handle)
-        )
-        return handle
-
-    @property
-    def pending(self) -> int:
-        return sum(
-            1 for _, _, _, h in self._scheduled if not h.cancelled
-        )
-
-    def advance(self, seconds: float) -> int:
-        """Move time forward, firing due callbacks; returns how many
-        fired."""
-        self.now += float(seconds)
-        due = [e for e in self._scheduled if e[0] <= self.now]
-        self._scheduled = [e for e in self._scheduled if e[0] > self.now]
-        fired = 0
-        for _, _, callback, handle in sorted(due, key=lambda e: (e[0], e[1])):
-            if handle.cancelled:
-                continue
-            callback()
-            fired += 1
-        return fired
 
 
 def ticking_deadline(seconds: float | None, clock: FakeClock | None = None):

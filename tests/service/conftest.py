@@ -1,7 +1,7 @@
 """Service-suite fixtures: the flaky-watch time budget.
 
 The service tests drive real concurrency — event loops, executor
-threads, shard worker processes — where a regression often shows up as
+threads, process-pool workers — where a regression often shows up as
 a near-hang (a lost wakeup that a generous outer timeout eventually
 papers over) rather than a failure.  The flaky-watch turns that smell
 into a hard error: no single service test may take longer than

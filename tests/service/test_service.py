@@ -6,11 +6,14 @@ The suites drive the asyncio service from plain sync tests via
 tests use executor-gated compute functions injected through
 ``QueryService._serve`` so the leader/follower/shed split is pinned
 down deterministically: the gate holds every evaluation open until the
-whole wave of tasks has been scheduled.
+whole wave of tasks has been scheduled.  The invariant batch is pinned
+the same way, by holding the pipeline's first ``compute_batch`` open
+(:class:`HeldBatches`).
 """
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -28,7 +31,7 @@ from repro import (
 )
 from repro import errors as repro_errors
 from repro import tracing
-from repro.instrument import counter_delta, counter_snapshot
+from repro.instrument import Deadline, counter_delta, counter_snapshot
 from repro.logic import (
     PRegion,
     PointExists,
@@ -38,6 +41,7 @@ from repro.logic import (
     RealVar,
     parse,
 )
+from repro.store import SegmentStore
 
 LENS = SpatialInstance({"A": Rect(0, 0, 4, 4), "B": Rect(2, 2, 6, 6)})
 APART = SpatialInstance({"A": Rect(0, 0, 1, 1), "B": Rect(3, 3, 4, 4)})
@@ -55,6 +59,43 @@ def make_service(**kw):
     svc.register("lens", LENS)
     svc.register("apart", APART)
     return svc
+
+
+def row_of_boxes(n):
+    """*n* translated copies of one box: distinct instance keys, one
+    invariant."""
+    return {
+        f"box{x}": SpatialInstance({"A": Rect(10 * x, 0, 10 * x + 3, 3)})
+        for x in range(n)
+    }
+
+
+class HeldBatches:
+    """Records the keys of every ``compute_batch`` a service's pipeline
+    runs, and holds the first call open until :attr:`gate` is set."""
+
+    def __init__(self, svc):
+        self.calls: list[list[str]] = []
+        self.started = threading.Event()
+        self.gate = threading.Event()
+        compute_batch = svc.pipeline.compute_batch
+
+        def held(instances, on_error="raise", keys=None):
+            self.calls.append(keys)
+            if len(self.calls) == 1:
+                self.started.set()
+                self.gate.wait(10)
+            return compute_batch(instances, on_error=on_error, keys=keys)
+
+        svc.pipeline.compute_batch = held
+
+
+async def until(condition, timeout=10.0):
+    """Yield to the event loop until ``condition()`` holds."""
+    give_up = time.perf_counter() + timeout
+    while not condition():
+        assert time.perf_counter() < give_up, "condition never held"
+        await asyncio.sleep(0.001)
 
 
 class TestRegistry:
@@ -132,6 +173,328 @@ class TestEndpoints:
                 assert (await svc.equivalent("lens", "apart")).value is False
                 inv = (await svc.invariant_of("lens")).value
                 assert canonical_hash(inv) == canonical_hash(invariant(LENS))
+
+        run(main())
+
+
+class TestStoreBacked:
+    def test_owned_pipeline_reads_the_store_and_writes_through(
+        self, tmp_path
+    ):
+        """A service given only a store serves the invariants the store
+        holds instead of recomputing them, and writes the ones it does
+        compute through to the store."""
+        corpus = row_of_boxes(10)
+        want = canonical_hash(invariant(corpus["box0"]))
+        store = SegmentStore(tmp_path / "seg")
+        store.bulk_load(corpus.values())
+
+        async def main():
+            async with QueryService(store=store) as svc:
+                for name, inst in corpus.items():
+                    svc.register_from_store(name, instance_key(inst))
+                for name in corpus:
+                    answer = await svc.invariant_of(name)
+                    assert canonical_hash(answer.value) == want
+                assert svc.stats.store_hits == 10
+                assert svc.stats.invariants_computed == 0
+                fresh = SpatialInstance({"A": Rect(500, 0, 503, 3)})
+                key = svc.register("fresh", fresh)
+                await svc.invariant_of("fresh")
+                assert svc.stats.invariants_computed == 1
+                assert canonical_hash(store.get(key)) == want
+
+        try:
+            run(main())
+        finally:
+            store.close()
+
+
+class TestInlineHits:
+    """An invariant in the pipeline cache's memory is answered on the
+    event loop: no admission slot, no coalescing, no executor hop."""
+
+    def test_hit_latency_includes_the_lookup(self, monkeypatch):
+        async def main():
+            async with make_service() as svc:
+                await svc.invariant_of("lens")  # fills the memory tier
+                cache = svc.pipeline.cache
+                peek = cache.peek
+
+                def slow_peek(key):
+                    time.sleep(0.010)
+                    return peek(key)
+
+                monkeypatch.setattr(cache, "peek", slow_peek)
+                before = counter_snapshot()
+                hits = [await svc.invariant_of("lens") for _ in range(3)]
+                delta = counter_delta(before, counter_snapshot())
+                assert delta["service.requests"] == 3
+                assert delta.get("service.computes", 0) == 0
+                assert all(hit.seconds >= 0.010 for hit in hits)
+                window = svc.stats.as_dict()["service"]["invariant"]
+                assert window["p50_ms"] >= 10.0
+
+        run(main())
+
+    def test_hit_is_answered_when_admission_is_full(self):
+        async def main():
+            async with make_service(max_inflight=1, max_queue=1) as svc:
+                warm = await svc.invariant_of("lens")
+                gate = threading.Event()
+
+                def fn(deadline):
+                    gate.wait(10)
+                    return 0
+
+                blockers = [
+                    asyncio.ensure_future(
+                        svc._serve("cells", ("hold", i), fn, None)
+                    )
+                    for i in range(2)
+                ]
+                await asyncio.sleep(0.01)
+                assert (svc.inflight, svc.queued) == (1, 1)
+                with pytest.raises(OverloadError):
+                    await svc.invariant_of("apart")  # a miss is shed
+                hit = await svc.invariant_of("lens")
+                assert hit.value is warm.value
+                assert not hit.coalesced
+                gate.set()
+                await asyncio.gather(*blockers)
+
+        run(main())
+
+    def test_closed_or_draining_service_refuses_hits(self):
+        async def main():
+            svc = make_service()
+            await svc.invariant_of("lens")
+            svc._draining = True
+            with pytest.raises(ServiceClosedError):
+                await svc.invariant_of("lens")
+            svc._draining = False
+            await svc.aclose()
+            with pytest.raises(ServiceClosedError):
+                await svc.invariant_of("lens")
+
+        run(main())
+
+    def test_hit_opens_a_request_span(self):
+        async def main():
+            with tracing.tracing() as tracer:
+                async with make_service() as svc:
+                    await svc.invariant_of("lens")
+                    await svc.invariant_of("lens")
+            return tracer.finish()
+
+        trace = run(main())
+        miss, hit = [
+            s
+            for root in trace.roots
+            for s in root.walk()
+            if s.name == "service.request"
+        ]
+        for span in (miss, hit):
+            assert span.attributes["endpoint"] == "invariant"
+            assert span.attributes["status"] == "ok"
+        # The miss adopted its batch's spans; the hit ran no compute.
+        assert miss.children
+        assert hit.attributes["cached"] is True
+        assert not hit.children
+
+
+class TestInvariantBatching:
+    """Distinct invariant misses conflate: one ``compute_batch`` runs at
+    a time, and the misses that arrive meanwhile ride the next one."""
+
+    def test_misses_during_a_batch_ride_the_next_one(self):
+        corpus = row_of_boxes(6)
+        want = canonical_hash(invariant(corpus["box0"]))
+
+        async def main():
+            async with QueryService(max_inflight=8) as svc:
+                keys = [svc.register(n, inst) for n, inst in corpus.items()]
+                held = HeldBatches(svc)
+                names = list(corpus)
+                first = asyncio.ensure_future(svc.invariant_of(names[0]))
+                await until(held.started.is_set)
+                rest = [
+                    asyncio.ensure_future(svc.invariant_of(n))
+                    for n in names[1:]
+                ]
+                await until(lambda: svc.inflight == len(names))
+                assert held.calls == [keys[:1]]
+                held.gate.set()
+                answers = await asyncio.gather(first, *rest)
+                assert held.calls == [keys[:1], keys[1:]]
+                for answer in answers:
+                    assert canonical_hash(answer.value) == want
+
+        run(main())
+
+    def test_duplicates_coalesce_before_the_batch(self):
+        corpus = row_of_boxes(3)
+
+        async def main():
+            async with QueryService(max_inflight=8) as svc:
+                keys = [svc.register(n, inst) for n, inst in corpus.items()]
+                held = HeldBatches(svc)
+                names = list(corpus)
+                first = asyncio.ensure_future(svc.invariant_of(names[0]))
+                await until(held.started.is_set)
+                before = counter_snapshot()
+                # 4 requests for each of 2 names: 2 leaders, 6 followers.
+                rest = [
+                    asyncio.ensure_future(svc.invariant_of(n))
+                    for n in names[1:]
+                    for _ in range(4)
+                ]
+                await until(lambda: svc.inflight == len(names))
+                held.gate.set()
+                await asyncio.gather(first, *rest)
+                delta = counter_delta(before, counter_snapshot())
+                assert held.calls == [keys[:1], keys[1:]]
+                assert delta["service.computes"] == 2
+                assert delta["service.coalesced"] == 6
+
+        run(main())
+
+    def test_expired_miss_is_not_computed(self):
+        corpus = row_of_boxes(3)
+
+        async def main():
+            async with QueryService(max_inflight=8) as svc:
+                keys = [svc.register(n, inst) for n, inst in corpus.items()]
+                held = HeldBatches(svc)
+                first = asyncio.ensure_future(svc.invariant_of("box0"))
+                await until(held.started.is_set)
+                late = asyncio.ensure_future(
+                    svc.invariant_of("box1", timeout=0.01)
+                )
+                patient = asyncio.ensure_future(svc.invariant_of("box2"))
+                with pytest.raises(repro_errors.TimeoutError):
+                    await late
+                held.gate.set()
+                await asyncio.gather(first, patient)
+                assert held.calls == [keys[:1], keys[2:]]
+
+        run(main())
+
+
+class TestShutdown:
+    def test_close_fails_misses_queued_behind_a_batch(self):
+        corpus = row_of_boxes(4)
+
+        async def main():
+            svc = QueryService(max_inflight=8)
+            keys = [svc.register(n, inst) for n, inst in corpus.items()]
+            held = HeldBatches(svc)
+            names = list(corpus)
+            first = asyncio.ensure_future(svc.invariant_of(names[0]))
+            await until(held.started.is_set)
+            rest = [
+                asyncio.ensure_future(svc.invariant_of(n)) for n in names[1:]
+            ]
+            await until(lambda: svc.inflight == len(names))
+            held.gate.set()
+            svc.close()
+            results = await asyncio.wait_for(
+                asyncio.gather(first, *rest, return_exceptions=True), 10
+            )
+            assert all(isinstance(r, ServiceClosedError) for r in results)
+            # Every compute future settled and gave its slot back.
+            await until(lambda: svc.inflight == 0)
+            assert held.calls == [keys[:1]]
+
+        run(main())
+
+    def test_aclose_drains_misses_queued_behind_a_batch(self):
+        corpus = row_of_boxes(4)
+        want = canonical_hash(invariant(corpus["box0"]))
+
+        async def main():
+            svc = QueryService(max_inflight=8)
+            keys = [svc.register(n, inst) for n, inst in corpus.items()]
+            held = HeldBatches(svc)
+            names = list(corpus)
+            first = asyncio.ensure_future(svc.invariant_of(names[0]))
+            await until(held.started.is_set)
+            rest = [
+                asyncio.ensure_future(svc.invariant_of(n)) for n in names[1:]
+            ]
+            await until(lambda: svc.inflight == len(names))
+            closing = asyncio.ensure_future(svc.aclose())
+            await asyncio.sleep(0.01)
+            assert not closing.done()  # draining waits for the misses
+            held.gate.set()
+            answers = await asyncio.wait_for(asyncio.gather(first, *rest), 10)
+            await closing
+            for answer in answers:
+                assert canonical_hash(answer.value) == want
+            assert held.calls == [keys[:1], keys[1:]]
+
+        run(main())
+
+    def test_close_refuses_requests_queued_for_admission(self):
+        async def main():
+            svc = make_service(max_inflight=1, max_queue=1)
+            gate = threading.Event()
+
+            def fn(deadline):
+                gate.wait(10)
+                return 0
+
+            running = asyncio.ensure_future(
+                svc._serve("cells", ("run",), fn, None)
+            )
+            queued = asyncio.ensure_future(
+                svc._serve("cells", ("queued",), fn, None)
+            )
+            await asyncio.sleep(0.01)
+            assert (svc.inflight, svc.queued) == (1, 1)
+            gate.set()
+            svc.close()
+            # The queued request gets the freed slot after close(): it
+            # is refused as closed, not launched on the shut executor.
+            results = await asyncio.wait_for(
+                asyncio.gather(running, queued, return_exceptions=True), 10
+            )
+            assert all(isinstance(r, ServiceClosedError) for r in results)
+            await until(lambda: svc.inflight == 0)
+
+        run(main())
+
+    @pytest.mark.parametrize("shutdown", ["close", "aclose"])
+    def test_shutdown_fails_every_pending_miss(self, shutdown):
+        """Misses launched without an admission slot are not waited for
+        by the drain, so both shutdowns find them pending.  Each fails
+        with ServiceClosedError, the running batch still settles its
+        own miss, and no future is left unresolved."""
+        corpus = row_of_boxes(4)
+        want = canonical_hash(invariant(corpus["box0"]))
+
+        async def main():
+            svc = QueryService()
+            specs = [
+                {"kind": "invariant", "key": svc.register(n, inst), "inst": inst}
+                for n, inst in corpus.items()
+            ]
+            held = HeldBatches(svc)
+            running = svc._launch_compute(specs[0], Deadline(None))
+            await until(held.started.is_set)
+            pending = [
+                svc._launch_compute(spec, Deadline(None)) for spec in specs[1:]
+            ]
+            held.gate.set()
+            if shutdown == "close":
+                svc.close()
+            else:
+                await svc.aclose()
+            await asyncio.wait_for(asyncio.wait([running, *pending]), 10)
+            assert canonical_hash(running.result()) == want
+            for miss in pending:
+                assert isinstance(miss.exception(), ServiceClosedError)
+            assert held.calls == [[specs[0]["key"]]]
 
         run(main())
 

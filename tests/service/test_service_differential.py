@@ -5,7 +5,8 @@ direct evaluation — by the library and by the seed oracle
 (``evaluate_*_reference``) — per endpoint, per pipeline backend, under
 concurrent clients, and under seeded fault schedules (where the
 weakened guarantee is: the correct answer or a structured error, never
-a wrong answer).
+a wrong answer), on the thread and the process pool.  A request the
+library rejects fails with the library's error class.
 """
 
 import asyncio
@@ -25,6 +26,7 @@ from repro import (
     topologically_equivalent,
 )
 from repro.datasets import grid_of_squares, overlap_chain
+from repro.errors import InstanceError, QueryError
 from repro.faults import FaultPlan, inject
 from repro.invariant import instance_key
 from repro.logic import (
@@ -153,19 +155,6 @@ def direct_answers(evaluate, jobs) -> dict:
     return answers
 
 
-def library_answers(evaluate, oracle, jobs) -> dict:
-    """``{job: answer}`` from the library evaluator, each answer
-    asserted equal to the seed oracle's.  Computed once per job, so
-    the slow oracle never runs once per service or shard count."""
-    answers = {}
-    for name, query in jobs:
-        formula = parse(query) if isinstance(query, str) else query
-        answer = evaluate(formula, INSTANCES[name])
-        assert answer == oracle(formula, INSTANCES[name]), (name, query)
-        answers[(name, query)] = answer
-    return answers
-
-
 def _retry(**kw):
     kw.setdefault("sleep", lambda s: None)
     return RetryPolicy(**kw)
@@ -222,6 +211,32 @@ class TestDifferentialAnswers:
 
         asyncio.run(main())
 
+    def test_same_error_class_as_library(self):
+        requests = [
+            ("ask_cells", "cells", "lens", parse("subset(r, A)")),
+            ("ask_rect", "rect", "lens", "exists r . subset(r, C)"),
+            ("ask_real", "real", "quad", RRegion("A", RealVar("x"), RealVar("y"))),
+            ("ask_point", "point", "quad", PRegion("A", PointVar("p"))),
+        ]
+        direct = []
+        for _, kind, name, query in requests:
+            formula = parse(query) if isinstance(query, str) else query
+            with pytest.raises(ReproError) as err:
+                DIRECT["compiled"][kind](formula, INSTANCES[name])
+            direct.append(type(err.value))
+        assert direct == [QueryError, InstanceError, QueryError, QueryError]
+
+        async def main():
+            served = []
+            async with _service() as svc:
+                for endpoint, _, name, query in requests:
+                    with pytest.raises(ReproError) as err:
+                        await getattr(svc, endpoint)(name, query)
+                    served.append(type(err.value))
+            return served
+
+        assert asyncio.run(main()) == direct
+
     @pytest.mark.slow
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pipeline_endpoints_across_backends(self, backend):
@@ -246,6 +261,12 @@ class TestDifferentialAnswers:
                         assert (
                             canonical_hash(served.value) == reference_inv[n]
                         ), (n, backend)
+                        # Warm repeat: answered inline from the memory
+                        # tier, it must be the identical invariant.
+                        again = await svc.invariant_of(n)
+                        assert (
+                            canonical_hash(again.value) == reference_inv[n]
+                        ), (n, backend, "warm")
                     for (a, b), expect in reference_eq.items():
                         served = await svc.equivalent(a, b)
                         assert served.value == expect, (a, b, backend)
@@ -275,6 +296,92 @@ class TestConcurrentClients:
 
         asyncio.run(main())
 
+    def test_mixed_lookups_are_bit_identical(self):
+        # Cell queries and invariant lookups (each name twice) at once:
+        # lookups arriving while a batch runs ride the next one.
+        jobs = CELL_JOBS * 2
+        reference = {
+            (name, q): evaluate_cells(parse(q), CORPUS[name])
+            for name, q in set(jobs)
+        }
+        names = list(CORPUS)
+        reference_inv = {
+            n: canonical_hash(invariant(CORPUS[n])) for n in names
+        }
+
+        async def main():
+            async with _service(max_inflight=8, max_queue=512) as svc:
+                answers = await asyncio.gather(
+                    *[svc.invariant_of(n) for n in names for _ in (0, 1)],
+                    *[svc.ask_cells(name, q) for name, q in jobs],
+                )
+                lookups = answers[: 2 * len(names)]
+                for i, answer in enumerate(lookups):
+                    n = names[i // 2]
+                    assert (
+                        canonical_hash(answer.value) == reference_inv[n]
+                    ), n
+                for (name, q), answer in zip(jobs, answers[len(lookups):]):
+                    assert answer.value == reference[(name, q)], (name, q)
+
+        asyncio.run(main())
+
+
+def _check_fault_schedule(seed, backend, names, pairs):
+    """Serve *names*' invariants and the equivalence of *pairs*,
+    concurrently, under a seeded worker-fault schedule: every outcome
+    is the bit-identical answer or a structured ReproError.  Returns
+    the number of cold misses the pipeline shipped to its process
+    pool."""
+    keys = [instance_key(CORPUS[n]) for n in names]
+    reference_inv = {n: canonical_hash(invariant(CORPUS[n])) for n in names}
+    reference_eq = {
+        (a, b): topologically_equivalent(CORPUS[a], CORPUS[b])
+        for a, b in pairs
+    }
+    plan = FaultPlan.seeded(
+        seed, keys, faults=4, max_times=2, hang_seconds=0.01
+    )
+
+    async def main():
+        pipe = InvariantPipeline(
+            backend=backend,
+            workers=2,
+            retry=_retry(max_attempts=2),
+        )
+        try:
+            async with _service(pipeline=pipe) as svc:
+                with inject(plan):
+                    lookups = [
+                        svc.invariant_of(n, timeout=30.0) for n in names
+                    ]
+                    checks = [
+                        svc.equivalent(a, b, timeout=30.0)
+                        for a, b in reference_eq
+                    ]
+                    results = await asyncio.gather(
+                        *lookups, *checks, return_exceptions=True
+                    )
+                inv_results = results[: len(names)]
+                eq_results = results[len(names):]
+                for n, res in zip(names, inv_results):
+                    if isinstance(res, Exception):
+                        assert isinstance(res, ReproError), (n, res)
+                    else:
+                        assert (
+                            canonical_hash(res.value) == reference_inv[n]
+                        ), n
+                for (a, b), res in zip(reference_eq, eq_results):
+                    if isinstance(res, Exception):
+                        assert isinstance(res, ReproError), (a, b, res)
+                    else:
+                        assert res.value == reference_eq[(a, b)], (a, b)
+            return pipe.stats.dispatch_shm + pipe.stats.dispatch_json
+        finally:
+            pipe.close()
+
+    return asyncio.run(main())
+
 
 class TestChaos:
     @settings(
@@ -288,55 +395,21 @@ class TestChaos:
         the pipeline the service serves: the bit-identical answer or a
         structured ReproError — never a wrong answer, never a hang."""
         names = ["lens", "apart", "nested"]
-        keys = [instance_key(CORPUS[n]) for n in names]
-        reference_inv = {
-            n: canonical_hash(invariant(CORPUS[n])) for n in names
-        }
-        reference_eq = {
-            (a, b): topologically_equivalent(CORPUS[a], CORPUS[b])
-            for a in names
-            for b in names
-            if a < b
-        }
-        plan = FaultPlan.seeded(
-            seed, keys, faults=4, max_times=2, hang_seconds=0.01
-        )
+        pairs = [(a, b) for a in names for b in names if a < b]
+        _check_fault_schedule(seed, "threads", names, pairs)
 
-        async def main():
-            pipe = InvariantPipeline(
-                backend="threads",
-                workers=2,
-                retry=_retry(max_attempts=2),
-            )
-            try:
-                async with _service(pipeline=pipe) as svc:
-                    with inject(plan):
-                        lookups = [
-                            svc.invariant_of(n, timeout=30.0) for n in names
-                        ]
-                        checks = [
-                            svc.equivalent(a, b, timeout=30.0)
-                            for a, b in reference_eq
-                        ]
-                        results = await asyncio.gather(
-                            *lookups, *checks, return_exceptions=True
-                        )
-                    inv_results = results[: len(names)]
-                    eq_results = results[len(names):]
-                    for n, res in zip(names, inv_results):
-                        if isinstance(res, Exception):
-                            assert isinstance(res, ReproError), (n, res)
-                        else:
-                            assert (
-                                canonical_hash(res.value)
-                                == reference_inv[n]
-                            ), n
-                    for (a, b), res in zip(reference_eq, eq_results):
-                        if isinstance(res, Exception):
-                            assert isinstance(res, ReproError), (a, b, res)
-                        else:
-                            assert res.value == reference_eq[(a, b)], (a, b)
-            finally:
-                pipe.close()
-
-        asyncio.run(main())
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_any_fault_schedule_on_the_process_pool(self, seed):
+        """The same guarantee when ``worker_crash`` kills a pool process
+        under the conflated batch.  The three lookups that take the
+        other admission slots while the first one computes ride one
+        batch, cold, because the equivalence checks queue for a slot
+        behind them: it is always shipped to the pool."""
+        names = ["lens", "apart", "nested", "chain", "grid"]
+        pairs = [("lens", "apart"), ("apart", "nested")]
+        assert _check_fault_schedule(seed, "processes", names, pairs) > 0

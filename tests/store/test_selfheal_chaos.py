@@ -55,7 +55,7 @@ def _seeded_schedule(seed, keys):
 
 class TestFaultPointRegistry:
     def test_new_points_live_in_store_points_only(self):
-        from repro.faults import SHARD_POINTS, WORKER_POINTS
+        from repro.faults import WORKER_POINTS
 
         for point in (
             "store_read_bitflip",
@@ -66,7 +66,7 @@ class TestFaultPointRegistry:
             assert point in STORE_POINTS
             # Each point belongs to exactly one family; seeded plans
             # default to the worker family.
-            assert point not in WORKER_POINTS + SHARD_POINTS
+            assert point not in WORKER_POINTS
 
 
 class TestSelfHealingDifferential:
