@@ -3,12 +3,16 @@
 The first scaling curve of the repo: k x k staggered-square grids
 (``datasets.generators.grid_instance``) swept over k, reporting the
 planarize / subdivision / labeling / reduce stage times of a cold build,
-the warm (cache-hit) lookup time through the pipeline, the batched
-filter's statistics, peak RSS, and the SoA complex's memory footprint.
-Each row also builds the same instance through the seed kernel
-(all-pairs planarizer, exact predicates, unindexed labeling) and asserts
-the canonical hash of the resulting invariant is **bit-identical** — the
-vectorized path must never buy speed with a different answer.
+the cold ``canonical_hash`` time of the built invariant, the warm
+(cache-hit) lookup time through the pipeline, the batched filter's
+statistics, peak RSS, and the SoA complex's memory footprint.  Each row
+also builds the same instance through the seed kernel (all-pairs
+planarizer, exact predicates, unindexed point-location labeling) and
+asserts that the two complexes are **equal** — labels cell by cell,
+incidences, orientation and the geometric witnesses, face samples
+included — and that the canonical hashes of their invariants are
+**bit-identical**: the library path must never buy speed with a
+different answer.
 
 Acceptance thresholds (enforced in full *and* smoke mode):
 
@@ -18,7 +22,9 @@ Acceptance thresholds (enforced in full *and* smoke mode):
   non-degenerate corpora;
 * the batched bbox prescreen must fire on every row
   (``kernel.intersect_bbox_reject > 0`` — this counter was dead before
-  the batched sweep wired it).
+  the batched sweep wired it);
+* on every row the complex must equal the seed kernel's and the
+  canonical hashes must match.
 
 Run as a pytest benchmark (``pytest benchmarks/bench_arrangement.py``)
 or as a script::
@@ -108,9 +114,16 @@ def run_sweep(ks):
             f"batched bbox prescreen never fired on grid k={k}"
         )
 
-        fast_hash = canonical_hash(TopologicalInvariant.from_complex(cx))
+        t = TopologicalInvariant.from_complex(cx)
+        t0 = time.perf_counter()
+        fast_hash = canonical_hash(t)
+        canonical_s = time.perf_counter() - t0
         seed_cx = build_complex_reference(instance)
         seed_hash = canonical_hash(TopologicalInvariant.from_complex(seed_cx))
+        same_complex = cx == seed_cx
+        assert same_complex, (
+            f"fast and seed kernels build different complexes on grid k={k}"
+        )
         assert fast_hash == seed_hash, (
             f"fast and seed kernels disagree on grid k={k}"
         )
@@ -137,6 +150,7 @@ def run_sweep(ks):
                 "pieces": len(sweep_out),
                 "cells": cx.arrays.n_cells,
                 "cold_stage_seconds": cold,
+                "canonical_hash_seconds": canonical_s,
                 "warm_lookup_seconds": warm_s,
                 "planarize_sweep_seconds": sweep_s,
                 "planarize_allpairs_seconds": allpairs_s,
@@ -144,6 +158,7 @@ def run_sweep(ks):
                 "filter_hit_rate": filter_rate,
                 "kernel_counters": kernel,
                 "canonical_hash": fast_hash,
+                "complex_matches_seed": same_complex,
                 "hash_matches_seed": fast_hash == seed_hash,
                 "soa_nbytes": soa_nbytes,
                 "bytes_per_cell": soa_nbytes / cx.arrays.n_cells,
@@ -158,7 +173,7 @@ def run_sweep(ks):
 def _print_rows(rows):
     header = (
         f"{'k':>3} {'segs':>5} {'pieces':>6} {'planarize':>10} "
-        f"{'labeling':>9} {'total cold':>10} {'warm':>9} "
+        f"{'labeling':>9} {'total cold':>10} {'canon':>8} {'warm':>9} "
         f"{'sweep/allpairs':>14} {'filter':>7} {'B/cell':>7} "
         f"{'rss MiB':>8}"
     )
@@ -170,7 +185,8 @@ def _print_rows(rows):
             f"{row['k']:>3} {row['segments']:>5} {row['pieces']:>6} "
             f"{cold['arrangement.planarize']:>9.3f}s "
             f"{cold['arrangement.labeling']:>8.3f}s "
-            f"{total:>9.3f}s {row['warm_lookup_seconds']:>8.4f}s "
+            f"{total:>9.3f}s {row['canonical_hash_seconds']:>7.3f}s "
+            f"{row['warm_lookup_seconds']:>8.4f}s "
             f"{row['planarize_speedup']:>13.1f}x "
             f"{row['filter_hit_rate']:>6.0%} "
             f"{row['bytes_per_cell']:>6.0f} "
@@ -186,6 +202,9 @@ def _check_thresholds(rows):
     )
     assert all(r["filter_hit_rate"] >= FILTER_FLOOR for r in rows), (
         "filter hit rate below threshold in the sweep"
+    )
+    assert all(r["complex_matches_seed"] for r in rows), (
+        "complex diverged from the seed kernel"
     )
     assert all(r["hash_matches_seed"] for r in rows), (
         "canonical hash diverged from the seed kernel"
@@ -231,15 +250,17 @@ def test_filter_hit_rate_on_nondegenerate_corpora():
 
 def test_scaling_rows_complete(bench):
     """The sweep harness itself: every row carries all stages, the
-    bbox prescreen fired, the hash matched the seed kernel, and the
-    memory accounting is sane."""
+    bbox prescreen fired, the complex and the hash matched the seed
+    kernel, and the memory accounting is sane."""
     rows = run_sweep((2, 4))
     for row in rows:
         assert set(row["cold_stage_seconds"]) == set(STAGES)
         assert sum(row["cold_stage_seconds"].values()) > 0.0
         assert row["filter_hit_rate"] >= FILTER_FLOOR
         assert row["kernel_counters"]["kernel.intersect_bbox_reject"] > 0
+        assert row["complex_matches_seed"]
         assert row["hash_matches_seed"]
+        assert row["canonical_hash_seconds"] > 0.0
         assert row["soa_nbytes"] > 0
         assert row["peak_rss_kib"] > 0
     bench(build_complex, grid_instance(4))
@@ -283,7 +304,7 @@ def main(argv=None):
         f"largest grid k={largest['k']}: "
         f"{largest['planarize_speedup']:.1f}x planarize speedup, "
         f"{largest['filter_hit_rate']:.0%} filter hit rate, "
-        f"hashes match seed -> {args.out}"
+        f"complexes and hashes match seed -> {args.out}"
     )
     return 0
 

@@ -24,6 +24,7 @@ counterclockwise consecutive edge pairs around each vertex).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .labeling import (
     compute_labels,
     compute_labels_reference,
 )
-from .soa import LABEL_CHARS, LABEL_CODES, ComplexArrays
+from .soa import LABEL_CHARS, ComplexArrays
 
 __all__ = [
     "Cell",
@@ -146,13 +147,11 @@ class CellComplex:
         if self._cells is None:
             arr = self.arrays
             dims = arr.dims.tolist()
-            label_rows = arr.labels.tolist()
+            # Codes -> label characters as one ASCII string, row-major.
+            text = _label_bytes()[arr.labels].tobytes().decode("ascii")
+            m = len(arr.names)
             self._cells = {
-                cid: Cell(
-                    cid,
-                    dims[i],
-                    tuple(LABEL_CHARS[c] for c in label_rows[i]),
-                )
+                cid: Cell(cid, dims[i], tuple(text[i * m : (i + 1) * m]))
                 for i, cid in enumerate(arr.cell_ids)
             }
         return self._cells
@@ -277,7 +276,9 @@ def build_complex(instance: SpatialInstance) -> CellComplex:
     This is the geometric heart of the reproduction: it plays the role of
     the Kozen–Yap cell decomposition in the paper (see DESIGN.md for the
     substitution argument).  It runs the float-filtered predicates, the
-    sweep planarizer, and indexed labeling.
+    sweep planarizer, and labeling by propagation (indexed point
+    location for the regions that need it).  Face samples are filled on
+    first read of ``face_samples``.
     """
     return _build(instance, planarize, compute_labels)
 
@@ -402,13 +403,11 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
     dims[vertex_gidx] = 0
     dims[edge_gidx] = 1
     dims[face_gidx] = 2
-    label_rows = np.empty((n_cells, n_names), dtype=np.uint8)
+    cell_labels: list[Label] = [()] * n_cells  # by global index
 
     vertex_points: list[Point] = []
     for i, v in enumerate(kept_vertices):
-        label_rows[vertex_gidx[i]] = [
-            LABEL_CODES[ch] for ch in labels.vertex_labels[v]
-        ]
+        cell_labels[vertex_gidx[i]] = labels.vertex_labels[v]
         vertex_points.append(sub.vertices[v])
 
     endpoint_rows = np.full((ne, 2), -1, dtype=np.int32)
@@ -424,7 +423,7 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
                     "chain crosses a sign-class change; smoothing bug"
                 )
         eg = int(edge_gidx[k])
-        label_rows[eg] = [LABEL_CODES[ch] for ch in label]
+        cell_labels[eg] = label
         tail_v = sub.dart_tail[path[0]]
         head_v = sub.dart_head[path[-1]]
         eps: list[int] = []
@@ -449,13 +448,9 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
         for f in faces_here:
             inc.add((eg, int(face_gidx[face_local[f]])))
 
-    face_samples: list[Point] = [None] * nf  # type: ignore[list-item]
     for f in sub.faces:
-        local = face_local[f.index]
-        label_rows[face_gidx[local]] = [
-            LABEL_CODES[ch] for ch in labels.face_labels[f.index]
-        ]
-        face_samples[local] = sub.face_sample(f.index)
+        cell_labels[face_gidx[face_local[f.index]]] = labels.face_labels[f.index]
+    label_rows = _label_rows(cell_labels, n_names)
 
     for v in kept_vertices:
         faces_at_v: set[int] = set()
@@ -511,6 +506,32 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
         vertex_xy=vertex_xy,
         vertex_points=vertex_points,
         edge_polylines=edge_polylines,
-        face_samples=face_samples,
+        face_samples=partial(_face_samples, sub, face_order),
     )
     return CellComplex(arrays)
+
+
+def _label_rows(cell_labels: list[Label], n_names: int) -> np.ndarray:
+    """The ``(n, n_names)`` uint8 code matrix of the label tuples.
+
+    Each distinct label is encoded once: its characters are joined into
+    bytes and translated through a byte lookup table, and the rows are
+    gathered by index."""
+    distinct: dict[Label, int] = {}
+    which = [distinct.setdefault(label, len(distinct)) for label in cell_labels]
+    chars = "".join("".join(label) for label in distinct).encode("ascii")
+    code_of_byte = np.zeros(256, dtype=np.uint8)
+    code_of_byte[_label_bytes()] = np.arange(len(LABEL_CHARS), dtype=np.uint8)
+    table = code_of_byte[np.frombuffer(chars, dtype=np.uint8)]
+    return table.reshape(len(distinct), n_names)[np.array(which, dtype=np.intp)]
+
+
+def _label_bytes() -> np.ndarray:
+    """The ASCII byte of each label character, indexed by location code."""
+    return np.frombuffer("".join(LABEL_CHARS).encode("ascii"), dtype=np.uint8)
+
+
+def _face_samples(sub: Subdivision, face_order: list[int]) -> list[Point]:
+    """Exact face samples in local face order; read on demand, since
+    only witness consumers (encoders, equivalence tests) want them."""
+    return [sub.face_sample(f) for f in face_order]

@@ -6,9 +6,10 @@ subdivision: darts (directed half-edges), the rotation system (CCW order
 of darts around each vertex), the face cycles, the bounded faces, the
 unbounded face, and the containment of connected components in faces.
 
-It also produces an exact *sample point* strictly inside every face by
-shooting a rational ray from the midpoint of a boundary piece to the
-first obstacle — no epsilons, no floating point.
+It also produces, on demand, an exact *sample point* strictly inside a
+face by shooting a rational ray from the midpoint of a boundary piece to
+the first obstacle — no epsilons, no floating point — and walks an
+input segment along the darts to the pieces that cover it.
 """
 
 from __future__ import annotations
@@ -260,6 +261,41 @@ class Subdivision:
         """The faces left of dart 2k and of its twin (may coincide)."""
         return (self.face_of_dart(2 * k), self.face_of_dart(2 * k + 1))
 
+    def pieces_along(self, seg: Segment) -> list[int]:
+        """The pieces covering *seg*, in order from ``seg.a`` to ``seg.b``.
+
+        *seg* must be one of the segments the pieces were planarized
+        from, so both its endpoints are vertices and every vertex on it
+        cuts it.  The walk leaves each vertex along its forward dart
+        (dart ``2k`` runs lexicographically upwards, as *seg* does) that
+        continues *seg*'s line; pieces are interior-disjoint, so there
+        is exactly one.
+        """
+        try:
+            v, end = self._vid[seg.a], self._vid[seg.b]
+        except KeyError:
+            raise ArrangementError(
+                "segment endpoint is not a subdivision vertex"
+            ) from None
+        dx, dy = seg.b.x - seg.a.x, seg.b.y - seg.a.y
+        out: list[int] = []
+        while v != end:
+            forward = [d for d in self.out_darts[v] if not d & 1]
+            if len(forward) != 1:
+                p = self.vertices[v]
+                forward = [
+                    d for d in forward
+                    if _continues(p, self.vertices[self.dart_head[d]], dx, dy)
+                ]
+                if len(forward) != 1:
+                    raise ArrangementError(
+                        "segment is not a union of subdivision pieces"
+                    )
+            d = forward[0]
+            out.append(d >> 1)
+            v = self.dart_head[d]
+        return out
+
     # -- sampling ----------------------------------------------------------------
 
     def face_sample(self, face_index: int) -> Point:
@@ -315,6 +351,16 @@ class Subdivision:
             f"Subdivision({len(self.vertices)} vertices, "
             f"{len(self.pieces)} pieces, {len(self.faces)} faces)"
         )
+
+
+def _continues(p: Point, q: Point, dx: Fraction, dy: Fraction) -> bool:
+    """Whether the step from *p* to a lexicographically greater *q* runs
+    along direction ``(dx, dy)``."""
+    if dy == 0:
+        return q.y == p.y
+    if dx == 0:
+        return q.x == p.x
+    return (q.x - p.x) * dy == (q.y - p.y) * dx
 
 
 def _ray_segment_param(m: Point, n: Point, seg: Segment) -> Fraction | None:

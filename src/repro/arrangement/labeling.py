@@ -2,29 +2,46 @@
 
 Every cell of the subdivision lies inside a single *sign class* of the
 instance: for each region name, the whole cell is interior ('o'),
-boundary ('b'), or exterior ('e').  One exact sample point per cell
-therefore decides the label of the cell:
+boundary ('b'), or exterior ('e').  Labels are tuples aligned to the
+*sorted* region names, which is the canonical name order used
+throughout the invariant pipeline.
 
-* vertices — the vertex itself,
-* pieces — the piece midpoint,
-* faces — the exact face sample from the subdivision.
+:func:`compute_labels` decides each region's column in one of two ways,
+chosen by the region's class:
 
-Labels are tuples aligned to the *sorted* region names, which is the
-canonical name order used throughout the invariant pipeline.
+* **Propagation**, for regions whose boundary is a simple polygon
+  (:class:`~repro.regions.PolygonRegion`: ``Rect``, ``Poly`` and
+  ``AlgRegion``).  The pieces each boundary segment covers are found
+  once, by walking the segment along the darts
+  (:meth:`~repro.arrangement.dcel.Subdivision.pieces_along`); those
+  pieces and their endpoints are the region's boundary cells, 'b'.  The
+  faces are labeled in one traversal of face adjacency: the unbounded
+  face is exterior to every region, and crossing a piece flips 'o'/'e'
+  for the regions whose boundary covers it an odd number of times.
+  That parity is exactly the crossing-number rule by which
+  :meth:`~repro.geometry.SimplePolygon.locate` classifies a point, so
+  the result is the point-location result.  Every other piece or
+  vertex takes the label of an incident face: no boundary of that
+  region separates them.  No sample point is computed.
+* **Indexed point location**, for every other region: ``RectUnion``,
+  whose boundary can carry slits (a slit has the interior on both
+  sides, so crossing it flips nothing; see Li, *On the Internal
+  Topological Structure of Plane Regions*), and ``RealizedRegion``.
+  One exact sample point per cell decides its label (the vertex
+  itself, the piece midpoint, the exact face sample from the
+  subdivision).  The classification runs region-major, so per-region
+  state is hoisted out of the sample loop; it rejects samples outside
+  the region's bounding box with one vectorized float comparison over
+  the whole sample array (sound because ``float(Fraction)`` rounding is
+  monotone; float ties conservatively fall through to the exact test);
+  and for segment-rich regions it consults a uniform grid over the
+  boundary segments — a sample falling in a grid cell that no boundary
+  segment's bbox touches shares the (cached) location of every other
+  point of that cell, because a connected set disjoint from the
+  boundary lies entirely in the interior or entirely in the exterior.
 
-:func:`compute_labels` is the indexed fast path: it classifies
-region-major (one region against all samples) so per-region state is
-hoisted out of the sample loop, rejects samples outside a region's
-bounding box with one vectorized float comparison over the whole sample
-array (sound because ``float(Fraction)`` rounding is monotone; float
-ties conservatively fall through to the exact test), and for segment-rich
-regions consults a uniform grid over the boundary segments — a sample
-falling in a grid cell that no boundary segment's bbox touches shares
-the (cached) location of every other point of that cell, because a
-connected set disjoint from the boundary lies entirely in the interior
-or entirely in the exterior.  All shortcuts are exact, so the output is
-identical to the seed scan, which survives as
-:func:`compute_labels_reference` for A/B testing.
+Both paths are exact, so the output is identical to the seed scan,
+which survives as :func:`compute_labels_reference` for A/B testing.
 """
 
 from __future__ import annotations
@@ -33,9 +50,10 @@ from math import floor
 
 import numpy as np
 
+from ..errors import ArrangementError
 from ..geometry import BBox, Location, Point
 from ..geometry.batchkernel import points_to_array
-from ..regions import Region, SpatialInstance
+from ..regions import PolygonRegion, Region, SpatialInstance
 from .dcel import Subdivision
 
 __all__ = [
@@ -226,15 +244,27 @@ def _column_for(
 def compute_labels(
     instance: SpatialInstance, subdivision: Subdivision
 ) -> LabelMap:
-    """Label all cells of *subdivision* against *instance* (indexed)."""
+    """Label all cells of *subdivision* against *instance*: propagated
+    columns for polygon-bounded regions, indexed point location for the
+    rest."""
     names = tuple(sorted(instance.names()))
-    samples = _samples_of(subdivision)
-    pts = points_to_array(samples)
-    columns: list[list[str]] = []
-    for name in names:
-        index = RegionIndex(instance.ext(name))
-        columns.append(_column_for(index, samples, pts))
-    labels = [tuple(col[k] for col in columns) for k in range(len(samples))]
+    regions = [instance.ext(n) for n in names]
+    inside, boundary = _propagate(subdivision, regions)
+    located = [
+        i for i, r in enumerate(regions) if not isinstance(r, PolygonRegion)
+    ]
+    if located:
+        samples = _samples_of(subdivision)
+        pts = points_to_array(samples)
+        for i in located:
+            bit = 1 << i
+            column = _column_for(RegionIndex(regions[i]), samples, pts)
+            for k, code in enumerate(column):
+                if code == INTERIOR:
+                    inside[k] |= bit
+                elif code == BOUNDARY:
+                    boundary[k] |= bit
+    labels = _labels_of_masks(len(names), inside, boundary)
     n_v = len(subdivision.vertices)
     n_p = len(subdivision.pieces)
     return LabelMap(
@@ -243,6 +273,81 @@ def compute_labels(
         labels[n_v : n_v + n_p],
         labels[n_v + n_p :],
     )
+
+
+def _propagate(
+    sub: Subdivision, regions: list[Region]
+) -> tuple[list[int], list[int]]:
+    """Interior and boundary bitmasks (bit *i* for ``regions[i]``) of
+    every cell, in vertex / piece / face order, over the polygon-bounded
+    regions; the bits of every other region are left clear."""
+    n_p = len(sub.pieces)
+    flips = [0] * n_p  # regions whose boundary covers the piece oddly often
+    owners = [0] * n_p  # regions whose boundary covers the piece
+    for i, region in enumerate(regions):
+        if not isinstance(region, PolygonRegion):
+            continue
+        bit = 1 << i
+        for seg in region.boundary_segments():
+            for k in sub.pieces_along(seg):
+                flips[k] ^= bit
+                owners[k] |= bit
+
+    face_of = [sub.face_of_dart(d) for d in range(2 * n_p)]
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in sub.faces]
+    for k in range(n_p):
+        left, right = face_of[2 * k], face_of[2 * k + 1]
+        neighbours[left].append((right, flips[k]))
+        neighbours[right].append((left, flips[k]))
+    face_in: list[int] = [-1] * len(sub.faces)
+    face_in[sub.unbounded_face_index] = 0
+    stack = [sub.unbounded_face_index]
+    while stack:
+        f = stack.pop()
+        here = face_in[f]
+        for g, flip in neighbours[f]:
+            there = here ^ flip
+            if face_in[g] < 0:
+                face_in[g] = there
+                stack.append(g)
+            elif face_in[g] != there:
+                raise ArrangementError(
+                    "boundary crossings disagree on a face's label"
+                )
+
+    vertex_on = [0] * len(sub.vertices)
+    for k, mask in enumerate(owners):
+        if mask:
+            vertex_on[sub.dart_tail[2 * k]] |= mask
+            vertex_on[sub.dart_head[2 * k]] |= mask
+    inside = [face_in[face_of[ring[0]]] for ring in sub.out_darts]
+    inside.extend(face_in[face_of[2 * k]] for k in range(n_p))
+    inside.extend(face_in)
+    boundary = vertex_on + owners + [0] * len(face_in)
+    return inside, boundary
+
+
+def _labels_of_masks(
+    n_names: int, inside: list[int], boundary: list[int]
+) -> list[Label]:
+    """The label tuple of each cell from its interior and boundary
+    masks; cells with equal masks share one tuple."""
+    exterior = [EXTERIOR] * n_names
+    memo: dict[tuple[int, int], Label] = {}
+    out: list[Label] = []
+    for pair in zip(inside, boundary):
+        label = memo.get(pair)
+        if label is None:
+            row = exterior.copy()
+            in_mask, on_mask = pair
+            for mask, code in ((in_mask & ~on_mask, INTERIOR), (on_mask, BOUNDARY)):
+                while mask:
+                    low = mask & -mask
+                    row[low.bit_length() - 1] = code
+                    mask ^= low
+            label = memo[pair] = tuple(row)
+        out.append(label)
+    return out
 
 
 def compute_labels_reference(

@@ -28,7 +28,7 @@ lazy dict/frozenset views, so existing callers are unchanged.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,6 +92,9 @@ class ComplexArrays:
         some exact coordinate overflows ``float``.
     vertex_points / edge_polylines / face_samples:
         Exact geometric witnesses, aligned to the local numberings.
+        ``face_samples`` may be given as a zero-argument callable (a
+        build passes one over its subdivision): it runs on first read,
+        and the arrays then keep only its result.
     """
 
     __slots__ = (
@@ -109,7 +112,7 @@ class ComplexArrays:
         "vertex_xy",
         "vertex_points",
         "edge_polylines",
-        "face_samples",
+        "_face_samples",
     )
 
     def __init__(
@@ -128,7 +131,7 @@ class ComplexArrays:
         vertex_xy: np.ndarray | None,
         vertex_points: list[Point],
         edge_polylines: list[list[Point]],
-        face_samples: list[Point],
+        face_samples: list[Point] | Callable[[], list[Point]],
     ):
         self.names = names
         self.cell_ids = cell_ids
@@ -144,7 +147,14 @@ class ComplexArrays:
         self.vertex_xy = vertex_xy
         self.vertex_points = vertex_points
         self.edge_polylines = edge_polylines
-        self.face_samples = face_samples
+        self._face_samples = face_samples
+
+    @property
+    def face_samples(self) -> list[Point]:
+        samples = self._face_samples
+        if callable(samples):
+            samples = self._face_samples = samples()
+        return samples
 
     # -- sizes -----------------------------------------------------------------
 

@@ -13,7 +13,7 @@ Two needs of the batch pipeline meet here:
   function of the *isomorphism class* of an invariant —
   :func:`canonical_form` computes a complete canonical relabeling of the
   structure ``T_I`` (minimized over the global CW/CCW flip that
-  Theorem 3.4 allows), so
+  Theorem 3.4 allows; one search serves both senses), so
 
   ``canonical_form(T1) == canonical_form(T2)``  iff  ``T1 ≅ T2``.
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from ..errors import ReproError
@@ -182,13 +183,11 @@ class _Flat:
             (s, index[v], index[e1], index[e2])
             for (s, v, e1, e2) in t.orientation
         }
-        self.o_by_cell: dict[int, list[tuple[str, int, int, int]]] = (
-            defaultdict(list)
-        )
-        for tup in self.orientation:
-            _s, v, e1, e2 = tup
-            for c in {v, e1, e2}:
-                self.o_by_cell[c].append(tup)
+        # The same relation with the global rotational sense reversed.
+        flip = {CW: CCW, CCW: CW}
+        self.mirrored: list[tuple[str, int, int, int]] = [
+            (flip[s], v, e1, e2) for (s, v, e1, e2) in self.orientation
+        ]
         self.ext = index[t.exterior_face]
         # Base colors: everything refinement may legally use must be an
         # isomorphism invariant of the cell.
@@ -197,6 +196,18 @@ class _Flat:
             dim = t.dim(c)
             neps = len(t.endpoints.get(c, ())) if dim == 1 else -1
             self.base.append((dim, t.labels[c], i == self.ext, neps))
+        self.base_ranks = _rank(self.base)
+
+    @cached_property
+    def o_by_cell(self) -> dict[int, list[tuple[str, int, int, int]]]:
+        """Orientation tuples by the cells they mention; only the
+        automorphism search reads them."""
+        by_cell: dict[int, list[tuple[str, int, int, int]]] = defaultdict(list)
+        for tup in self.orientation:
+            _s, v, e1, e2 = tup
+            for c in {v, e1, e2}:
+                by_cell[c].append(tup)
+        return by_cell
 
     # -- color refinement -------------------------------------------------
 
@@ -209,7 +220,7 @@ class _Flat:
         itself.
         """
         keys = [
-            (self.base[i], seeds.get(i, -1)) for i in range(self.n)
+            (self.base_ranks[i], seeds.get(i, -1)) for i in range(self.n)
         ]
         ranks = _rank(keys)
         while True:
@@ -225,7 +236,13 @@ class _Flat:
     # -- serialization under a complete labeling --------------------------
 
     def serialize(self, ranks: list[int]) -> tuple:
-        """The full relational content relabeled by *ranks* (discrete)."""
+        """The full relational content relabeled by *ranks* (discrete),
+        under whichever global sense serializes smaller.
+
+        Only the orientation relation depends on the sense, and it is
+        the last component, so the smaller of the two serializations is
+        the shared prefix followed by the smaller orientation tuple.
+        """
         order = sorted(range(self.n), key=lambda i: ranks[i])
         pos = {cell: p for p, cell in enumerate(order)}
         return (
@@ -239,11 +256,14 @@ class _Flat:
                 )
             ),
             tuple(sorted((pos[a], pos[b]) for a, b in self.inc)),
-            tuple(
-                sorted(
-                    (s, pos[v], pos[e1], pos[e2])
-                    for (s, v, e1, e2) in self.orientation
+            min(
+                tuple(
+                    sorted(
+                        (s, pos[v], pos[e1], pos[e2])
+                        for (s, v, e1, e2) in relation
+                    )
                 )
+                for relation in (self.orientation, self.mirrored)
             ),
         )
 
@@ -263,8 +283,11 @@ def _has_automorphism(
     flat: _Flat, colors1: list[int], colors2: list[int]
 ) -> bool:
     """Whether the structure has a self-bijection matching *colors1* to
-    *colors2* and preserving incidences, endpoints, and orientation
-    (sense-preserving — the mirror pass canonizes separately)."""
+    *colors2* and preserving incidences, endpoints, and orientation.
+
+    Only sense-preserving maps count.  A map preserves ``O`` iff it
+    preserves ``O`` with the global sense reversed, so the answer, and
+    with it the pruned search tree, is the same for both senses."""
     if Counter(colors1) != Counter(colors2):
         return False
     by_color: dict[int, list[int]] = defaultdict(list)
@@ -351,37 +374,24 @@ def _canonize(flat: _Flat) -> tuple:
     return best
 
 
-def _mirror(t: TopologicalInvariant) -> TopologicalInvariant:
-    """The same invariant with the global rotational sense reversed."""
-    swap = {CW: CCW, CCW: CW}
-    return TopologicalInvariant(
-        names=t.names,
-        vertices=t.vertices,
-        edges=t.edges,
-        faces=t.faces,
-        exterior_face=t.exterior_face,
-        labels=t.labels,
-        endpoints=t.endpoints,
-        incidences=t.incidences,
-        orientation=frozenset(
-            (swap[s], v, e1, e2) for (s, v, e1, e2) in t.orientation
-        ),
-    )
-
-
 def canonical_form(t: TopologicalInvariant) -> tuple:
     """A complete isomorphism invariant of ``T_I``.
 
     Two invariants have equal canonical forms **iff** they are isomorphic
     in the sense of Theorem 3.4 (identity on region names, global CW/CCW
-    flip allowed).  The result is a hashable nested tuple; it is computed
-    once per invariant and memoized on the object.
+    flip allowed).  The form is the least leaf serialization of ``T``
+    and of its mirror image.  Refinement never reads the orientation,
+    and orbit pruning answers alike for both senses, so ``T`` and its
+    mirror explore the same search tree: it is walked once, and each
+    leaf serializes both senses and keeps the smaller.  The result is a
+    hashable nested tuple; it is computed once per invariant and
+    memoized on the object.
     """
     cached = getattr(t, "_canonical_form_cache", None)
     if cached is not None:
         return cached
     with span("invariant.canonicalize"):
-        form = min(_canonize(_Flat(t)), _canonize(_Flat(_mirror(t))))
+        form = _canonize(_Flat(t))
     object.__setattr__(t, "_canonical_form_cache", form)
     return form
 

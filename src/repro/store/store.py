@@ -784,40 +784,40 @@ class SegmentStore:
         batch_size: int = 256,
         store_geometry: bool = True,
     ) -> int:
-        """Stream *corpus* through ``pipeline.compute_batch`` and
-        persist every (instance, invariant) pair; returns the number of
-        records written.  Duplicate geometries collapse to one record
-        (same instance key, newest wins)."""
+        """Compute the invariants of *corpus* through
+        ``pipeline.compute_batch`` and persist one record per distinct
+        geometry; returns the number of instances consumed.
+
+        Instances with equal instance keys collapse to one record
+        holding the last of them, which is what putting each in turn
+        would leave visible (newest wins).  The call therefore reads the
+        whole corpus first, keeping one instance per distinct key, then
+        computes and writes those in batches of *batch_size*."""
         from ..invariant.canonical import canonical_hash, instance_key
         from ..pipeline import InvariantPipeline
 
         if pipeline is None:
             pipeline = InvariantPipeline()
-        loaded = 0
-        batch: list = []
-
-        def _drain() -> None:
-            nonlocal loaded
-            invariants = pipeline.compute_batch(batch)
-            for inst, t in zip(batch, invariants):
+        latest: dict[str, SpatialInstance] = {}
+        consumed = 0
+        for inst in corpus:
+            latest[instance_key(inst)] = inst
+            consumed += 1
+        keys = list(latest)
+        for start in range(0, len(keys), batch_size):
+            batch_keys = keys[start : start + batch_size]
+            batch = [latest[key] for key in batch_keys]
+            invariants = pipeline.compute_batch(batch, keys=batch_keys)
+            for key, inst, t in zip(batch_keys, batch, invariants):
                 self.put(
-                    instance_key(inst),
+                    key,
                     t,
                     instance=inst if store_geometry else None,
                     canonical_hash=canonical_hash(t),
                 )
-                loaded += 1
-            batch.clear()
-
-        for inst in corpus:
-            batch.append(inst)
-            if len(batch) >= batch_size:
-                _drain()
-        if batch:
-            _drain()
         self.flush()
-        counters.count("bulk_loaded", loaded)
-        return loaded
+        counters.count("bulk_loaded", consumed)
+        return consumed
 
     # -- compaction ---------------------------------------------------------
 

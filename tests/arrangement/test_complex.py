@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.arrangement import build_complex
+from repro.arrangement import Subdivision, build_complex, planarize
+from repro.datasets import fig_6_courtyard, fig_7a, grid_instance
 from repro.errors import ArrangementError
 from repro.geometry import Point
 from repro.regions import (
@@ -288,3 +289,50 @@ class TestPolygonCornersSmoothed:
         }
         assert set(degrees.values()) <= {2, 3, 4}
         assert cx.counts()[0] == 2  # the two junction points
+
+
+class TestFaceSamplesOnDemand:
+    """Face samples are witnesses, not labels: a build fills them from
+    its subdivision on first read, and labeling shoots sample rays only
+    for regions it point-locates."""
+
+    @staticmethod
+    def _count_rays(monkeypatch) -> list:
+        calls = []
+        shoot = Subdivision._sample_left_of_dart
+
+        def counting(self, d):
+            calls.append(d)
+            return shoot(self, d)
+
+        monkeypatch.setattr(Subdivision, "_sample_left_of_dart", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "instance",
+        [overlapping_pair(), grid_instance(3), fig_6_courtyard(), fig_7a()],
+        ids=["pair", "grid3", "fig6", "fig7a"],
+    )
+    def test_lazy_samples_equal_eager(self, instance):
+        cx = build_complex(instance)
+        segments = [s for _n, r in instance.items() for s in r.boundary_segments()]
+        sub = Subdivision(planarize(segments))
+        order = [sub.unbounded_face_index] + [
+            f.index for f in sub.faces if f.index != sub.unbounded_face_index
+        ]
+        assert cx.arrays.face_samples == [sub.face_sample(f) for f in order]
+        # Once read, the arrays hold the list, not the subdivision.
+        assert isinstance(cx.arrays._face_samples, list)
+
+    def test_polygon_regions_shoot_no_ray(self, monkeypatch):
+        calls = self._count_rays(monkeypatch)
+        cx = build_complex(overlapping_pair())
+        assert calls == []
+        assert len(cx.face_samples) == cx.counts()[2]
+        assert calls
+
+    def test_point_located_regions_sample_faces(self, monkeypatch):
+        calls = self._count_rays(monkeypatch)
+        slit = RectUnion([Rect(0, 0, 2, 2), Rect(2, 0, 4, 2), Rect(1, 1, 3, 2)])
+        build_complex(SpatialInstance({"U": slit, "A": Rect(5, 0, 6, 1)}))
+        assert calls

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.arrangement import build_complex
+from repro.arrangement.complex import _label_rows
 from repro.arrangement.soa import (
     LABEL_CHARS,
     LABEL_CODES,
@@ -132,6 +133,16 @@ class TestArraysMatchViews:
                     if cx.cells[cid].label[pos] == char:
                         want |= 1 << i
                 assert mask == want
+
+
+def test_label_rows_match_loop_encoding():
+    """``_reduce`` encodes each distinct label once and gathers rows;
+    the per-character loop is the reference."""
+    labels = [("o", "b", "e"), ("e", "e", "e"), ("o", "b", "e"), ("b", "o", "o")]
+    want = np.array(
+        [[LABEL_CODES[ch] for ch in label] for label in labels], dtype=np.uint8
+    )
+    assert np.array_equal(_label_rows(labels, 3), want)
 
 
 class TestEquality:

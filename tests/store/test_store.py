@@ -7,6 +7,8 @@ import pytest
 
 from repro import (
     InvariantPipeline,
+    Point,
+    Poly,
     Rect,
     SpatialInstance,
     canonical_hash,
@@ -17,7 +19,7 @@ from repro.arrangement import build_complex
 from repro.errors import StoreError, UnknownInstanceError
 from repro.instrument import counter_delta, counter_snapshot
 from repro.pipeline import InvariantCache
-from repro.store import SegmentStore
+from repro.store import MirroredStore, SegmentStore
 
 
 def _inst(i: int) -> SpatialInstance:
@@ -284,6 +286,56 @@ class TestCacheTier:
         assert stats["store_hits"] == len(corpus)
         assert stats["invariants_computed"] == 0
         store.close()
+
+
+class TestBulkLoad:
+    @staticmethod
+    def _corpus() -> list[SpatialInstance]:
+        """Three geometries, each given four times; the copies of the
+        quadrilateral start their vertex lists at each of its corners
+        (one instance key, four stored vertex orders)."""
+        quad = [Point(0, 0), Point(6, 0), Point(7, 5), Point(1, 6)]
+        corpus = []
+        for r in range(4):
+            corpus.append(_inst(0))
+            corpus.append(SpatialInstance({"Q": Poly(quad[r:] + quad[:r])}))
+            corpus.append(_inst(1))
+        return corpus
+
+    @pytest.mark.parametrize("kind", ["segment", "mirrored"])
+    def test_one_record_per_distinct_key(self, tmp_path, kind):
+        corpus = self._corpus()
+        if kind == "segment":
+            store = SegmentStore(tmp_path / "bulk")
+        else:
+            store = MirroredStore([tmp_path / "m0", tmp_path / "m1"])
+        written = []
+        put = store.put
+
+        def counting_put(key, *args, **kwargs):
+            written.append(key)
+            return put(key, *args, **kwargs)
+
+        store.put = counting_put
+        assert store.bulk_load(corpus, batch_size=2) == len(corpus)
+        assert sorted(written) == sorted({instance_key(i) for i in corpus})
+
+        # Newest wins: each record holds what putting every instance in
+        # turn leaves visible.
+        seq = SegmentStore(tmp_path / "seq")
+        for inst in corpus:
+            seq.put(instance_key(inst), invariant(inst), instance=inst)
+        for key in written:
+            got, want = store.get_instance(key), seq.get_instance(key)
+            for name in want.names():
+                assert got.ext(name) == want.ext(name)
+                assert (
+                    got.ext(name).boundary_polygon().vertices
+                    == want.ext(name).boundary_polygon().vertices
+                )
+            assert canonical_hash(store.get(key)) == canonical_hash(seq.get(key))
+        store.close()
+        seq.close()
 
 
 class TestServiceRegistration:
