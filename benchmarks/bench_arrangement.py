@@ -17,7 +17,8 @@ different answer.
 Acceptance thresholds (enforced in full *and* smoke mode):
 
 * on the largest grid, the numpy-batched x-interval sweep must be at
-  least 10x faster than the seed all-pairs kernel;
+  least 10x faster than the seed all-pairs kernel (best of
+  ``GATE_ROUNDS`` interleaved rounds of each);
 * the float filter must answer at least 90% of predicate calls on the
   non-degenerate corpora;
 * the batched bbox prescreen must fire on every row
@@ -56,6 +57,10 @@ SMOKE_KS = (4, 18)
 SPEEDUP_FLOOR = 10.0
 FILTER_FLOOR = 0.90
 AB_ROUNDS = 3
+# The gated (largest) row takes more interleaved rounds: its best-of
+# ratio decides the 10x gate, and best-of-3 moved by +-20% between runs
+# on a shared host.
+GATE_ROUNDS = 9
 
 STAGES = (
     "arrangement.planarize",
@@ -100,7 +105,8 @@ def _planarize_ab(segments, rounds=AB_ROUNDS):
 
 
 def run_sweep(ks):
-    """The scaling experiment: one row of measurements per grid size."""
+    """The scaling experiment: one row of measurements per grid size;
+    the last (gated) row times planarize over :data:`GATE_ROUNDS`."""
     rows = []
     for k in ks:
         instance = grid_instance(k)
@@ -129,7 +135,7 @@ def run_sweep(ks):
         )
 
         sweep_s, allpairs_s, sweep_out, allpairs_out = _planarize_ab(
-            segments
+            segments, GATE_ROUNDS if k == ks[-1] else AB_ROUNDS
         )
         assert sweep_out == allpairs_out, (
             f"sweep and all-pairs disagree on grid k={k}"
@@ -217,7 +223,9 @@ def _check_thresholds(rows):
 def test_sweep_beats_allpairs_on_largest_grid(bench):
     """Acceptance: >= 10x planarize speedup on the largest grid."""
     segments = _boundary_segments(grid_instance(GRID_KS[-1]))
-    sweep_s, allpairs_s, sweep_out, allpairs_out = _planarize_ab(segments)
+    sweep_s, allpairs_s, sweep_out, allpairs_out = _planarize_ab(
+        segments, GATE_ROUNDS
+    )
     assert sweep_out == allpairs_out
     print(
         f"\nk={GRID_KS[-1]}: sweep {sweep_s:.3f}s vs all-pairs "

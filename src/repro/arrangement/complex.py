@@ -41,7 +41,7 @@ from .labeling import (
     compute_labels,
     compute_labels_reference,
 )
-from .soa import LABEL_CHARS, ComplexArrays
+from .soa import ComplexArrays, label_rows, label_tuples
 
 __all__ = [
     "Cell",
@@ -146,13 +146,11 @@ class CellComplex:
     def cells(self) -> dict[str, Cell]:
         if self._cells is None:
             arr = self.arrays
-            dims = arr.dims.tolist()
-            # Codes -> label characters as one ASCII string, row-major.
-            text = _label_bytes()[arr.labels].tobytes().decode("ascii")
-            m = len(arr.names)
             self._cells = {
-                cid: Cell(cid, dims[i], tuple(text[i * m : (i + 1) * m]))
-                for i, cid in enumerate(arr.cell_ids)
+                cid: Cell(cid, dim, label)
+                for cid, dim, label in zip(
+                    arr.cell_ids, arr.dims.tolist(), label_tuples(arr.labels)
+                )
             }
         return self._cells
 
@@ -450,7 +448,9 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
 
     for f in sub.faces:
         cell_labels[face_gidx[face_local[f.index]]] = labels.face_labels[f.index]
-    label_rows = _label_rows(cell_labels, n_names)
+    codes = label_rows(cell_labels, n_names)
+    if codes is None:
+        raise ArrangementError("labeling produced a non-standard label")
 
     for v in kept_vertices:
         faces_at_v: set[int] = set()
@@ -495,7 +495,7 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
         names=labels.names,
         cell_ids=cell_ids,
         dims=dims,
-        labels=label_rows,
+        labels=codes,
         incidence=incidence,
         ccw=ccw,
         edge_endpoints=endpoint_rows,
@@ -509,26 +509,6 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
         face_samples=partial(_face_samples, sub, face_order),
     )
     return CellComplex(arrays)
-
-
-def _label_rows(cell_labels: list[Label], n_names: int) -> np.ndarray:
-    """The ``(n, n_names)`` uint8 code matrix of the label tuples.
-
-    Each distinct label is encoded once: its characters are joined into
-    bytes and translated through a byte lookup table, and the rows are
-    gathered by index."""
-    distinct: dict[Label, int] = {}
-    which = [distinct.setdefault(label, len(distinct)) for label in cell_labels]
-    chars = "".join("".join(label) for label in distinct).encode("ascii")
-    code_of_byte = np.zeros(256, dtype=np.uint8)
-    code_of_byte[_label_bytes()] = np.arange(len(LABEL_CHARS), dtype=np.uint8)
-    table = code_of_byte[np.frombuffer(chars, dtype=np.uint8)]
-    return table.reshape(len(distinct), n_names)[np.array(which, dtype=np.intp)]
-
-
-def _label_bytes() -> np.ndarray:
-    """The ASCII byte of each label character, indexed by location code."""
-    return np.frombuffer("".join(LABEL_CHARS).encode("ascii"), dtype=np.uint8)
 
 
 def _face_samples(sub: Subdivision, face_order: list[int]) -> list[Point]:

@@ -6,6 +6,15 @@ subdivision: darts (directed half-edges), the rotation system (CCW order
 of darts around each vertex), the face cycles, the bounded faces, the
 unbounded face, and the containment of connected components in faces.
 
+The rotation system and the cycle areas are computed on integers:
+vertices are ordered by exact ranks of their coordinates, each dart gets
+one exact sort key from the integer difference of its endpoints
+(:func:`repro.geometry.angle.direction_key`), and each cycle's doubled
+area is an integer sum divided once.  Every scale is local, the product
+of a dart's own denominators: one common denominator for the whole
+subdivision grows with the number of distinct denominators, and with it
+the cost of every product.
+
 It also produces, on demand, an exact *sample point* strictly inside a
 face by shooting a rational ray from the midpoint of a boundary piece to
 the first obstacle — no epsilons, no floating point — and walks an
@@ -14,13 +23,14 @@ input segment along the darts to the pieces that cover it.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from ..errors import ArrangementError
-from ..geometry import Point, Segment, direction_compare
+from ..geometry import Point, Segment
+from ..geometry.angle import direction_key
 
 __all__ = ["Subdivision", "Face", "locate_in_closed_walk"]
 
@@ -85,40 +95,57 @@ class Subdivision:
         if not pieces:
             raise ArrangementError("subdivision of an empty piece set")
         self.pieces: list[Segment] = list(pieces)
-        self.vertices: list[Point] = sorted(
-            {p for s in self.pieces for p in s.endpoints()}, key=Point.lex_key
-        )
-        self._vid: dict[Point, int] = {
-            p: i for i, p in enumerate(self.vertices)
+        ends = [p for s in self.pieces for p in (s.a, s.b)]
+        # Coordinates as exact (numerator, denominator) int pairs;
+        # Fractions are normalized, so equal pairs are equal values.
+        keys = [
+            (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+            for p in ends
+        ]
+        point_of = dict(zip(keys, ends))
+        # Lexicographic point order: rank the distinct x values and the
+        # distinct y values once, then sort the points by rank pairs.
+        x_rank = _ranks({k[:2]: p.x for k, p in point_of.items()})
+        y_rank = _ranks({k[2:]: p.y for k, p in point_of.items()})
+        order = sorted(point_of, key=lambda k: (x_rank[k[:2]], y_rank[k[2:]]))
+        self.vertices: list[Point] = [point_of[k] for k in order]
+        self._vid: dict[tuple[int, int, int, int], int] = {
+            k: i for i, k in enumerate(order)
         }
+        xn, xd, yn, yd = (list(column) for column in zip(*order))
 
         n_darts = 2 * len(self.pieces)
-        self.dart_tail: list[int] = [0] * n_darts
+        # keys run a, b, a, b, ... over the pieces: dart 2k leaves a.
+        tails = [self._vid[k] for k in keys]
+        self.dart_tail: list[int] = tails
         self.dart_head: list[int] = [0] * n_darts
-        for k, seg in enumerate(self.pieces):
-            a, b = self._vid[seg.a], self._vid[seg.b]
-            self.dart_tail[2 * k], self.dart_head[2 * k] = a, b
-            self.dart_tail[2 * k + 1], self.dart_head[2 * k + 1] = b, a
+        self.dart_head[0::2] = tails[1::2]
+        self.dart_head[1::2] = tails[0::2]
 
         self.out_darts: list[list[int]] = [[] for _ in self.vertices]
-        for d in range(n_darts):
-            self.out_darts[self.dart_tail[d]].append(d)
-        for v, darts in enumerate(self.out_darts):
-            origin = self.vertices[v]
-            darts.sort(
-                key=functools.cmp_to_key(
-                    lambda d1, d2: direction_compare(
-                        self._dart_dir(d1), self._dart_dir(d2)
-                    )
-                )
+        for d, t in enumerate(tails):
+            self.out_darts[t].append(d)
+        # One exact key per dart, from the integer difference of its
+        # endpoints scaled by the product of their denominators (a
+        # positive factor, so the direction is kept).
+        angle = [
+            direction_key(
+                (xn[h] * xd[t] - xn[t] * xd[h]) * yd[h] * yd[t],
+                (yn[h] * yd[t] - yn[t] * yd[h]) * xd[h] * xd[t],
             )
-        # Position of each dart in its tail's rotation.
-        self._rot_pos: dict[int, int] = {}
+            for t, h in zip(tails, self.dart_head)
+        ]
+        # _next[d]: the next dart along the face left of d, which is the
+        # clockwise-next dart after twin(d) in the rotation at head(d).
+        self._next: list[int] = [0] * n_darts
         for darts in self.out_darts:
-            for i, d in enumerate(darts):
-                self._rot_pos[d] = i
+            darts.sort(key=angle.__getitem__)
+            prev = darts[-1]
+            for d in darts:
+                self._next[d ^ 1] = prev
+                prev = d
 
-        self._trace_cycles()
+        self._trace_cycles(xn, xd, yn, yd)
         self._build_faces()
 
     # -- dart helpers ----------------------------------------------------------
@@ -126,55 +153,55 @@ class Subdivision:
     def twin(self, d: int) -> int:
         return d ^ 1
 
-    def _dart_dir(self, d: int) -> Point:
-        return (
-            self.vertices[self.dart_head[d]] - self.vertices[self.dart_tail[d]]
-        )
-
     def dart_points(self, d: int) -> tuple[Point, Point]:
         return (
             self.vertices[self.dart_tail[d]],
             self.vertices[self.dart_head[d]],
         )
 
-    def next_dart(self, d: int) -> int:
-        """Next dart along the face left of *d*: the clockwise-next dart
-        after ``twin(d)`` in the rotation at ``head(d)``."""
-        t = self.twin(d)
-        ring = self.out_darts[self.dart_tail[t]]
-        pos = self._rot_pos[t]
-        return ring[(pos - 1) % len(ring)]
-
     def degree(self, v: int) -> int:
         return len(self.out_darts[v])
 
     # -- cycles ------------------------------------------------------------------
 
-    def _trace_cycles(self) -> None:
+    def _trace_cycles(
+        self, xn: list[int], xd: list[int], yn: list[int], yd: list[int]
+    ) -> None:
+        """Face cycles and their doubled signed areas.
+
+        A dart's cross product ``x_t y_h - y_t x_h`` is the integer
+        ``n / m`` over the product ``m`` of its endpoints' denominators;
+        a cycle sums these over a running least common denominator and
+        divides once at the end."""
         n_darts = 2 * len(self.pieces)
+        tail, head, nxt = self.dart_tail, self.dart_head, self._next
+        lcm = math.lcm
         self.cycle_of_dart: list[int] = [-1] * n_darts
         self.cycles: list[list[int]] = []
+        self.cycle_area2: list[Fraction] = []
         for start in range(n_darts):
             if self.cycle_of_dart[start] != -1:
                 continue
             cycle_index = len(self.cycles)
             cycle: list[int] = []
+            num, den = 0, 1
             d = start
             while self.cycle_of_dart[d] == -1:
                 self.cycle_of_dart[d] = cycle_index
                 cycle.append(d)
-                d = self.next_dart(d)
+                t, h = tail[d], head[d]
+                a, b = xd[t] * yd[h], yd[t] * xd[h]
+                m = a * b
+                common = lcm(den, m)
+                num = num * (common // den) + (
+                    xn[t] * yn[h] * b - yn[t] * xn[h] * a
+                ) * (common // m)
+                den = common
+                d = nxt[d]
             if d != start:
                 raise ArrangementError("face tracing did not close a cycle")
             self.cycles.append(cycle)
-        self.cycle_area2: list[Fraction] = [
-            sum(
-                (self.dart_points(d)[0].cross(self.dart_points(d)[1])
-                 for d in cycle),
-                Fraction(0),
-            )
-            for cycle in self.cycles
-        ]
+            self.cycle_area2.append(Fraction(num, den))
 
     def cycle_walk(self, cycle_index: int) -> list[Point]:
         """The vertex walk of a cycle (tails of its darts, in order)."""
@@ -226,7 +253,7 @@ class Subdivision:
         self.unbounded_face_index = unbounded.index
         face_of_ccw = {c: k for k, c in enumerate(ccw_cycles)}
 
-        walks = {c: self.cycle_walk(c) for c in ccw_cycles}
+        walks: dict[int, list[Point]] = {}
 
         # Assign each contour (the outside traversal of a component) to the
         # face containing that component.
@@ -238,6 +265,8 @@ class Subdivision:
             for c in ccw_cycles:
                 if cycle_component(c) == my_comp:
                     continue
+                if c not in walks:
+                    walks[c] = self.cycle_walk(c)
                 if locate_in_closed_walk(rep, walks[c]) == "in":
                     area = self.cycle_area2[c]
                     if best_area is None or area < best_area:
@@ -271,12 +300,11 @@ class Subdivision:
         continues *seg*'s line; pieces are interior-disjoint, so there
         is exactly one.
         """
-        try:
-            v, end = self._vid[seg.a], self._vid[seg.b]
-        except KeyError:
+        v, end = self._vertex_index(seg.a), self._vertex_index(seg.b)
+        if v is None or end is None:
             raise ArrangementError(
                 "segment endpoint is not a subdivision vertex"
-            ) from None
+            )
         dx, dy = seg.b.x - seg.a.x, seg.b.y - seg.a.y
         out: list[int] = []
         while v != end:
@@ -295,6 +323,13 @@ class Subdivision:
             out.append(d >> 1)
             v = self.dart_head[d]
         return out
+
+    def _vertex_index(self, p: Point) -> int | None:
+        """The index of the vertex at *p*, or ``None``."""
+        x, y = p.x, p.y
+        return self._vid.get(
+            (x.numerator, x.denominator, y.numerator, y.denominator)
+        )
 
     # -- sampling ----------------------------------------------------------------
 
@@ -351,6 +386,12 @@ class Subdivision:
             f"Subdivision({len(self.vertices)} vertices, "
             f"{len(self.pieces)} pieces, {len(self.faces)} faces)"
         )
+
+
+def _ranks(values: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int], int]:
+    """The rank of each distinct value (keyed by its numerator and
+    denominator) in increasing order."""
+    return {k: i for i, k in enumerate(sorted(values, key=values.__getitem__))}
 
 
 def _continues(p: Point, q: Point, dx: Fraction, dy: Fraction) -> bool:

@@ -36,14 +36,65 @@ from ..geometry import Point
 
 __all__ = [
     "ComplexArrays",
+    "LABEL_ASCII",
     "LABEL_CODES",
     "LABEL_CHARS",
+    "label_rows",
+    "label_tuples",
     "mask_from_bool",
 ]
 
 # Location codes, chosen so that sorting by code sorts o < b < e.
 LABEL_CODES = {"o": 0, "b": 1, "e": 2}
 LABEL_CHARS = ("o", "b", "e")
+
+Label = tuple[str, ...]
+
+# The ASCII byte of each label character, indexed by location code, and
+# the code of each byte (255: no label character).
+LABEL_ASCII = np.frombuffer(
+    "".join(LABEL_CHARS).encode("ascii"), dtype=np.uint8
+)
+_CODE_OF_BYTE = np.full(256, 255, dtype=np.uint8)
+_CODE_OF_BYTE[LABEL_ASCII] = np.arange(len(LABEL_CHARS), dtype=np.uint8)
+
+
+def label_rows(labels: Sequence[Label], n_names: int) -> np.ndarray | None:
+    """The ``(len(labels), n_names)`` uint8 code matrix of the labels, or
+    ``None`` when some label is not standard: not *n_names* entries,
+    each one of the characters ``o``, ``b``, ``e``.
+
+    All entries are joined into one string with ``"\\0"`` between them.
+    For ``N`` entries it is standard exactly when it has ``2N - 1``
+    ASCII characters, ``"\\0"`` at every odd position and a label
+    character at every even one; one translation of the even positions
+    gives the codes.
+    """
+    n = len(labels)
+    if any(len(label) != n_names for label in labels):
+        return None
+    if n == 0 or n_names == 0:
+        return np.zeros((n, n_names), dtype=np.uint8)
+    try:
+        text = "\0".join(map("\0".join, labels))
+    except TypeError:  # an entry that is not a string
+        return None
+    if len(text) != 2 * n * n_names - 1 or not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    codes = _CODE_OF_BYTE[raw[0::2]]
+    if raw[1::2].any() or (codes == 255).any():
+        return None
+    return codes.reshape(n, n_names)
+
+
+def label_tuples(codes: np.ndarray) -> list[Label]:
+    """The label tuples of an ``(n, n_names)`` code matrix, decoded
+    through one ASCII string.  A code that is no location code raises
+    ``IndexError``."""
+    n, m = codes.shape
+    text = LABEL_ASCII[codes].tobytes().decode("ascii")
+    return [tuple(text[i * m : (i + 1) * m]) for i in range(n)]
 
 
 def mask_from_bool(flags: np.ndarray) -> int:

@@ -2,26 +2,32 @@
 
 The arrangement engine needs to sort the edges leaving a vertex by angle
 (the *rotation system* of the embedded graph) without ever computing an
-actual angle, which would be irrational.  :func:`pseudo_angle_key` returns
+actual angle, which would be irrational.  :func:`angle_sort_key` returns
 a key that sorts directions counterclockwise starting from the positive
 x-axis, using only exact rational comparisons.
 
-The key is ``(halfplane, slope_proxy)`` where *halfplane* splits directions
-into upper (including +x axis) and lower (including -x axis) halves, and
-within a half-plane directions are ordered by the exact comparison
-``d1 x d2 > 0`` (cross product), which is a total order there.  To make
-that usable as a sort key we use the tangent-like ratio with careful
-handling of the vertical direction.
+The key is ``(halfplane, slope_proxy)``: *halfplane* is the class of
+:func:`pseudo_angle_class` (positive x-axis, open upper half-plane,
+negative x-axis, open lower half-plane), and within an open half-plane
+the angle grows as ``-dx/dy`` grows, an exact rational.  The axis
+classes hold one direction each and carry a constant ``0``.
+:func:`direction_key` computes the same key from bare coordinates
+(ints or Fractions), which is how the subdivision sorts its darts.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .point import Point
 
-__all__ = ["direction_compare", "ccw_sorted", "pseudo_angle_class"]
+__all__ = [
+    "angle_sort_key",
+    "ccw_sorted",
+    "direction_compare",
+    "direction_key",
+    "pseudo_angle_class",
+]
 
 
 def pseudo_angle_class(d: Point) -> int:
@@ -56,19 +62,26 @@ def direction_compare(d1: Point, d2: Point) -> int:
 
 def ccw_sorted(directions: list[Point]) -> list[Point]:
     """Sort direction vectors counterclockwise from the positive x-axis."""
-    return sorted(directions, key=functools.cmp_to_key(direction_compare))
+    return sorted(directions, key=angle_sort_key)
 
 
-def angle_sort_key(d: Point) -> tuple[int, Fraction]:
-    """A plain sort key equivalent to :func:`direction_compare`.
+def angle_sort_key(d: Point) -> tuple[int, Fraction | int]:
+    """A plain sort key equivalent to :func:`direction_compare`: two
+    keys are equal iff the directions are positive multiples of each
+    other, and otherwise order as the comparator does."""
+    return direction_key(d.x, d.y)
 
-    Within the upper half-plane directions are ordered by decreasing
-    ``x/y`` (cotangent decreases as angle grows from 0 to pi); within the
-    lower half-plane likewise.  The axis classes carry a constant second
-    component.
+
+def direction_key(dx, dy) -> tuple[int, Fraction | int]:
+    """:func:`angle_sort_key` of the direction ``(dx, dy)``, given as
+    exact rationals (ints or Fractions, not both zero).
+
+    The second component is ``-dx/dy`` in the open half-planes, where
+    the angle grows with it, and ``0`` on the axes; a vertical
+    direction skips the division.
     """
-    cls = pseudo_angle_class(d)
-    if cls in (0, 2):
-        return (cls, Fraction(0))
-    # For cls 1 (y > 0) and cls 3 (y < 0): angle grows as x/y decreases.
-    return (cls, -Fraction(d.x, 1) / Fraction(d.y, 1))
+    if dy == 0:
+        if dx == 0:
+            raise ValueError("zero direction vector has no angle")
+        return (0, 0) if dx > 0 else (2, 0)
+    return (1 if dy > 0 else 3, Fraction(-dx, dy) if dx else 0)

@@ -40,8 +40,11 @@ import hashlib
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
+from ..arrangement.soa import LABEL_ASCII, label_rows
 from ..errors import ReproError
 from ..regions import AlgRegion, Poly, Rect, RectUnion, SpatialInstance
 from ..tracing import span
@@ -190,13 +193,18 @@ class _Flat:
         ]
         self.ext = index[t.exterior_face]
         # Base colors: everything refinement may legally use must be an
-        # isomorphism invariant of the cell.
+        # isomorphism invariant of the cell.  ``base`` keeps the label
+        # tuples for serialization; the ranks read each label as one
+        # string, which orders as the tuples (see _label_keys).
         self.base: list[tuple] = []
+        label_keys = _label_keys([t.labels[c] for c in self.cells])
+        keys = []
         for i, c in enumerate(self.cells):
             dim = t.dim(c)
             neps = len(t.endpoints.get(c, ())) if dim == 1 else -1
             self.base.append((dim, t.labels[c], i == self.ext, neps))
-        self.base_ranks = _rank(self.base)
+            keys.append((dim, label_keys[i], i == self.ext, neps))
+        self.base_ranks = _rank(keys)
 
     @cached_property
     def o_by_cell(self) -> dict[int, list[tuple[str, int, int, int]]]:
@@ -266,6 +274,22 @@ class _Flat:
                 for relation in (self.orientation, self.mirrored)
             ),
         )
+
+
+def _label_keys(labels: list[tuple[str, ...]]) -> list:
+    """Sort keys that order the label tuples exactly as the tuples order.
+
+    Each label becomes one string, every entry followed by ``"\\0"``: the
+    terminator sorts below every other character, so an entry that ends
+    sorts before one that goes on, and a shorter label before its
+    extensions, as in tuple comparison.  Only an entry that itself holds
+    ``"\\0"`` breaks that (its string has more terminators than entries);
+    then the tuples themselves are the keys.
+    """
+    keys = ["\0".join((*label, "")) for label in labels]
+    if all(k.count("\0") == len(l) for k, l in zip(keys, labels)):
+        return keys
+    return labels
 
 
 def _rank(keys: list) -> list[int]:
@@ -398,12 +422,71 @@ def canonical_form(t: TopologicalInvariant) -> tuple:
 
 def canonical_hash(t: TopologicalInvariant) -> str:
     """A hex digest of :func:`canonical_form` — the bucket key used by
-    the batch pipeline's equivalence grouping."""
+    the batch pipeline's equivalence grouping.
+
+    The digest is ``sha256(repr(canonical_form(t)).encode())`` byte for
+    byte, but the text is written by :func:`_form_text` in pieces and
+    fed to the hash as it is written, so it is never held whole."""
     cached = getattr(t, "_canonical_hash_cache", None)
     if cached is not None:
         return cached
-    digest = hashlib.sha256(
-        repr(canonical_form(t)).encode()
-    ).hexdigest()
+    h = hashlib.sha256()
+    for piece in _form_text(canonical_form(t)):
+        h.update(piece)
+    digest = h.hexdigest()
     object.__setattr__(t, "_canonical_hash_cache", digest)
     return digest
+
+
+# Cells per piece of the streamed text (about 1 MB for 196 names).
+_CELLS_PER_PIECE = 1024
+
+
+def _form_text(form: tuple) -> Iterator[bytes]:
+    """``repr(form).encode()`` in consecutive pieces.
+
+    The cell component (dimension and label per cell) is nearly all of
+    the text; :func:`_cells_text` writes it :data:`_CELLS_PER_PIECE`
+    cells at a time.  The other five components are small and written
+    by ``repr``."""
+    names, cells, *rest = form
+    yield f"({names!r}, ".encode()
+    if len(cells) == 1:
+        yield f"({cells[0]!r},)".encode()
+    else:
+        yield b"("
+        for start in range(0, len(cells), _CELLS_PER_PIECE):
+            part = _cells_text(cells[start : start + _CELLS_PER_PIECE])
+            yield part if start == 0 else b", " + part
+        yield b")"
+    for part in rest:
+        yield f", {part!r}".encode()
+    yield b")"
+
+
+def _cells_text(cells: Sequence[tuple[int, tuple[str, ...]]]) -> bytes:
+    """``", ".join(map(repr, cells)).encode()`` for a nonempty run of
+    ``(dim, label)`` cells.
+
+    When every label of the run is a tuple of the same ``m >= 2``
+    entries, each one of ``o``, ``b``, ``e`` (that is,
+    :func:`~repro.arrangement.soa.label_rows` accepts them), every cell
+    prints as ``(d, ('x', …, 'x')), `` of ``5m + 7`` bytes: the run is
+    one byte matrix, a template row with the dimension digits and the
+    label characters written into their columns.  Dimensions are 0, 1
+    or 2.  Any other run is written by ``repr``.
+    """
+    labels = [label for _dim, label in cells]
+    m = len(labels[0])
+    codes = (
+        label_rows(labels, m)
+        if m > 1 and {type(label) for label in labels} == {tuple}
+        else None
+    )
+    if codes is None:
+        return ", ".join(map(repr, cells)).encode()
+    template = ("(0, ('" + "o', '" * (m - 1) + "o')), ").encode("ascii")
+    rows = np.tile(np.frombuffer(template, dtype=np.uint8), (len(cells), 1))
+    rows[:, 1] += np.array([dim for dim, _label in cells], dtype=np.uint8)
+    rows[:, 6 : 5 * m + 2 : 5] = LABEL_ASCII[codes]
+    return rows.tobytes()[:-2]

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..arrangement.soa import LABEL_CHARS, LABEL_CODES, ComplexArrays
+from ..arrangement.soa import ComplexArrays, label_rows, label_tuples
 from ..errors import StoreError
 from ..geometry import Point
 from ..invariant.structure import CCW, CW, TopologicalInvariant
@@ -117,16 +117,11 @@ def _take(view: memoryview, offset: int, dtype: str, count: int, shape):
 
 
 def _soa_encodable(t: TopologicalInvariant) -> bool:
+    """Whether the counts fit int32 and every sense is CW or CCW; the
+    labels are checked by :func:`~repro.arrangement.soa.label_rows`."""
     if len(t.vertices) + len(t.edges) + len(t.faces) > _I32_MAX:
         return False
-    m = len(t.names)
-    for label in t.labels.values():
-        if len(label) != m or any(ch not in LABEL_CODES for ch in label):
-            return False
-    for sense, *_rest in t.orientation:
-        if sense not in _SENSE_CODES:
-            return False
-    return True
+    return all(sense in _SENSE_CODES for sense, *_rest in t.orientation)
 
 
 def _instance_block(instance: SpatialInstance | None) -> tuple[list, list[bytes]]:
@@ -150,7 +145,16 @@ def encode_record(
     labels are standard, lossless JSON otherwise), plus the source
     instance's geometry and precomputed canonical hash when given."""
     inst_spec, inst_blocks = _instance_block(instance)
-    if not _soa_encodable(t):
+    verts = sorted(t.vertices)
+    edges = sorted(t.edges)
+    faces = sorted(t.faces)
+    order = verts + edges + faces
+    labels = (
+        label_rows([t.labels[c] for c in order], len(t.names))
+        if _soa_encodable(t)
+        else None
+    )
+    if labels is None:
         from ..io import invariant_to_json
 
         payload = invariant_to_json(t).encode("utf-8")
@@ -161,20 +165,8 @@ def encode_record(
             header["inst"] = inst_spec
         return _frame(_INV_MAGIC, header, [payload, *inst_blocks])
 
-    verts = sorted(t.vertices)
-    edges = sorted(t.edges)
-    faces = sorted(t.faces)
-    pos = {c: i for i, c in enumerate(verts)}
-    for c in edges:
-        pos[c] = len(pos)
-    for c in faces:
-        pos[c] = len(pos)
+    pos = {c: i for i, c in enumerate(order)}
     names = list(t.names)
-    n = len(pos)
-
-    labels = np.empty((n, len(names)), dtype=np.uint8)
-    for c, i in pos.items():
-        labels[i] = [LABEL_CODES[ch] for ch in t.labels[c]]
 
     # Endpoint rows: (v1, v2) for a two-endpoint edge, (v, -1) for a
     # loop at one vertex, (-2, -2) for an *empty* entry (a free loop:
@@ -310,12 +302,8 @@ class StoredRecord:
         ids = verts + edges + faces
         if not 0 <= h["ext"] - nv - ne < nf:
             raise StoreError("exterior-face ordinal out of range")
-        chars = labels.tolist()
         try:
-            label_map = {
-                ids[i]: tuple(LABEL_CHARS[code] for code in row)
-                for i, row in enumerate(chars)
-            }
+            label_map = dict(zip(ids, label_tuples(labels)))
         except IndexError as exc:
             raise StoreError("label code out of range") from exc
         ep_map: dict[str, tuple[str, ...]] = {}

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from unittest import mock
 
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
-from repro import AlgRegion, Point, Poly, Rect, RectUnion, SpatialInstance
 from repro.arrangement import (
     Subdivision,
     compute_labels,
@@ -26,75 +24,7 @@ from repro.arrangement import (
 )
 from repro.arrangement.complex import _reduce
 from repro.logic import cell_eval, grid_refined_complex
-
-_small = st.integers(0, 8)
-
-
-@st.composite
-def _rects(draw):
-    x, y = draw(_small), draw(_small)
-    return Rect(x, y, x + draw(st.integers(1, 4)), y + draw(st.integers(1, 4)))
-
-
-@st.composite
-def _triangles(draw):
-    a, b, c = (
-        Point(*xy)
-        for xy in draw(
-            st.lists(st.tuples(_small, _small), min_size=3, max_size=3, unique=True)
-        )
-    )
-    assume((b - a).cross(c - a) != 0)
-    return Poly([a, b, c])
-
-
-@st.composite
-def _l_shapes(draw):
-    """A rectangle with one corner notched out: a nonconvex hexagon
-    whose edges lie on the same lines as nearby rectangles' edges."""
-    x, y = draw(_small), draw(_small)
-    w, h = draw(st.integers(2, 4)), draw(st.integers(2, 4))
-    w2, h2 = draw(st.integers(1, w - 1)), draw(st.integers(1, h - 1))
-    return Poly(
-        [
-            Point(x, y),
-            Point(x + w, y),
-            Point(x + w, y + h2),
-            Point(x + w2, y + h2),
-            Point(x + w2, y + h),
-            Point(x, y + h),
-        ]
-    )
-
-
-@st.composite
-def _circles(draw):
-    return AlgRegion.circle(
-        draw(_small),
-        draw(_small),
-        draw(st.integers(1, 4)),
-        n=draw(st.sampled_from([4, 6, 8, 12])),
-    )
-
-
-@st.composite
-def _slit_unions(draw):
-    """Two side-by-side squares joined by a bridge: the shared wall
-    below the bridge is a slit, with the interior on both sides."""
-    x, y = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    return RectUnion(
-        [Rect(x, y, x + 2, y + 2), Rect(x + 2, y, x + 4, y + 2), Rect(x + 1, y + 1, x + 3, y + 2)]
-    )
-
-
-_regions = st.one_of(_rects(), _triangles(), _l_shapes(), _circles(), _slit_unions())
-
-
-@st.composite
-def _instances(draw, max_regions=6):
-    regions = draw(st.lists(_regions, min_size=1, max_size=max_regions))
-    return SpatialInstance({f"R{i}": r for i, r in enumerate(regions)})
-
+from tests.strategies import instances
 
 def _assert_same_labels(fast, seed) -> None:
     assert fast.names == seed.names
@@ -103,7 +33,7 @@ def _assert_same_labels(fast, seed) -> None:
     assert fast.face_labels == seed.face_labels
 
 
-@given(_instances())
+@given(instances())
 def test_propagated_labels_match_reference(instance):
     segments = [s for _n, r in instance.items() for s in r.boundary_segments()]
     sub = Subdivision(planarize(segments))
@@ -113,7 +43,7 @@ def test_propagated_labels_match_reference(instance):
 
 
 @settings(max_examples=30)
-@given(_instances(max_regions=4))
+@given(instances(max_regions=4))
 def test_grid_refined_labels_match_reference(instance):
     """The overlay lines belong to no region: crossing them flips
     nothing, so the refined universe's labels propagate too."""

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.arrangement import build_complex
-from repro.arrangement.complex import _label_rows
 from repro.arrangement.soa import (
     LABEL_CHARS,
     LABEL_CODES,
+    label_rows,
+    label_tuples,
     mask_from_bool,
 )
 from repro.datasets import all_figures, fig_1b, fig_7a
@@ -136,13 +137,42 @@ class TestArraysMatchViews:
 
 
 def test_label_rows_match_loop_encoding():
-    """``_reduce`` encodes each distinct label once and gathers rows;
-    the per-character loop is the reference."""
+    """``label_rows`` encodes all labels by one translation of their
+    joined entries; the per-character loop is the reference, and
+    ``label_tuples`` decodes the rows back."""
     labels = [("o", "b", "e"), ("e", "e", "e"), ("o", "b", "e"), ("b", "o", "o")]
     want = np.array(
         [[LABEL_CODES[ch] for ch in label] for label in labels], dtype=np.uint8
     )
-    assert np.array_equal(_label_rows(labels, 3), want)
+    assert np.array_equal(label_rows(labels, 3), want)
+    assert label_tuples(want) == labels
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [("o", "b"), ("o",)],  # wrong length
+        [("o", "b"), ("o", "x")],  # unknown character
+        [("o", "b"), ("ob", "e")],  # multi-character entry
+        [("", "ob"), ("o", "b")],  # empty entry beside a long one
+        [("o", "b"), ("o\0", "")],  # separator inside an entry
+        [("o", "b"), ("é", "b")],  # non-ASCII
+        [("o", "b"), ("o", 1)],  # not a string
+    ],
+)
+def test_label_rows_report_nonstandard_labels(labels):
+    assert label_rows(labels, 2) is None
+
+
+def test_label_rows_of_no_names_and_no_cells():
+    assert label_rows([(), ()], 0).shape == (2, 0)
+    assert label_rows([], 3).shape == (0, 3)
+    assert label_tuples(np.zeros((2, 0), dtype=np.uint8)) == [(), ()]
+
+
+def test_label_tuples_reject_unknown_codes():
+    with pytest.raises(IndexError):
+        label_tuples(np.array([[0, 3]], dtype=np.uint8))
 
 
 class TestEquality:

@@ -1,8 +1,10 @@
 """The succinct ``T_I`` record codec: exact round trips and hostility
 to malformed buffers."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -13,7 +15,8 @@ from repro import (
     invariant,
 )
 from repro.arrangement import build_complex
-from repro.datasets import all_figures, mixed_corpus
+from repro.arrangement.soa import LABEL_CODES
+from repro.datasets import all_figures, grid_instance, mixed_corpus
 from repro.errors import ReproError, StoreError
 from repro.invariant.canonical import instance_key
 from repro.regions import AlgRegion
@@ -22,6 +25,15 @@ from repro.store import (
     decode_record,
     encode_complex,
     encode_record,
+)
+from repro.store.codec import (
+    _I32_MAX,
+    _INV_MAGIC,
+    _SENSE_CODES,
+    _frame,
+    _instance_block,
+    _pad8,
+    _unframe,
 )
 
 
@@ -78,6 +90,138 @@ class TestInvariantRoundTrip:
         rec = decode_record(encode_record(t))
         assert not rec.has_instance
         assert rec.instance() is None
+
+
+def _two_squares():
+    return invariant(
+        SpatialInstance({"A": Rect(0, 0, 4, 4), "B": Rect(2, 2, 6, 6)})
+    )
+
+
+def _relabel(t, fn):
+    cells = sorted(t.labels)
+    return dataclasses.replace(
+        t, labels={c: fn(i, t.labels[c]) for i, c in enumerate(cells)}
+    )
+
+
+class TestJsonFallback:
+    """Labels outside the standard ``o``/``b``/``e`` alphabet, or of the
+    wrong length, are carried by the lossless JSON payload."""
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda i, l: l[:-1] if i % 2 else l,  # wrong length
+            lambda i, l: ("x",) + l[1:] if i == 0 else l,  # unknown char
+            lambda i, l: ("oo",) + l[1:] if i == 1 else l,  # multi-char
+            lambda i, l: ("",) + l[1:] if i == 2 else l,  # empty entry
+        ],
+        ids=["wrong_length", "unknown_char", "multi_char", "empty_entry"],
+    )
+    def test_nonstandard_labels_round_trip_as_json(self, fn):
+        t = _relabel(_two_squares(), fn)
+        rec = decode_record(encode_record(t, canonical_hash=canonical_hash(t)))
+        assert rec.kind == "json"
+        back = rec.invariant()
+        assert canonical_form(back) == canonical_form(t)
+        assert canonical_hash(back) == rec.canonical_hash
+
+
+def _encode_per_character(t, instance=None, canonical_hash=None):
+    """The record encoder before the label block was one translation:
+    labels checked and encoded character by character.  Kept as the
+    oracle for byte-identical records."""
+    inst_spec, inst_blocks = _instance_block(instance)
+    m = len(t.names)
+    encodable = (
+        len(t.vertices) + len(t.edges) + len(t.faces) <= _I32_MAX
+        and all(
+            len(label) == m and all(ch in LABEL_CODES for ch in label)
+            for label in t.labels.values()
+        )
+        and all(sense in _SENSE_CODES for sense, *_ in t.orientation)
+    )
+    assert encodable
+    verts, edges, faces = sorted(t.vertices), sorted(t.edges), sorted(t.faces)
+    pos = {c: i for i, c in enumerate(verts + edges + faces)}
+    labels = np.empty((len(pos), m), dtype=np.uint8)
+    for c, i in pos.items():
+        labels[i] = [LABEL_CODES[ch] for ch in t.labels[c]]
+    endpoints = np.full((len(edges), 2), -1, dtype="<i4")
+    for k, e in enumerate(edges):
+        if e not in t.endpoints:
+            continue
+        vs = t.endpoints[e]
+        if not vs:
+            endpoints[k] = (-2, -2)
+            continue
+        for j, v in enumerate(vs[:2]):
+            endpoints[k, j] = pos[v]
+    incidence = np.array(
+        sorted((pos[a], pos[b]) for a, b in t.incidences), dtype="<i4"
+    ).reshape(len(t.incidences), 2)
+    orientation = np.array(
+        sorted(
+            (_SENSE_CODES[s], pos[v], pos[e1], pos[e2])
+            for (s, v, e1, e2) in t.orientation
+        ),
+        dtype="<i4",
+    ).reshape(len(t.orientation), 4)
+    header = {
+        "v": 1,
+        "k": "soa",
+        "names": list(t.names),
+        "nv": len(verts),
+        "ne": len(edges),
+        "nf": len(faces),
+        "ext": len(verts) + len(edges) + faces.index(t.exterior_face),
+        "ninc": len(t.incidences),
+        "nori": len(t.orientation),
+    }
+    if canonical_hash is not None:
+        header["ch"] = canonical_hash
+    if inst_spec is not None:
+        header["inst"] = inst_spec
+    ints = endpoints.tobytes() + incidence.tobytes() + orientation.tobytes()
+    return _frame(_INV_MAGIC, header, [ints, labels.tobytes(), *inst_blocks])
+
+
+class TestRecordBytes:
+    """``encode_record`` writes the same bytes as the per-character
+    encoder on the ingest corpus: the corpus and grids k = 6 and 14."""
+
+    def test_mixed_corpus_records_are_unchanged(self):
+        for inst in mixed_corpus(120):
+            t = invariant(inst)
+            h = canonical_hash(t)
+            assert encode_record(t, inst, h) == _encode_per_character(t, inst, h)
+            assert encode_record(t) == _encode_per_character(t)
+
+    @pytest.mark.parametrize("k", [6, 14])
+    def test_grid_records_are_unchanged(self, k):
+        inst = grid_instance(k)
+        t = invariant(inst)
+        h = canonical_hash(t)
+        assert encode_record(t, inst, h) == _encode_per_character(t, inst, h)
+
+
+class TestLabelDecode:
+    def test_label_code_out_of_range_is_structural(self):
+        t = _two_squares()
+        buf = bytearray(encode_record(t))
+        header, _view, off = _unframe(bytes(buf), _INV_MAGIC)
+        ints = 4 * (
+            2 * header["ne"] + 2 * header["ninc"] + 4 * header["nori"]
+        )
+        buf[off + ints + _pad8(ints)] = 7  # first label code
+        with pytest.raises(StoreError, match="label code out of range"):
+            decode_record(bytes(buf)).invariant()
+
+    def test_decoded_labels_are_the_encoded_ones(self):
+        t = _two_squares()
+        back = decode_record(encode_record(t)).invariant()
+        assert sorted(back.labels.values()) == sorted(t.labels.values())
 
 
 class TestComplexRoundTrip:
