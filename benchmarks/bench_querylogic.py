@@ -9,10 +9,12 @@ logics.  Every row evaluates the query three ways —
 
 * the seed reference evaluator (frozenset cell sets, tree-walking),
 * the compiled engine cold (universe enumeration + mask compilation),
+  the median of ``COLD_RUNS`` runs, each after clearing the universe
+  cache,
 * the compiled engine warm (universe served from the content-addressed
   cache, memo tables fresh), the median of ``WARM_RUNS`` runs; the
-  reference and cold runs are single, as they take up to a minute
-  each at the largest configuration —
+  reference run is single, as it takes up to a minute at the largest
+  configuration —
 
 and asserts the three answers are bit-identical, so the benchmark run
 doubles as an equivalence check.  Acceptance thresholds:
@@ -74,6 +76,7 @@ CELL_CONFIGS = ((0, None), (1, 3), (1, 4))
 SMOKE_CELL_CONFIGS = ((0, None), (1, 3))
 SPEEDUP_FLOOR = 5.0
 WARM_RUNS = 5
+COLD_RUNS = 3
 
 # label, instance factory, query factory, expected answer.
 CELL_WORKLOADS = (
@@ -130,8 +133,6 @@ def run_cell_sweep(configs, workloads=CELL_WORKLOADS):
         for label, make_instance, make_query, expected in workloads:
             instance = make_instance()
             query = make_query()
-            clear_universe_cache()
-            counters.reset()
             ref_s, want = _timed(
                 evaluate_cells_reference,
                 query,
@@ -139,13 +140,20 @@ def run_cell_sweep(configs, workloads=CELL_WORKLOADS):
                 refinement=refinement,
                 max_faces=max_faces,
             )
-            cold_s, got_cold = _timed(
-                evaluate_cells,
-                query,
-                instance,
-                refinement=refinement,
-                max_faces=max_faces,
-            )
+            cold = []
+            for _ in range(COLD_RUNS):
+                clear_universe_cache()
+                counters.reset()
+                cold_s, got_cold = _timed(
+                    evaluate_cells,
+                    query,
+                    instance,
+                    refinement=refinement,
+                    max_faces=max_faces,
+                )
+                assert want == got_cold, (label, refinement, max_faces)
+                cold.append(cold_s)
+            cold_s = statistics.median(cold)
             universe = counters.snapshot()["query.regions_enumerated"]
             counters.reset()
             warm = []

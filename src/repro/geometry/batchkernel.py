@@ -26,9 +26,10 @@ array*:
 ``AMBIGUOUS``
     Everything else: any uncertified sign, any exact degeneracy
     (endpoint contact, T-junction, collinear overlap), float overflow.
-    These pairs must be delegated to
-    :func:`repro.geometry.fastkernel.segment_intersection`, which
-    resolves them exactly (and keeps its own counters).
+    These pairs must be resolved exactly: by
+    :func:`repro.geometry.fastkernel.segment_intersection` (which keeps
+    its own counters), or, in the sweep planarizer, by the integer
+    classifier :func:`repro.geometry.fastkernel.classify_ints`.
 
 The contract mirrors the scalar filter's: a verdict other than
 ``AMBIGUOUS`` is a *proof*, never a guess, so batched consumers remain
@@ -139,6 +140,11 @@ def classify_pairs(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
             | (np.maximum(P[:, 1], P[:, 3]) < np.minimum(Q[:, 1], Q[:, 3]))
             | (np.maximum(Q[:, 1], Q[:, 3]) < np.minimum(P[:, 1], P[:, 3]))
         )
+        # Orientations only for the pairs the bbox test keeps: on a
+        # sweep's candidates that is a small share.
+        live = np.flatnonzero(~bbox)
+        P = P[live]
+        Q = Q[live]
         s1, c1 = orientation_filter(
             P[:, 0], P[:, 1], P[:, 2], P[:, 3], Q[:, 0], Q[:, 1]
         )
@@ -156,10 +162,11 @@ def classify_pairs(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # means "strictly straddles".
     none = (c1 & c2 & (s1 == s2)) | (c3 & c4 & (s3 == s4))
     cross = c1 & c2 & c3 & c4 & (s1 != s2) & (s3 != s4)
-    verdicts = np.zeros(len(P), dtype=np.int8)
-    verdicts[cross] = CERT_CROSS
-    verdicts[none] = CERT_NONE
-    verdicts[bbox] = BBOX_REJECT
+    kept = np.zeros(len(live), dtype=np.int8)
+    kept[cross] = CERT_CROSS
+    kept[none] = CERT_NONE
+    verdicts = np.full(len(bbox), BBOX_REJECT, dtype=np.int8)
+    verdicts[live] = kept
     return verdicts
 
 

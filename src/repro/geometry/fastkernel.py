@@ -44,6 +44,18 @@ bound, so the certificate holds with a wide margin.  When the inputs are
 too large to convert to ``float`` (OverflowError) or the bound is not
 cleared (including NaN propagation), the exact predicate decides.
 
+Exact fallback
+--------------
+Anything the filter cannot certify in ``segment_intersection`` goes to
+:func:`classify_ints`, the one exact segment classifier of the library
+path: the four endpoints are scaled to integers over one local scale
+(the least common multiple of their denominators) and every sign, range
+test and crossing numerator is an ``int`` operation, with the formulas
+of :func:`repro.geometry.predicates.segment_intersection`, so every
+answer is the same rational.  The sweep planarizer calls it directly on
+its own integer frames.  The ``Fraction`` predicates stay the seed
+oracle: :func:`exact_mode` routes every call to them.
+
 Counters are plain attribute increments on a module singleton: cheap,
 always on, and approximate under the threads backend (a lost increment
 is acceptable for statistics; correctness never depends on them).
@@ -52,6 +64,8 @@ is acceptable for statistics; correctness never depends on them).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from ..instrument import Counters
@@ -60,7 +74,9 @@ from . import predicates as _exact
 
 __all__ = [
     "KernelCounters",
+    "classify_ints",
     "counters",
+    "exact_intersection",
     "exact_mode",
     "filter_enabled",
     "on_segment",
@@ -82,19 +98,24 @@ class KernelCounters(Counters):
     ``intersect_fast`` / ``intersect_exact`` / ``intersect_bbox_reject``
         Segment-intersection classifications answered by the filtered
         path, delegated to the exact classifier, and rejected outright
-        by the bounding-box prescreen.
+        by the bounding-box prescreen.  The sweep planarizer counts the
+        pairs it hands to :func:`classify_ints` by case in the same
+        families: bbox rejects, ``fast`` for the cases the filter
+        certifies (one side, proper crossing, shared endpoint of
+        distinct lines), ``exact`` for T-junctions, touching and
+        overlaps.
     ``planarize_pairs_tested`` / ``planarize_pairs_pruned``
-        Candidate segment pairs classified (or delegated to the scalar
-        kernel) by the sweep planarizer vs pairs rejected outright by
-        its bounding-box prescreen — the batched vector test on the
-        default path, the y-interval check on the scalar fallback path
-        (pairs separated in x never even meet in the active set).
+        Candidate segment pairs classified by the sweep planarizer vs
+        pairs rejected outright by its bounding-box prescreen — the
+        batched vector test, or the integer classifier's bbox test when
+        the float filter is off (pairs separated in x are never
+        candidates).
     ``batch_pairs`` / ``batch_certified`` / ``batch_fallback``
         Segment pairs classified by the vectorized batch kernel
         (:mod:`repro.geometry.batchkernel`): total pairs, pairs whose
         verdict the float filter certified in-batch, and ambiguous
-        pairs delegated to the scalar kernel (which also counts them
-        under the ``intersect_*`` / ``orientation_*`` families).
+        pairs delegated to the exact classifier (which also counts them
+        under the ``intersect_*`` family).
     """
 
     def filter_hit_rate(self) -> float:
@@ -210,7 +231,7 @@ def segment_intersection(
     cases — certified disjoint and certified proper crossing — from
     filtered orientation signs; anything involving a zero orientation
     (endpoint contact, T-junction, collinearity) or an uncertified sign
-    delegates to the exact classifier.
+    delegates to the integer classifier (:func:`exact_intersection`).
     """
     if not _filter_enabled:
         counters.intersect_exact += 1
@@ -243,7 +264,7 @@ def segment_intersection(
             counters.intersect_fast += 1
             return ("point", shared)
         counters.intersect_exact += 1
-        return _exact.segment_intersection(a, b, c, d)
+        return exact_intersection(a, b, c, d)
     o1 = orientation(a, b, c)
     o2 = orientation(a, b, d)
     if o1 == o2 and o1 != 0:
@@ -266,4 +287,137 @@ def segment_intersection(
         t = (c - a).cross(s) / denom
         return ("point", Point(a.x + r.x * t, a.y + r.y * t))
     counters.intersect_exact += 1
-    return _exact.segment_intersection(a, b, c, d)
+    return exact_intersection(a, b, c, d)
+
+
+# -- the exact integer classifier ---------------------------------------------
+
+#: Verdicts of :func:`classify_ints`.  ``BBOX``, ``APART`` and ``MEET``
+#: are the cases the float filter certifies (a bounding-box reject, and
+#: the "fast" answers: one segment strictly on one side of the other's
+#: line, a proper crossing, or a shared endpoint of distinct support
+#: lines); ``CONTACT`` (T-junction, touching), ``OVERLAP`` and
+#: ``MISS`` are exact degeneracies.
+BBOX, APART, MEET, CONTACT, OVERLAP, MISS = range(6)
+
+
+def _side(px: int, py: int, qx: int, qy: int, rx: int, ry: int) -> int:
+    """Sign of the orientation of ``p, q, r`` (ints, one scale)."""
+    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return (cross > 0) - (cross < 0)
+
+
+def classify_ints(
+    ax: int, ay: int, bx: int, by: int,
+    cx: int, cy: int, dx: int, dy: int,
+) -> tuple[int, object]:
+    """Classify closed segments *ab* and *cd* given as ints over one scale.
+
+    Returns ``(verdict, payload)``; the verdict is one of the module
+    constants above and decides the kind: ``BBOX``, ``APART`` and
+    ``MISS`` are ``"none"``, ``MEET`` and ``CONTACT`` are ``"point"``,
+    ``OVERLAP`` is ``"overlap"``.  A point payload is an endpoint index
+    (0 = a, 1 = b, 2 = c, 3 = d) or, for a proper crossing, a triple
+    ``(X, Y, W)`` with ``W > 0``: the point ``(X / W, Y / W)`` in the
+    caller's scale.  An overlap payload is the pair of endpoint indices
+    of the shared subsegment, lexicographically ordered.  The cases are
+    tested in the order of :func:`segment_intersection`, and the values
+    are those of :func:`repro.geometry.predicates.segment_intersection`.
+    """
+    if (
+        max(ax, bx) < min(cx, dx)
+        or max(cx, dx) < min(ax, bx)
+        or max(ay, by) < min(cy, dy)
+        or max(cy, dy) < min(ay, by)
+    ):
+        return BBOX, None
+    a_is_c = ax == cx and ay == cy
+    a_is_d = ax == dx and ay == dy
+    b_is_c = bx == cx and by == cy
+    b_is_d = bx == dx and by == dy
+    if a_is_c or a_is_d or b_is_c or b_is_d:
+        # A shared endpoint: the unique meeting point unless the two
+        # support lines coincide.
+        if a_is_c or a_is_d:
+            shared = 0
+            far = (dx, dy) if a_is_c else (cx, cy)
+            turn = _side(ax, ay, bx, by, *far)
+        else:
+            shared = 1
+            far = (dx, dy) if b_is_c else (cx, cy)
+            turn = _side(bx, by, ax, ay, *far)
+        if turn:
+            return MEET, shared
+        return _collinear(ax, ay, bx, by, cx, cy, dx, dy)
+    o1 = _side(ax, ay, bx, by, cx, cy)
+    o2 = _side(ax, ay, bx, by, dx, dy)
+    if o1 == o2 and o1:
+        return APART, None
+    o3 = _side(cx, cy, dx, dy, ax, ay)
+    o4 = _side(cx, cy, dx, dy, bx, by)
+    if o3 == o4 and o3:
+        return APART, None
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    denom = rx * sy - ry * sx
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        t = (cx - ax) * sy - (cy - ay) * sx
+        if denom < 0:
+            denom, t = -denom, -t
+        return MEET, (ax * denom + rx * t, ay * denom + ry * t, denom)
+    if denom == 0:
+        return _collinear(ax, ay, bx, by, cx, cy, dx, dy)
+    # A zero orientation on distinct lines: the lines meet at an
+    # endpoint, which lies on the other segment or nowhere on it.
+    t = (cx - ax) * sy - (cy - ay) * sx
+    u = (cx - ax) * ry - (cy - ay) * rx
+    if denom < 0:
+        denom, t, u = -denom, -t, -u
+    if not (0 <= t <= denom and 0 <= u <= denom):
+        return MISS, None
+    if t == 0:
+        return CONTACT, 0
+    if t == denom:
+        return CONTACT, 1
+    return CONTACT, 2 if u == 0 else 3
+
+
+def _collinear(
+    ax: int, ay: int, bx: int, by: int,
+    cx: int, cy: int, dx: int, dy: int,
+) -> tuple[int, object]:
+    """Parallel segments: the collinear-overlap branch of the seed
+    classifier, on endpoint indices."""
+    if _side(ax, ay, bx, by, cx, cy):
+        return MISS, None
+    pts = ((ax, ay), (bx, by), (cx, cy), (dx, dy))
+    lo1, hi1 = (0, 1) if pts[0] <= pts[1] else (1, 0)
+    lo2, hi2 = (2, 3) if pts[2] <= pts[3] else (3, 2)
+    lo = lo1 if pts[lo2] <= pts[lo1] else lo2
+    hi = hi1 if pts[hi1] <= pts[hi2] else hi2
+    if pts[hi] < pts[lo]:
+        return MISS, None
+    if pts[lo] == pts[hi]:
+        return CONTACT, lo
+    return OVERLAP, (lo, hi)
+
+
+def exact_intersection(
+    a: Point, b: Point, c: Point, d: Point
+) -> tuple[str, object]:
+    """:func:`classify_ints` on four rational points: the same return
+    values as :func:`repro.geometry.predicates.segment_intersection`."""
+    coords = (a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+    scale = lcm(*(v.denominator for v in coords))
+    verdict, payload = classify_ints(
+        *(v.numerator * (scale // v.denominator) for v in coords)
+    )
+    if verdict in (BBOX, APART, MISS):
+        return ("none", None)
+    ends = (a, b, c, d)
+    if verdict == OVERLAP:
+        return ("overlap", (ends[payload[0]], ends[payload[1]]))
+    if isinstance(payload, int):
+        return ("point", ends[payload])
+    x, y, w = payload
+    return ("point", Point(Fraction(x, w * scale), Fraction(y, w * scale)))

@@ -33,6 +33,15 @@ class Segment:
         object.__setattr__(self, "a", lo)
         object.__setattr__(self, "b", hi)
 
+    @classmethod
+    def lex_ordered(cls, a: Point, b: Point) -> "Segment":
+        """The segment from *a* to *b*, which the caller guarantees are
+        distinct and in lexicographic order: no check, no sort."""
+        seg = object.__new__(cls)
+        object.__setattr__(seg, "a", a)
+        object.__setattr__(seg, "b", b)
+        return seg
+
     # -- queries -------------------------------------------------------------
 
     @property

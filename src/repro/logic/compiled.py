@@ -223,11 +223,12 @@ class CompiledCellModel:
 
     Cells are numbered once in sorted-id order; interiors, closures,
     boundaries, edge–face incidence, and vertex stars are Python ints
-    with bit *i* standing for cell ``cell_ids[i]``.  The disc test and
-    the connected-face-set enumeration mirror the reference
-    :class:`~repro.logic.cell_eval.CellModel` step for step (same
-    candidate order, same budget accounting), so answers and
-    budget errors agree bit for bit.
+    with bit *i* standing for cell ``cell_ids[i]``.  The
+    connected-face-set enumeration follows the reference
+    :class:`~repro.logic.cell_eval.CellModel` candidate for candidate
+    (same order, same budget accounting) and decides the same disc
+    test incrementally, so universes, answers and budget errors agree
+    bit for bit.
     """
 
     def __init__(
@@ -266,7 +267,6 @@ class CompiledCellModel:
         # Faces in sorted-id order: the enumeration's anchor order
         # (ascending global index == ascending id among faces).
         self.face_indices = np.sort(arrays.face_gidx).tolist()
-        self.face_rank = {fi: r for r, fi in enumerate(self.face_indices)}
 
         inc = arrays.incidence
         dims = arrays.dims.tolist()
@@ -356,7 +356,6 @@ class CompiledCellModel:
         self.face_indices = [index[c.id] for c in cx.faces]
         self.face_indices.sort()
         face_set = set(self.face_indices)
-        self.face_rank = {fi: r for r, fi in enumerate(self.face_indices)}
 
         up: dict[int, list[int]] = {}
         down_of_face: dict[int, int] = {fi: 0 for fi in self.face_indices}
@@ -437,88 +436,87 @@ class CompiledCellModel:
             )
         return named
 
-    def region_from_faces(self, faces_mask: int) -> tuple[int, int]:
-        """(interior, closure) masks of the open region generated by the
-        faces — same inclusion rules as the reference model."""
-        interior = faces_mask
-        for ebit, fmask in self.edge_entries:
-            if fmask & ~faces_mask == 0:
-                interior |= ebit
-        for vbit, smask in self.vertex_entries:
-            if smask & ~interior == 0:
-                interior |= vbit
-        closure = interior
-        m = faces_mask
-        closure_of_face = self.closure_of_face
-        while m:
-            b = m & -m
-            m ^= b
-            closure |= closure_of_face[b.bit_length() - 1]
-        return interior, closure
-
-    def is_disc(self, faces_mask: int) -> bool:
-        """Disc test: faces connected through shared interior edges, and
-        the closed complement connected on the sphere (reaching the
-        point at infinity through the exterior face)."""
-        if faces_mask == 0:
-            return False
-        interior, _closure = self.region_from_faces(faces_mask)
-        # Face connectivity through shared edges (a shared edge between
-        # two included faces is always in the interior).
-        start = faces_mask & -faces_mask
-        seen = start
-        stack = [start.bit_length() - 1]
-        face_adj = self.face_adj
-        while stack:
-            fi = stack.pop()
-            for g in face_adj[fi]:
-                gb = 1 << g
-                if faces_mask & gb and not seen & gb:
-                    seen |= gb
-                    stack.append(g)
-        if seen != faces_mask:
-            return False
-        # Complement connectivity on the sphere.
-        comp = self.all_cells_mask & ~interior
-        if comp == 0:
-            return True  # the whole plane
-        if comp & self.ext_bit == 0:
-            # The complement never reaches the point at infinity.
-            return False
-        start_bit = self.ext_bit
-        seen_c = start_bit
-        stack = [start_bit.bit_length() - 1]
-        neighbors = self.cell_neighbors
-        while stack:
-            ci = stack.pop()
-            for d in neighbors[ci]:
-                db = 1 << d
-                if comp & db and not seen_c & db:
-                    seen_c |= db
-                    stack.append(d)
-        return seen_c == comp
-
     # -- quantifier range ----------------------------------------------------
+
+    def _growth_tables(self):
+        """Per face *g*: the edges of *g* with the mask of their faces,
+        the vertices of *g* with the mask of their star, and the faces
+        adjacent to *g*; per cell, the mask of its neighbours; and the
+        mask of the cells no path joins to the exterior face (none, in
+        a complex of the plane).  Adding *g* to a face set can only add
+        *g*, those edges and those vertices to its interior: incidence
+        is closure containment, so every vertex whose star meets an
+        edge of *g* has *g* in its star too."""
+        edges_of: dict[int, list[tuple[int, int]]] = {
+            fi: [] for fi in self.face_indices
+        }
+        for ebit, fmask in self.edge_entries:
+            for fi in _bits_of(fmask):
+                edges_of[fi].append((ebit, fmask))
+        vertices_of: dict[int, list[tuple[int, int]]] = {
+            fi: [] for fi in self.face_indices
+        }
+        for vbit, smask in self.vertex_entries:
+            for ci in _bits_of(smask):
+                if ci in vertices_of:
+                    vertices_of[ci].append((vbit, smask))
+        adjacent = {
+            fi: sum(1 << g for g in set(gs)) for fi, gs in self.face_adj.items()
+        }
+        neighbours = [
+            sum(1 << d for d in set(ns)) for ns in self.cell_neighbors
+        ]
+        everything = self.all_cells_mask
+        reached = _flood(self.ext_bit, everything, neighbours, everything)
+        return edges_of, vertices_of, adjacent, neighbours, everything & ~reached
 
     def enumerate_universe(self) -> tuple[list[CompiledRegion], int]:
         """Every disc cell region (as compiled regions) plus the number
         of connected face sets considered — the same canonical expansion
-        and budget accounting as the reference enumeration."""
+        and budget accounting as the reference enumeration.
+
+        Each stack entry carries its parent's interior, and adding a
+        face updates it from that face's own edges and vertices.  Every
+        candidate grows by a face adjacent to one already in it, so it
+        is connected through shared edges, which lie in its interior; it
+        is a disc iff its closed complement is connected on the sphere,
+        i.e. empty, or holding the exterior face (where the point at
+        infinity attaches) and connected.  The flood fill from the
+        exterior face runs over per-cell neighbour masks and stops once
+        it has reached every complement cell next to the region's
+        interior: each component of the complement holds such a cell,
+        since a path of the connected complex joins it to the region
+        (cells the exterior face cannot reach at all fail the test up
+        front, as they do in the full fill).  Incidence is closure
+        containment, hence transitive, so the complement cells next to
+        the interior are exactly the boundary cells: the union of the
+        face closures, carried on the stack, minus the interior.  That
+        union is also the disc region's closure.
+        """
         results: list[CompiledRegion] = []
         seen_sets: set[int] = set()
         budget = self.max_regions
         deadline = self.deadline
         max_faces = self.max_faces
-        face_rank = self.face_rank
-        face_adj = self.face_adj
+        (
+            edges_of, vertices_of, adjacent, neighbours, cut_off
+        ) = self._growth_tables()
+        closure_of_face = self.closure_of_face
+        everything = self.all_cells_mask
+        ext_bit = self.ext_bit
         # Check once up front so an already-expired deadline raises even
         # on universes too small to reach the 64-candidate poll below.
         if deadline is not None:
             deadline.check("universe_enumeration")
-        for anchor_rank, anchor in enumerate(self.face_indices):
-            stack = [1 << anchor]
+        for anchor in self.face_indices:
+            # Faces numbered below the anchor are grown from their own
+            # anchors (ascending index is ascending rank among faces).
+            below = (1 << anchor) - 1
+            # Entries: the face set, the face just added, and the
+            # parent's interior, adjacent faces and face closures.
+            stack = [(1 << anchor, anchor, 0, 0, 0)]
             while stack:
-                current = stack.pop()
+                current, g, interior, reach, shut = stack.pop()
                 if current in seen_sets:
                     continue
                 seen_sets.add(current)
@@ -533,27 +531,63 @@ class CompiledCellModel:
                 # it cooperates.
                 if deadline is not None and not len(seen_sets) % 64:
                     deadline.check("universe_enumeration")
-                if self.is_disc(current):
-                    interior, closure = self.region_from_faces(current)
+                interior |= 1 << g
+                for ebit, fmask in edges_of[g]:
+                    if fmask & ~current == 0:
+                        interior |= ebit
+                for vbit, smask in vertices_of[g]:
+                    if smask & ~interior == 0:
+                        interior |= vbit
+                shut |= closure_of_face[g]
+                comp = everything & ~interior
+                if comp == 0:
+                    disc = True  # the whole plane
+                elif comp & ext_bit == 0 or comp & cut_off:
+                    disc = False  # part of the complement misses infinity
+                else:
+                    # The complement cells next to the interior are the
+                    # boundary cells, closure minus interior.
+                    ring = shut & comp
+                    disc = _flood(ext_bit, comp, neighbours, ring) & ring == ring
+                if disc:
                     results.append(
-                        CompiledRegion(interior, closure, len(results))
+                        CompiledRegion(interior, interior | shut, len(results))
                     )
+                reach |= adjacent[g]
                 if max_faces is not None and current.bit_count() >= max_faces:
                     continue
-                frontier: set[int] = set()
-                m = current
-                while m:
-                    b = m & -m
-                    m ^= b
-                    for g in face_adj[b.bit_length() - 1]:
-                        if (
-                            not current & (1 << g)
-                            and face_rank[g] >= anchor_rank
-                        ):
-                            frontier.add(g)
-                for g in sorted(frontier):
-                    stack.append(current | (1 << g))
+                frontier = reach & ~current & ~below
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    stack.append(
+                        (current | b, b.bit_length() - 1, interior, reach, shut)
+                    )
         return results, len(seen_sets)
+
+
+def _flood(start: int, within: int, neighbours: list[int], goal: int) -> int:
+    """The cells of *within* reachable from the *start* bit through
+    *within*, filled breadth first; the fill may stop once it holds
+    every cell of *goal*."""
+    reached = frontier = start
+    while frontier and goal & ~reached:
+        grown = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            grown |= neighbours[b.bit_length() - 1]
+        frontier = grown & within & ~reached
+        reached |= frontier
+    return reached
+
+
+def _bits_of(mask: int):
+    """The indices of the set bits of *mask*, ascending."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
 
 
 # -- the universe cache ------------------------------------------------------

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.arrangement import planarize, planarize_allpairs
 from repro.geometry import Point, Segment, segments_properly_intersect
+from repro.geometry.fastkernel import exact_mode
+from repro.regions import AlgRegion
 
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 points = st.builds(Point, coords, coords)
@@ -17,6 +19,34 @@ def segments(draw):
     a = draw(points)
     b = draw(points.filter(lambda p: p != a))
     return Segment(a, b)
+
+
+@st.composite
+def _scaled_segments(draw):
+    """A segment whose endpoints share one denominator up to 10^4."""
+    q = draw(st.integers(1, 10**4))
+    num = st.integers(-10 * q, 10 * q)
+    a = Point(Fraction(draw(num), q), Fraction(draw(num), q))
+    b = Point(Fraction(draw(num), q), Fraction(draw(num), q))
+    if a == b:
+        b = Point(b.x + 1, b.y)
+    return Segment(a, b)
+
+
+def _seed(segs):
+    """The seed planarizer: all pairs on the ``Fraction`` predicates."""
+    with exact_mode():
+        return planarize_allpairs(segs)
+
+
+#: Support lines (a point and a direction) for collinear draws.
+_LINES = (
+    (Point(0, 0), Point(1, 0)),
+    (Point(0, 0), Point(0, 1)),
+    (Point(0, 0), Point(1, 1)),
+    (Point(Fraction(1, 3), 2), Point(2, -1)),
+    (Point(-1, Fraction(5, 7)), Point(3, 2)),
+)
 
 
 class TestPlanarize:
@@ -58,6 +88,9 @@ class TestPlanarize:
             Segment(Point(1, 0), Point(3, 0)),
             Segment(Point(3, 0), Point(4, 0)),
         ]
+
+    def test_empty_input(self):
+        assert planarize([]) == planarize_allpairs([]) == []
 
     def test_identical_segments_dedupe(self):
         s = Segment(Point(0, 0), Point(1, 1))
@@ -183,11 +216,13 @@ class TestDegenerateInputs:
 
 class TestSweepMatchesAllPairs:
     """The x-interval sweep is an optimization of the all-pairs seed:
-    the outputs must agree segment-for-segment on arbitrary input."""
+    the outputs must agree segment-for-segment on arbitrary input.  The
+    seed runs under ``exact_mode``, on the ``Fraction`` predicates, so
+    it shares no code with the sweep's integer classifier."""
 
     @given(st.lists(segments(), min_size=1, max_size=10))
     def test_random(self, segs):
-        assert planarize(segs) == planarize_allpairs(segs)
+        assert planarize(segs) == _seed(segs)
 
     @given(
         st.lists(
@@ -205,4 +240,110 @@ class TestSweepMatchesAllPairs:
         for x, y, length in triples:
             segs.append(Segment(Point(x, y), Point(x + length + 1, y)))
             segs.append(Segment(Point(x, y), Point(x, y + length + 1)))
-        assert planarize(segs) == planarize_allpairs(segs)
+        assert planarize(segs) == _seed(segs)
+
+    # The integer planarizer keeps each segment on its own scale (the
+    # lcm of its endpoint denominators) and each pair on the lcm of two
+    # scales; the draws below mix those scales and the degeneracies the
+    # integer classifier decides.
+
+    @given(st.lists(_scaled_segments(), min_size=1, max_size=8))
+    def test_mixed_denominators(self, segs):
+        assert planarize(segs) == _seed(segs)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_LINES),
+                st.integers(1, 10**4),
+                st.integers(-3, 3),
+                st.integers(0, 3),
+                st.integers(0, 10**4),
+                st.integers(0, 10**4),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_mixed_denominators_collinear(self, draws):
+        # Pieces of a few lines, each at its own denominator: collinear
+        # overlaps, shared endpoints and crossings between the lines.
+        segs = []
+        for (p, d), q, k, length, r1, r2 in draws:
+            t0 = Fraction(k * q + r1 % q, q)
+            t1 = t0 + length + Fraction(r2 % q + 1, q)
+            segs.append(Segment(p + d * t0, p + d * t1))
+        assert planarize(segs) == _seed(segs)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.integers(0, 6),
+                st.integers(1, 4),
+                st.sampled_from([4, 6, 8, 12, 16]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_circle_boundaries(self, circles):
+        segs = [
+            s
+            for cx, cy, r, n in circles
+            for s in AlgRegion.circle(cx, cy, r, n=n).boundary_segments()
+        ]
+        assert planarize(segs) == _seed(segs)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 21),
+                st.integers(0, 9),
+                st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]),
+                st.integers(1, 12),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_rational_lattice(self, draws):
+        # x in multiples of 1/7, y in multiples of 1/3: axis-parallel
+        # and diagonal runs overlap, end on each other (T-junctions) and
+        # cross at lattice and off-lattice points.
+        segs = []
+        for i, j, (dx, dy), n in draws:
+            a = Point(Fraction(i, 7), Fraction(j, 3))
+            b = Point(a.x + Fraction(dx * n, 7), a.y + Fraction(dy * n, 3))
+            segs.append(Segment(a, b))
+        assert planarize(segs) == _seed(segs)
+
+    def test_close_cuts_on_a_falling_segment(self):
+        # Cut points closer together than 1 / (largest denominator),
+        # on a segment whose y falls as x grows: ordering them by x
+        # needs the exact key; a key that let them tie would fall back
+        # on y and reverse them.
+        segs = [Segment(Point(0, 1), Point(1, 0))]
+        segs += [
+            Segment(Point(Fraction(1, k), -1), Point(Fraction(1, k), 2))
+            for k in range(2, 31)
+        ]
+        assert planarize(segs) == _seed(segs)
+
+    def test_beyond_float_range(self):
+        # Coordinates float() cannot hold: no float filter, every pair
+        # on integers — a crossing, a T-junction, a collinear overlap
+        # and a vertex contact.
+        big = Fraction(10**400)
+        segs = [
+            Segment(Point(0, 0), Point(big, big)),
+            Segment(Point(0, big), Point(big, 0)),
+            Segment(Point(0, 0), Point(big, 0)),
+            Segment(Point(big / 2, 0), Point(big / 2, big / 3)),
+            Segment(Point(big / 4, 0), Point(big, 0)),
+            Segment(Point(big, 0), Point(big, Fraction(big, 7))),
+        ]
+        pieces = planarize(segs)
+        assert pieces == _seed(segs)
+        assert Point(big / 2, big / 2) in {p for s in pieces for p in s.endpoints()}
+

@@ -222,7 +222,6 @@ class TestCompiledModelPaths:
         assert fast._index == slow._index
         assert fast.all_cells_mask == slow.all_cells_mask
         assert fast.face_indices == slow.face_indices
-        assert fast.face_rank == slow.face_rank
         assert fast.closure_of_face == slow.closure_of_face
         assert fast.ext_bit == slow.ext_bit
         assert fast.edge_entries == slow.edge_entries

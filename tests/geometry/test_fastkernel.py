@@ -22,10 +22,23 @@ points = st.builds(Point, coords, coords)
 
 
 @st.composite
-def distinct_pairs(draw):
+def distinct_pairs(draw, points=points):
     a = draw(points)
     b = draw(points.filter(lambda p: p != a))
     return a, b
+
+
+# Large, mixed denominators: the integer classifier puts the four
+# endpoints on the lcm of up to eight of them.
+big_coords = st.fractions(
+    min_value=-1000, max_value=1000, max_denominator=10**9
+)
+big_points = st.builds(Point, big_coords, big_coords)
+params = st.fractions(min_value=-2, max_value=3, max_denominator=10**6)
+
+
+def _on_line(a, b, t):
+    return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
 
 
 class TestOrientationAgrees:
@@ -141,6 +154,71 @@ class TestSegmentIntersectionAgrees:
             "none",
             None,
         )
+
+
+class TestDegenerateMixedDenominators:
+    """Contacts, T-junctions and collinear overlaps whose points carry
+    large, unrelated denominators — every such pair reaches the integer
+    classifier, which must give the seed kernel's values."""
+
+    @given(distinct_pairs(big_points), params, params)
+    def test_collinear(self, ab, t, u):
+        a, b = ab
+        c, d = _on_line(a, b, t), _on_line(a, b, u)
+        if c == d:
+            return
+        want = exact.segment_intersection(a, b, c, d)
+        assert fastkernel.segment_intersection(a, b, c, d) == want
+        assert fastkernel.exact_intersection(a, b, c, d) == want
+        assert fastkernel.segment_intersection(d, c, b, a) == (
+            exact.segment_intersection(d, c, b, a)
+        )
+
+    @given(distinct_pairs(big_points), params, big_points)
+    def test_t_junction(self, ab, t, d):
+        a, b = ab
+        c = _on_line(a, b, t)
+        if c == d:
+            return
+        for args in ((a, b, c, d), (c, d, a, b), (b, a, d, c)):
+            want = exact.segment_intersection(*args)
+            assert fastkernel.segment_intersection(*args) == want
+            assert fastkernel.exact_intersection(*args) == want
+
+    @given(distinct_pairs(big_points), params, big_points)
+    def test_shared_endpoint(self, ab, t, far):
+        """A shared endpoint with a collinear (overlap or touch) or a
+        turning continuation."""
+        a, b = ab
+        for d in (_on_line(a, b, t), far):
+            if d == a:
+                continue
+            for args in ((a, b, a, d), (b, a, d, a), (a, b, d, b)):
+                if args[2] == args[3]:
+                    continue
+                want = exact.segment_intersection(*args)
+                assert fastkernel.segment_intersection(*args) == want
+                assert fastkernel.exact_intersection(*args) == want
+
+    @given(distinct_pairs(big_points), distinct_pairs(big_points))
+    def test_random(self, ab, cd):
+        args = (*ab, *cd)
+        assert fastkernel.exact_intersection(
+            *args
+        ) == exact.segment_intersection(*args)
+
+    def test_beyond_float_range(self):
+        big = Fraction(10**400)
+        a, b = Point(0, 0), Point(big, big)
+        for c, d in (
+            (Point(0, big), Point(big, 0)),  # crossing
+            (Point(big / 2, big / 2), Point(big, 0)),  # T-junction
+            (Point(big / 3, big / 3), Point(2 * big, 2 * big)),  # overlap
+            (Point(big, big), Point(2 * big, big)),  # shared endpoint
+        ):
+            want = exact.segment_intersection(a, b, c, d)
+            assert fastkernel.segment_intersection(a, b, c, d) == want
+            assert fastkernel.exact_intersection(a, b, c, d) == want
 
 
 class TestCountersAndModes:
