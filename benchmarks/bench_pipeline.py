@@ -352,7 +352,7 @@ def test_traced_batch_exports_worker_spans(bench, tmp_path):
 
 def run_chaos(corpus, seeds, hang_seconds=0.02):
     """The chaos sweep: for each seed, a pseudo-random schedule of
-    worker and segment-store faults is injected into a threaded
+    worker and segment-store faults is injected into a process-pool
     pipeline over a segment store, twice — the second run over the
     reopened store, which serves whatever the first persisted.  Every
     ok outcome must be bit-identical to the fault-free reference, every
@@ -386,7 +386,7 @@ def run_chaos(corpus, seeds, hang_seconds=0.02):
             for _ in range(2):
                 with inject(plan):
                     with SegmentStore(root) as store, InvariantPipeline(
-                        backend="threads",
+                        backend="processes",
                         workers=4,
                         store=store,
                         retry=RetryPolicy(

@@ -20,9 +20,8 @@ Every row records p50/p99/mean latency, throughput, per-status counts,
 the coalescing hit-rate (from the ``service.*`` counter family), and —
 because every request's expected answer is precomputed directly
 against the engines — a ``wrong_answers`` count that must be zero.  A
-separate pass replays the pipeline-backed endpoints across all three
-pipeline backends (serial/threads/processes) and must also be
-bit-identical.
+separate pass replays the pipeline-backed endpoints across both
+pipeline backends (serial/processes) and must also be bit-identical.
 
 A second pass — the **distinct-lookup sweep** — drives invariant
 lookups of pairwise-distinct instances through one service, in a
@@ -73,7 +72,7 @@ from repro.datasets import fig_1a, fig_1b, overlap_chain
 from repro.instrument import counter_delta, counter_snapshot
 from repro.logic import evaluate_cells, parse
 from repro.logic.compiled import clear_universe_cache
-from repro.pipeline import InvariantPipeline
+from repro.pipeline import BACKENDS, InvariantPipeline
 
 LENS = SpatialInstance({"A": Rect(0, 0, 4, 4), "B": Rect(2, 2, 6, 6)})
 APART = SpatialInstance({"A": Rect(0, 0, 1, 1), "B": Rect(3, 3, 4, 4)})
@@ -102,9 +101,6 @@ AB_QUERIES = [
 AB_NAMES = ("lens", "apart", "nested")
 
 EQ_PAIRS = [("lens", "apart"), ("lens", "nested"), ("apart", "nested")]
-
-BACKENDS = ("serial", "threads", "processes")
-
 
 def _percentile(samples, q):
     if not samples:
@@ -297,7 +293,7 @@ def run_burst(job, n):
 
 
 def run_backend_check():
-    """Pipeline-backed endpoints across all three backends: every
+    """Pipeline-backed endpoints across both backends: every
     answer bit-identical to direct evaluation."""
     reference_inv = {
         n: canonical_hash(invariant(CORPUS[n])) for n in AB_NAMES
@@ -529,7 +525,7 @@ def _print_rows(rows):
 
 
 def test_served_answers_bit_identical_under_load():
-    """A small closed loop plus the three-backend replay: zero wrong
+    """A small closed loop plus the two-backend replay: zero wrong
     answers anywhere."""
     clear_universe_cache()
     row = run_closed_loop(build_jobs(repeat=2), clients=4)

@@ -286,10 +286,6 @@ class Subdivision:
     def face_of_dart(self, d: int) -> int:
         return self.face_of_cycle[self.cycle_of_dart[d]]
 
-    def faces_of_piece(self, k: int) -> tuple[int, int]:
-        """The faces left of dart 2k and of its twin (may coincide)."""
-        return (self.face_of_dart(2 * k), self.face_of_dart(2 * k + 1))
-
     def pieces_along(self, seg: Segment) -> list[int]:
         """The pieces covering *seg*, in order from ``seg.a`` to ``seg.b``.
 

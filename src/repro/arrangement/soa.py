@@ -259,12 +259,6 @@ class ComplexArrays:
         """Bitset (bit == global cell index) for ``label[pos] == char``."""
         return mask_from_bool(self.label_flags(pos, char))
 
-    def mask_of_indices(self, indices: np.ndarray | Sequence[int]) -> int:
-        """Bitset with exactly the given global indices set."""
-        flags = np.zeros(self.n_cells, dtype=bool)
-        flags[np.asarray(indices, dtype=np.intp)] = True
-        return mask_from_bool(flags)
-
     # -- equality ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -25,8 +25,8 @@ otherwise.
 
 ``worker_crash``
     A pool worker dies while holding a task.  In a process worker the
-    process exits hard (``os._exit``), breaking the pool; inline (serial
-    or thread execution) it raises :class:`~repro.errors.WorkerError`.
+    process exits hard (``os._exit``), breaking the pool; inline (the
+    serial backend) it raises :class:`~repro.errors.WorkerError`.
 ``worker_hang``
     The task sleeps for ``hang_seconds`` — long enough to trip the
     per-task timeout when one is configured, short enough that an
@@ -265,7 +265,7 @@ def draw(point: str, key: str | None = None) -> dict | None:
 
 def execute_inline(fault: dict | None, key: str | None = None) -> None:
     """Perform a drawn worker fault in the current interpreter (the
-    serial and thread backends): crash becomes a retryable
+    serial backend): crash becomes a retryable
     :class:`~repro.errors.WorkerError`, hang a bounded sleep."""
     if not fault:
         return

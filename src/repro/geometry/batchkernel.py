@@ -21,21 +21,19 @@ array*:
 ``CERT_CROSS``
     All four orientations are certified and strictly straddling: a
     proper crossing whose exact parameter lies in (0, 1).  The caller
-    completes it with the exact rational crossing point — the same
-    formula as both scalar kernels, so the ``Point`` is bit-identical.
+    places the crossing point exactly.
 ``AMBIGUOUS``
     Everything else: any uncertified sign, any exact degeneracy
     (endpoint contact, T-junction, collinear overlap), float overflow.
-    These pairs must be resolved exactly: by
-    :func:`repro.geometry.fastkernel.segment_intersection` (which keeps
-    its own counters), or, in the sweep planarizer, by the integer
-    classifier :func:`repro.geometry.fastkernel.classify_ints`.
+    These pairs must be resolved exactly; the sweep planarizer hands
+    them to the integer classifier
+    :func:`repro.geometry.fastkernel.classify_ints`.
 
 The contract mirrors the scalar filter's: a verdict other than
 ``AMBIGUOUS`` is a *proof*, never a guess, so batched consumers remain
 bit-identical to the seed kernel.  Coordinates too large for ``float``
 make :func:`segments_to_array` return ``None`` and the caller falls back
-to the scalar path wholesale.
+to exact classification wholesale.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fastkernel
 from .fastkernel import _ORIENT_COEFF, counters
 from .point import Point
 from .segment import Segment
@@ -56,10 +53,8 @@ __all__ = [
     "CERT_CROSS",
     "classify_pairs",
     "classify_pairs_counted",
-    "crossing_point",
     "orientation_filter",
     "points_to_array",
-    "segment_intersections",
     "segments_to_array",
 ]
 
@@ -73,8 +68,8 @@ def segments_to_array(segs: Sequence[Segment]) -> np.ndarray | None:
     """Rounded endpoint coordinates as an ``(N, 4)`` float array.
 
     Columns are ``(a.x, a.y, b.x, b.y)``.  Returns ``None`` when any
-    coordinate overflows ``float`` — the caller must then use the scalar
-    kernel for every pair involving that batch.
+    coordinate overflows ``float`` — the caller must then classify every
+    pair involving that batch exactly.
     """
     out = np.empty((len(segs), 4), dtype=np.float64)
     try:
@@ -176,7 +171,7 @@ def classify_pairs_counted(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Certified verdicts are counted here (``intersect_bbox_reject`` for
     bbox rejects, ``intersect_fast`` for the rest), matching what the
     scalar kernel would have recorded pair-by-pair.  ``AMBIGUOUS`` pairs
-    are *not* counted — the scalar fallback call the caller makes for
+    are *not* counted — the exact classification the caller makes for
     them does its own accounting.
     """
     verdicts = classify_pairs(P, Q)
@@ -192,52 +187,3 @@ def classify_pairs_counted(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     counters.intersect_bbox_reject += n_bbox
     counters.intersect_fast += n_cert
     return verdicts
-
-
-def crossing_point(a: Point, b: Point, c: Point, d: Point) -> tuple[str, Point]:
-    """Exact intersection of two segments certified as properly crossing.
-
-    Same formula as the fast and exact scalar kernels, so the resulting
-    ``Point`` is bit-identical to theirs.  Only valid under a
-    ``CERT_CROSS`` verdict (the lines provably meet at parameter
-    strictly inside both segments).
-    """
-    r = b - a
-    s = d - c
-    denom = r.cross(s)
-    t = (c - a).cross(s) / denom
-    return ("point", Point(a.x + r.x * t, a.y + r.y * t))
-
-
-def segment_intersections(
-    segs_a: Sequence[Segment], segs_b: Sequence[Segment]
-) -> list[tuple[str, object]]:
-    """Batched drop-in for pairwise ``fastkernel.segment_intersection``.
-
-    ``result[i] == fastkernel.segment_intersection(*segs_a[i], *segs_b[i])``
-    for every *i*, bit for bit.  Certified pairs never touch rational
-    arithmetic except to build the exact crossing point; ambiguous pairs
-    (and the whole batch under :func:`~repro.geometry.fastkernel.exact_mode`
-    or float overflow) delegate to the scalar kernel.
-    """
-    n = len(segs_a)
-    if n != len(segs_b):
-        raise ValueError("segs_a and segs_b must have equal length")
-    P = Q = None
-    if fastkernel.filter_enabled():
-        P = segments_to_array(segs_a)
-        Q = segments_to_array(segs_b) if P is not None else None
-    if Q is None:
-        return [
-            fastkernel.segment_intersection(s.a, s.b, t.a, t.b)
-            for s, t in zip(segs_a, segs_b)
-        ]
-    verdicts = classify_pairs_counted(P, Q)
-    results: list[tuple[str, object]] = [("none", None)] * n
-    for i in np.flatnonzero(verdicts == CERT_CROSS).tolist():
-        s, t = segs_a[i], segs_b[i]
-        results[i] = crossing_point(s.a, s.b, t.a, t.b)
-    for i in np.flatnonzero(verdicts == AMBIGUOUS).tolist():
-        s, t = segs_a[i], segs_b[i]
-        results[i] = fastkernel.segment_intersection(s.a, s.b, t.a, t.b)
-    return results

@@ -57,8 +57,9 @@ its own integer frames.  The ``Fraction`` predicates stay the seed
 oracle: :func:`exact_mode` routes every call to them.
 
 Counters are plain attribute increments on a module singleton: cheap,
-always on, and approximate under the threads backend (a lost increment
-is acceptable for statistics; correctness never depends on them).
+always on, and approximate when several threads compute at once, as a
+query service's executor threads do (a lost increment is acceptable for
+statistics; correctness never depends on them).
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def exact_mode() -> Iterator[None]:
     kernel, which is the seed behaviour.  Results are identical either
     way — this only exists so tests and benchmarks can compare the two
     paths.  The flag is module-global, so don't wrap it around work that
-    races with the threads backend.
+    races with other threads, such as a query service's executor.
     """
     global _filter_enabled
     prev = _filter_enabled

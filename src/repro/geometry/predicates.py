@@ -68,20 +68,6 @@ def segments_properly_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     return o1 * o2 < 0 and o3 * o4 < 0
 
 
-def _line_intersection(a: Point, b: Point, c: Point, d: Point) -> Point | None:
-    """Intersection point of the (infinite) lines *ab* and *cd*.
-
-    Returns ``None`` when the lines are parallel (including coincident).
-    """
-    r = b - a
-    s = d - c
-    denom = r.cross(s)
-    if denom == 0:
-        return None
-    t = (c - a).cross(s) / denom
-    return Point(a.x + r.x * t, a.y + r.y * t)
-
-
 def segment_intersection(
     a: Point, b: Point, c: Point, d: Point
 ) -> tuple[str, object]:

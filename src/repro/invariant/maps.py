@@ -61,9 +61,6 @@ class SimpleComponentMap:
     def neighbours(self, node: Node) -> tuple[Node, ...]:
         return self.rotation[node]
 
-    def segment_nodes(self) -> list[tuple[Node, Node]]:
-        return sorted(self.edge_of_segment)
-
 
 def _edge_chain(edge: str, direction: int) -> list[Node]:
     """Internal node chain of a subdivided edge in dart direction.

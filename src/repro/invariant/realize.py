@@ -228,14 +228,6 @@ class _ComponentDrawing:
             return {u: Point(0, 0), v: Point(1, 0)}
         return draw_block(block, self.smap.rotation, outer_cycle)
 
-    def _segment_pieces(self) -> list[tuple[Segment, str]]:
-        out = []
-        for (u, v), edge in self.smap.edge_of_segment.items():
-            out.append(
-                (Segment(self.positions[u], self.positions[v]), edge)
-            )
-        return out
-
     # -- main drawing loop -------------------------------------------------------
 
     def _draw(self) -> None:

@@ -276,19 +276,6 @@ def _find_cyclic_arrangement(
 # ---------------------------------------------------------------------------
 
 
-def _dart_tail(
-    t: TopologicalInvariant, dart: Dart
-) -> str | None:
-    """The vertex a dart leaves, or None for a free-loop dart."""
-    e, occ = dart
-    eps = t.endpoints.get(e, ())
-    if not eps:
-        return None
-    if len(eps) == 1:
-        return eps[0]
-    return eps[occ]
-
-
 def _twin(t: TopologicalInvariant, dart: Dart) -> Dart:
     e, occ = dart
     return (e, 1 - occ)

@@ -456,19 +456,6 @@ def _iff(a: PFormula, b: PFormula) -> PFormula:
     return AndF(ImpliesF(a, b), ImpliesF(b, a))
 
 
-def _sameorder(
-    p: PointVar, pn: PointVar, q: PointVar, qn: PointVar
-) -> PFormula:
-    """The proof's ``sameorder``: p, pn share a y-level; q, qn share an
-    x-level; and the x-order of (p, pn) matches the y-order of (q, qn)."""
-    return AndF(
-        _eq_y(p, pn),
-        _eq_x(q, qn),
-        _iff(PLessX(p, pn), PLessY(q, qn)),
-        _iff(PLessX(pn, p), PLessY(qn, q)),
-    )
-
-
 def real_to_point(formula: PFormula) -> PFormula:
     """Translate an FO(R, <) sentence to FO(P, <x, <y) (Prop. 5.7).
 

@@ -8,15 +8,16 @@ An :class:`InvariantPipeline` turns a corpus of
   :func:`~repro.invariant.canonical.instance_key` (a pure function of
   geometry), so repeated corpora, duplicated instances inside one batch,
   and re-runs against a segment store all skip recomputation;
-* **parallel computation** — the cold misses of a batch are mapped over
-  a worker pool (``serial`` / ``threads`` / ``processes``); the process
-  backend ships closed-form instances through a per-batch shared-memory
+* **parallel computation** — with ``backend="processes"`` the cold
+  misses of a batch are mapped over a process pool (``"serial"``
+  computes them inline); invariant computation is pure Python and
+  GIL-bound, so processes are what scale on multi-core machines.
+  Closed-form instances travel through a per-batch shared-memory
   arena (:mod:`repro.pipeline.shm` — each task's pickled message is a
   ``(name, offset, size)`` descriptor, the coordinates travel as one
   int64 array read zero-copy in the worker) with a per-instance JSON
   fallback for regions the array codec cannot carry (exact rationals
-  survive either trip), and is the backend that scales on multi-core
-  machines, since invariant computation is pure Python and GIL-bound;
+  survive either trip);
 * **hash-bucketed equivalence** — :meth:`equivalence_groups` buckets
   invariants by their complete canonical hash and runs the backtracking
   isomorphism search only within buckets, so the quadratic pairwise
@@ -25,8 +26,8 @@ An :class:`InvariantPipeline` turns a corpus of
 Execution is **fault tolerant** (see :mod:`repro.pipeline.resilience`):
 every instance gets its own outcome, transient failures are retried
 with deterministic backoff, a broken process pool is respawned a
-bounded number of times and then degraded ``processes → threads →
-serial``, and pooled tasks can carry a per-task timeout.  With
+bounded number of times and then degraded ``processes → serial``, and
+pooled tasks can carry a per-task timeout.  With
 ``on_error="raise"`` (the default) a persistent failure raises a
 :class:`~repro.errors.ComputeError` naming the instance key — but only
 after every sibling finished and was cached, so nothing is lost; the
@@ -44,7 +45,7 @@ under the batch's ``pipeline.compute_batch`` span.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 from .. import faults, tracing
@@ -74,7 +75,7 @@ __all__ = [
     "BACKENDS",
 ]
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 def _teardown_process_pool(pool: ProcessPoolExecutor) -> None:
@@ -139,9 +140,9 @@ class InvariantPipeline:
     Parameters
     ----------
     backend:
-        ``"serial"`` (default), ``"threads"``, or ``"processes"``.
+        ``"serial"`` (default) or ``"processes"``.
     workers:
-        Pool size for the parallel backends (default: CPU count).
+        Pool size for the process backend (default: CPU count).
     cache:
         An :class:`InvariantCache` to share between pipelines, or None to
         create a private one.
@@ -157,14 +158,13 @@ class InvariantPipeline:
         the default (3 attempts, capped exponential backoff with
         deterministic jitter).
     task_timeout:
-        Per-task deadline in seconds for the pooled backends, or None
-        (no deadline).  An overdue process task is charged a
-        :class:`~repro.errors.TimeoutError` and the pool is recycled;
-        thread tasks are observed cooperatively.  The serial backend
-        runs inline and enforces no preemption.
+        Per-task deadline in seconds for the process backend, or None
+        (no deadline).  An overdue task is charged a
+        :class:`~repro.errors.TimeoutError` and the pool is recycled.
+        The serial backend runs inline and enforces no preemption.
     max_pool_respawns:
         How many times a broken pool is respawned per batch before the
-        remaining tasks degrade to the next backend in the chain.
+        remaining tasks degrade to the serial backend.
     """
 
     def __init__(
@@ -196,12 +196,11 @@ class InvariantPipeline:
         self.max_pool_respawns = max_pool_respawns
         self.stats = PipelineStats()
         self._pool: ProcessPoolExecutor | None = None
-        self._thread_pool: ThreadPoolExecutor | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the persistent worker pools (if any were started).
+        """Shut down the persistent worker pool (if one was started).
 
         The pipeline remains usable afterwards — the next parallel
         batch starts a fresh pool."""
@@ -211,9 +210,6 @@ class InvariantPipeline:
             # Workers are idle between batches, so terminating is safe.
             _teardown_process_pool(self._pool)
             self._pool = None
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown()
-            self._thread_pool = None
 
     def __enter__(self) -> "InvariantPipeline":
         return self
@@ -228,24 +224,12 @@ class InvariantPipeline:
             self._pool = ProcessPoolExecutor(self.workers)
         return self._pool
 
-    def _threads(self) -> ThreadPoolExecutor:
-        # Persistent like the process pool — a throwaway executor per
-        # batch would pay thread startup on every call.
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(self.workers)
-        return self._thread_pool
-
     def _respawn_processes(self) -> None:
         # Replace a broken pool: kill the corpse (its workers are dead
         # or hung; nothing worth waiting for) and start fresh.
         if self._pool is not None:
             _teardown_process_pool(self._pool)
         self._pool = ProcessPoolExecutor(self.workers)
-
-    def _respawn_threads(self) -> None:
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False, cancel_futures=True)
-        self._thread_pool = ThreadPoolExecutor(self.workers)
 
     # -- single instance ----------------------------------------------------
 
@@ -366,12 +350,8 @@ class InvariantPipeline:
     ) -> dict[str, Outcome]:
         """Per-key outcomes for the batch's cold misses, via the
         resilient mapper over this pipeline's backend chain."""
-        if self.backend == "serial" or len(misses) == 1:
-            chain = ["serial"]
-        elif self.backend == "threads":
-            chain = ["threads", "serial"]
-        else:
-            chain = ["processes", "threads", "serial"]
+        pooled = self.backend == "processes" and len(misses) > 1
+        chain = ["processes", "serial"] if pooled else ["serial"]
 
         def run_inline(key: str, fault: dict | None):
             # Spans recorded by the task (arrangement build, canonize…)
@@ -384,21 +364,9 @@ class InvariantPipeline:
             return tracing.pack_result(value, cap)
 
         runners: dict[str, object] = {"serial": SerialRunner(run_inline)}
-        if "threads" in chain:
-            runners["threads"] = ExecutorRunner(
-                "threads",
-                submit=lambda key, fault: self._threads().submit(
-                    run_inline, key, fault
-                ),
-                respawn=self._respawn_threads,
-            )
         shm_batch = None
-        if "processes" in chain:
-            from ..io import (
-                instance_to_buffer,
-                instance_to_json,
-                invariant_from_json,
-            )
+        if pooled:
+            from ..io import instance_to_buffer, instance_to_json
             from .shm import ShmBatch
 
             payloads: dict[str, tuple] = {}
@@ -421,13 +389,10 @@ class InvariantPipeline:
             tracer = tracing.current_tracer()
             shipped = tracer.capture_counters if tracer is not None else None
             runners["processes"] = ExecutorRunner(
-                "processes",
                 submit=lambda key, fault: self._process_pool().submit(
                     _invariant_task, (key, payloads[key], fault, shipped)
                 ),
                 respawn=self._respawn_processes,
-                decode=invariant_from_json,
-                respawn_on_timeout=True,
             )
         mapper = ResilientMapper(
             runners,

@@ -17,15 +17,13 @@ supplies the recovery machinery the engine threads through instead:
   is injectable;
 * **pool recovery and degradation** — a broken process pool is
   respawned a bounded number of times; when the budget is exhausted the
-  remaining tasks degrade down the backend chain
-  (``processes → threads → serial``), with every transition recorded in
+  remaining tasks degrade to the serial backend
+  (``processes → serial``), with every transition recorded in
   :class:`~repro.pipeline.stats.PipelineStats`;
 * **per-task timeouts** — pooled tasks carry a deadline; an overdue
-  process task is charged a :class:`~repro.errors.TimeoutError` and the
-  pool (whose worker is still occupied) is recycled.  Thread tasks are
-  observed cooperatively: the timeout is charged but the worker thread
-  is left to drain on its own (threads cannot be killed).  The serial
-  backend runs inline and enforces no preemption.
+  task is charged a :class:`~repro.errors.TimeoutError` and the pool
+  (whose worker is still occupied) is recycled.  The serial backend
+  runs inline and enforces no preemption.
 
 Worker-side faults (:mod:`repro.faults`) are drawn by the parent at
 submit time, so the injected schedule stays deterministic even across
@@ -38,9 +36,9 @@ the ones queued behind them — is a victim: its submit-time attempt is
 refunded and it is requeued free of charge (tallied as
 ``victim_requeues``).  What bounds a persistently breaking pool is the
 respawn budget, not the victims' retry budgets: once
-``max_pool_respawns`` is spent the remaining tasks degrade down the
-chain to the inline backends, where a crash *is* attributable to the
-task that raised it and is charged normally.  Which futures happened to
+``max_pool_respawns`` is spent the remaining tasks degrade to the
+serial backend, where a crash *is* attributable to the task that raised
+it and is charged normally.  Which futures happened to
 land in the ``wait()`` done-set at break time therefore never changes
 any task's attempt count.  ``max_attempts`` is a total across backends
 — a task that burned two attempts before a degradation has one left
@@ -61,6 +59,7 @@ from .. import faults, tracing
 from ..errors import ComputeError, PipelineError, WorkerError
 from ..errors import TimeoutError as TaskTimeoutError
 from ..faults import InjectedFailure
+from ..io import invariant_from_json
 
 __all__ = [
     "RetryPolicy",
@@ -267,26 +266,20 @@ class SerialRunner:
 
 
 class ExecutorRunner:
-    """A pooled backend: *submit* is ``(key, fault_payload) -> Future``,
-    *respawn* replaces a broken pool (None means the pool cannot be
-    replaced), *decode* post-processes a successful future result in
-    the parent (the process backend's JSON decode), and
-    *respawn_on_timeout* says whether an overdue task leaves the pool
-    unusable (true for processes: the worker is still occupied)."""
+    """The process-pool backend: *submit* is ``(key, fault_payload) ->
+    Future`` resolving to the invariant's JSON, and *respawn* replaces
+    a broken pool.  An overdue task leaves its worker occupied, so a
+    timeout recycles the pool too."""
+
+    name = "processes"
 
     def __init__(
         self,
-        name: str,
         submit: Callable[[str, dict | None], Future],
-        respawn: Callable[[], None] | None = None,
-        decode: Callable[[Any], Any] | None = None,
-        respawn_on_timeout: bool = False,
+        respawn: Callable[[], None],
     ):
-        self.name = name
         self.submit = submit
         self.respawn = respawn
-        self.decode = decode
-        self.respawn_on_timeout = respawn_on_timeout
 
 
 class ResilientMapper:
@@ -496,8 +489,7 @@ class ResilientMapper:
                     try:
                         value = fut.result()
                         value, worker_spans = tracing.unpack_result(value)
-                        if runner.decode is not None:
-                            value = runner.decode(value)
+                        value = invariant_from_json(value)
                     except BrokenExecutor:
                         # Worker death is unattributable: the task whose
                         # future observed the break is a victim exactly
@@ -552,10 +544,9 @@ class ResilientMapper:
                         self._settle_failed(
                             key, exc, attempts, queue, outcomes, runner.name
                         )
-                        if runner.respawn_on_timeout:
-                            # The worker is still grinding on the
-                            # abandoned task: recycle the pool.
-                            broken = True
+                        # The worker is still grinding on the abandoned
+                        # task: recycle the pool.
+                        broken = True
 
             if broken:
                 # Tasks still in flight in the dead pool are victims
@@ -568,10 +559,7 @@ class ResilientMapper:
                         tracer, span, None, event="victim_requeued"
                     )
                     requeue_victim(key)
-                if (
-                    runner.respawn is None
-                    or respawns >= self.max_pool_respawns
-                ):
+                if respawns >= self.max_pool_respawns:
                     return list(queue)
                 respawns += 1
                 self.stats.count("pool_respawns")

@@ -6,8 +6,8 @@ pipeline's own work — cache hits and misses, computed invariants,
 dispatch, retries and degradations — and, for a service, per-endpoint
 request windows.  Stage time lives in spans (:mod:`repro.tracing`) and
 process-wide counters in :mod:`repro.instrument`; neither is copied
-here.  All mutation is lock-guarded so the threads backend can record
-concurrently.
+here.  All mutation is lock-guarded so a service's executor threads and
+its event loop can record concurrently.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ class PipelineStats:
                     cell["slo_met"] += 1
 
     def record_degradation(self, frm: str, to: str) -> None:
-        """A backend fell back (``processes`` → ``threads`` → ``serial``)
-        after exhausting its recovery budget."""
+        """A backend fell back (``processes`` → ``serial``) after
+        exhausting its recovery budget."""
         with self._lock:
             self.degradations.append((frm, to))
 

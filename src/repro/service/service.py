@@ -410,7 +410,8 @@ class QueryService:
                     return True
                 with self._pipeline_lock:
                     inv_a, inv_b = self.pipeline.compute_batch(
-                        [spec["inst"], spec["inst_b"]]
+                        [spec["inst"], spec["inst_b"]],
+                        keys=[spec["key"], spec["key_b"]],
                     )
                 deadline.check("equivalent")
                 return are_isomorphic(inv_a, inv_b)

@@ -13,13 +13,7 @@ and :data:`repro.store.store.SYNC_POLICIES` for the durability
 contract.
 """
 
-from .codec import (
-    StoredRecord,
-    decode_complex,
-    decode_record,
-    encode_complex,
-    encode_record,
-)
+from .codec import StoredRecord, decode_record, encode_record
 from .mirror import MirroredStore
 from .scrub import ScrubReport, Scrubber
 from .segment import Segment
@@ -36,8 +30,6 @@ __all__ = [
     "StoredRecord",
     "encode_record",
     "decode_record",
-    "encode_complex",
-    "decode_complex",
     "morton_codes",
     "morton_ranges",
 ]

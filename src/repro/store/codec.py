@@ -1,9 +1,9 @@
-"""Binary record codecs for the persistent invariant store.
+"""Binary record codec for the persistent invariant store.
 
-Two record bodies, both following the :mod:`repro.io.array_io` RAI1
+One record body, following the :mod:`repro.io.array_io` RAI1
 discipline — a tiny JSON *shape* header (magic, length, pad to 8) with
 every bulk quantity in flat little-endian numpy blocks decoded by
-``np.frombuffer`` views (zero-copy when the source is an mmap window):
+``np.frombuffer`` views (zero-copy when the source is an mmap window).
 
 **Invariant records** (``RTI1``) hold one ``T_I`` as struct-of-arrays:
 cells are ordinals (vertices, edges, faces each in sorted-id order,
@@ -22,27 +22,20 @@ geometry (the RAI1 buffer, or JSON for non-closed-form regions), which
 is what lets :meth:`repro.service.QueryService.register` resolve an
 instance straight from the store.
 
-**Complex records** (``RCX1``) hold one
-:class:`~repro.arrangement.soa.ComplexArrays` — the combinatorial
-arrays verbatim plus the exact rational witnesses flattened into one
-int64 ``(k, 2)`` ``(numerator, denominator)`` block, the RAI1 rational
-encoding extended to whole complexes.  Decoding rebuilds the
-combinatorial arrays as zero-copy views over the buffer; coordinates
-beyond ``2**62`` make :func:`encode_complex` return ``None`` (the
-caller skips or stores the invariant only).
+Segments written by earlier versions may also hold ``RCX1`` cell-complex
+records (segment kind 2); no reader decodes them, and the store carries
+them verbatim through compaction, scrub and mirror repair.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from fractions import Fraction
 
 import numpy as np
 
-from ..arrangement.soa import ComplexArrays, label_rows, label_tuples
+from ..arrangement.soa import label_rows, label_tuples
 from ..errors import StoreError
-from ..geometry import Point
 from ..invariant.structure import CCW, CW, TopologicalInvariant
 from ..regions import SpatialInstance
 
@@ -50,13 +43,9 @@ __all__ = [
     "encode_record",
     "decode_record",
     "StoredRecord",
-    "encode_complex",
-    "decode_complex",
 ]
 
 _INV_MAGIC = b"RTI1"
-_CX_MAGIC = b"RCX1"
-_COORD_LIMIT = 1 << 62
 _I32_MAX = (1 << 31) - 1
 _SENSE_CODES = {CW: 0, CCW: 1}
 _SENSE_CHARS = (CW, CCW)
@@ -376,158 +365,3 @@ def decode_record(buf) -> StoredRecord:
     if header.get("k") not in ("soa", "json"):
         raise StoreError(f"unknown invariant record kind {header.get('k')!r}")
     return StoredRecord(header, view, offset)
-
-
-# ---------------------------------------------------------------------------
-# Complex records.
-# ---------------------------------------------------------------------------
-
-
-def _push_rationals(rows: list[tuple[int, int]], points) -> bool:
-    for p in points:
-        for value in (p.x, p.y):
-            num, den = value.numerator, value.denominator
-            if abs(num) >= _COORD_LIMIT or den >= _COORD_LIMIT:
-                return False
-            rows.append((num, den))
-    return True
-
-
-def encode_complex(arrays: ComplexArrays) -> bytes | None:
-    """One complex-record body, or ``None`` when a rational witness
-    overflows int64 (store the invariant record only, then).
-
-    The combinatorial arrays are written verbatim; the exact witnesses
-    (vertex points, edge polylines, face samples) flatten into one
-    int64 ``(k, 2)`` rational block in reading order.
-    """
-    expect = sorted(
-        [f"v{i}" for i in range(arrays.n_vertices)]
-        + [f"e{i}" for i in range(arrays.n_edges)]
-        + [f"f{i}" for i in range(arrays.n_faces)]
-    )
-    if list(arrays.cell_ids) != expect:
-        return None  # non-standard numbering; nothing produces this today
-    rows: list[tuple[int, int]] = []
-    if not _push_rationals(rows, arrays.vertex_points):
-        return None
-    plens = []
-    for line in arrays.edge_polylines:
-        plens.append(len(line))
-        if not _push_rationals(rows, line):
-            return None
-    if not _push_rationals(rows, arrays.face_samples):
-        return None
-    header = {
-        "v": 1,
-        "names": list(arrays.names),
-        "nv": arrays.n_vertices,
-        "ne": arrays.n_edges,
-        "nf": arrays.n_faces,
-        "ext": int(arrays.exterior_face),
-        "ninc": int(len(arrays.incidence)),
-        "nccw": int(len(arrays.ccw)),
-        "plens": plens,
-        "xy": arrays.vertex_xy is not None,
-    }
-    ints = b"".join(
-        (
-            arrays.edge_endpoints.astype("<i4", copy=False).tobytes(),
-            arrays.incidence.astype("<i4", copy=False).tobytes(),
-            arrays.ccw.astype("<i4", copy=False).tobytes(),
-        )
-    )
-    blocks = [ints, arrays.labels.astype("u1", copy=False).tobytes()]
-    if arrays.vertex_xy is not None:
-        blocks.append(arrays.vertex_xy.astype("<f8", copy=False).tobytes())
-    blocks.append(
-        np.array(rows, dtype="<i8").reshape(len(rows), 2).tobytes()
-    )
-    return _frame(_CX_MAGIC, header, blocks)
-
-
-def _points_from_rows(arr: np.ndarray, pos: int, count: int) -> tuple[list[Point], int]:
-    chunk = arr[pos : pos + 2 * count].tolist()
-    pts = [
-        Point(
-            Fraction(chunk[2 * i][0], chunk[2 * i][1]),
-            Fraction(chunk[2 * i + 1][0], chunk[2 * i + 1][1]),
-        )
-        for i in range(count)
-    ]
-    return pts, pos + 2 * count
-
-
-def decode_complex(buf) -> ComplexArrays:
-    """Rebuild a :class:`ComplexArrays` from a complex-record body.
-
-    The combinatorial arrays (labels, incidence, ccw, endpoints,
-    vertex_xy) are zero-copy read-only views over *buf* — they stay
-    valid only while the owning buffer (an mmap'd segment) is open.
-    The rational witnesses are materialized Python objects.
-    """
-    header, view, off = _unframe(buf, _CX_MAGIC)
-    if header.get("v") != 1:
-        raise StoreError(f"unknown complex record version {header.get('v')!r}")
-    try:
-        nv, ne, nf = header["nv"], header["ne"], header["nf"]
-        names = tuple(header["names"])
-        plens = list(header["plens"])
-    except KeyError as exc:
-        raise StoreError(f"complex record header missing {exc}") from exc
-    if len(plens) != ne:
-        raise StoreError("polyline count does not match edge count")
-    n = nv + ne + nf
-    start = off
-    endpoints, off = _take(view, off, "<i4", 2 * ne, (ne, 2))
-    incidence, off = _take(view, off, "<i4", 2 * header["ninc"], (header["ninc"], 2))
-    ccw, off = _take(view, off, "<i4", 3 * header["nccw"], (header["nccw"], 3))
-    off += _pad8(off - start)
-    labels, off = _take(view, off, "u1", n * len(names), (n, len(names)))
-    off += _pad8(off - start)
-    vertex_xy = None
-    if header.get("xy"):
-        vertex_xy, off = _take(view, off, "<f8", 2 * nv, (nv, 2))
-        off += _pad8(off - start)
-    n_rat = 2 * nv + 2 * sum(plens) + 2 * nf
-    rationals, off = _take(view, off, "<i8", 2 * n_rat, (n_rat, 2))
-    vertex_points, pos = _points_from_rows(rationals, 0, nv)
-    edge_polylines = []
-    for length in plens:
-        line, pos = _points_from_rows(rationals, pos, length)
-        edge_polylines.append(line)
-    face_samples, pos = _points_from_rows(rationals, pos, nf)
-
-    ids = sorted(
-        [f"v{i}" for i in range(nv)]
-        + [f"e{i}" for i in range(ne)]
-        + [f"f{i}" for i in range(nf)]
-    )
-    index = {c: i for i, c in enumerate(ids)}
-    dims = np.empty(n, dtype=np.int8)
-    for c, i in index.items():
-        dims[i] = {"v": 0, "e": 1, "f": 2}[c[0]]
-    if not 0 <= header["ext"] < n or dims[header["ext"]] != 2:
-        raise StoreError("complex exterior-face index out of range")
-    vertex_gidx = np.array(
-        [index[f"v{i}"] for i in range(nv)], dtype=np.int32
-    )
-    edge_gidx = np.array([index[f"e{i}"] for i in range(ne)], dtype=np.int32)
-    face_gidx = np.array([index[f"f{i}"] for i in range(nf)], dtype=np.int32)
-    return ComplexArrays(
-        names=names,
-        cell_ids=tuple(ids),
-        dims=dims,
-        labels=labels,
-        incidence=incidence.astype(np.int32, copy=False),
-        ccw=ccw.astype(np.int32, copy=False),
-        edge_endpoints=endpoints.astype(np.int32, copy=False),
-        exterior_face=int(header["ext"]),
-        vertex_gidx=vertex_gidx,
-        edge_gidx=edge_gidx,
-        face_gidx=face_gidx,
-        vertex_xy=vertex_xy,
-        vertex_points=vertex_points,
-        edge_polylines=edge_polylines,
-        face_samples=face_samples,
-    )

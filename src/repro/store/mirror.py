@@ -35,17 +35,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..errors import StoreError
 from . import codec
-from .segment import KIND_COMPLEX, KIND_INVARIANT, KIND_TOMBSTONE
-from .store import (
-    SegmentStore,
-    _cx_key,
-    _raw_key,
-    _safe_float_bbox,
-    counters,
-)
+from .segment import KIND_INVARIANT, KIND_TOMBSTONE
+from .store import SegmentStore, _raw_key, _safe_float_bbox, counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..arrangement.soa import ComplexArrays
     from ..invariant import TopologicalInvariant
     from ..regions import SpatialInstance
 
@@ -191,25 +184,10 @@ class MirroredStore:
             self._fanout(raw, payload, KIND_INVARIANT, bbox)
         return len(payload)
 
-    def put_complex(self, key: str | bytes, arrays: "ComplexArrays") -> bool:
-        raw = _raw_key(key)
-        payload = codec.encode_complex(arrays)
-        if payload is None:
-            counters.count("complex_fallbacks")
-            return False
-        with self._lock:
-            self._fanout(_cx_key(raw), payload, KIND_COMPLEX)
-        return True
-
     def delete(self, key: str | bytes) -> None:
         raw = _raw_key(key)
         with self._lock:
             self._fanout(raw, b"", KIND_TOMBSTONE)
-            if any(
-                self._replicas[i]._find(_cx_key(raw)) is not None
-                for i in self._up_indices()
-            ):
-                self._fanout(_cx_key(raw), b"", KIND_TOMBSTONE)
 
     def bulk_load(
         self,
@@ -305,15 +283,6 @@ class MirroredStore:
         if record is None or not record.has_instance:
             return None
         return record.instance()
-
-    def get_complex(self, key: str | bytes) -> "ComplexArrays | None":
-        raw = _cx_key(_raw_key(key))
-        with self._lock:
-            res = self._resolve_raw(raw)
-        if res is None or res[0] == KIND_TOMBSTONE:
-            return None
-        counters.count("complex_hits")
-        return codec.decode_complex(res[1])
 
     def __contains__(self, key: str | bytes) -> bool:
         res = self.get_raw(key)

@@ -71,6 +71,8 @@ _TRAILER = struct.Struct("<8sQQ")  # magic, data_end, footer_len
 _TRAILER_SIZE = _TRAILER.size + 32  # + sha256
 
 KIND_INVARIANT = 1
+# ``RCX1`` cell-complex records, written only by earlier versions: still
+# a valid kind on disk, carried verbatim and never decoded.
 KIND_COMPLEX = 2
 KIND_TOMBSTONE = 3
 _KINDS = (KIND_INVARIANT, KIND_COMPLEX, KIND_TOMBSTONE)

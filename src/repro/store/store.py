@@ -9,10 +9,10 @@ Reads resolve **newest-wins**: the active segment first, then sealed
 segments newest to oldest; a tombstone record shadows every older
 version of its key.
 
-Values are the compact binary records of :mod:`repro.store.codec` —
-invariants (with optional embedded geometry) under the caller's key,
-cell complexes under a derived per-key namespace — so a ``get`` is an
-index probe plus a zero-copy decode over the mmap, never a pickle.
+Values are the compact binary invariant records of
+:mod:`repro.store.codec` (with optional embedded geometry) under the
+caller's key, so a ``get`` is an index probe plus a zero-copy decode
+over the mmap, never a pickle.
 
 Opening a store heals it: a segment with a torn tail (crash
 mid-append) is truncated to its last fully-written record and
@@ -30,7 +30,6 @@ Every operation tallies into the module-level ``store.*``
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from pathlib import Path
@@ -40,15 +39,9 @@ from .. import faults
 from ..errors import InstanceError, StoreError
 from ..instrument import Counters
 from . import codec
-from .segment import (
-    KIND_COMPLEX,
-    KIND_INVARIANT,
-    KIND_TOMBSTONE,
-    Segment,
-)
+from .segment import KIND_INVARIANT, KIND_TOMBSTONE, Segment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..arrangement.soa import ComplexArrays
     from ..invariant import TopologicalInvariant
     from ..regions import SpatialInstance
 
@@ -91,11 +84,6 @@ def _raw_key(key: str | bytes) -> bytes:
             f"store keys must be 32 bytes (sha256); got {len(raw)}"
         )
     return raw
-
-
-def _cx_key(raw: bytes) -> bytes:
-    """The namespace key a complex is stored under for instance *raw*."""
-    return hashlib.sha256(raw + b":complex").digest()
 
 
 def _safe_float_bbox(instance) -> tuple | None:
@@ -419,27 +407,12 @@ class SegmentStore:
                 self._unindex_class(raw)
         counters.count("raw_puts")
 
-    def put_complex(self, key: str | bytes, arrays: "ComplexArrays") -> bool:
-        """Store the cell complex for *key* (derived namespace key).
-        Returns False when the complex is not array-encodable."""
-        raw = _raw_key(key)
-        payload = codec.encode_complex(arrays)
-        if payload is None:
-            counters.count("complex_fallbacks")
-            return False
-        with self._lock:
-            self._append(_cx_key(raw), payload, KIND_COMPLEX)
-        counters.count("complex_puts")
-        return True
-
     def delete(self, key: str | bytes) -> None:
-        """Tombstone *key* (and its complex, if any): subsequent gets
-        miss, compaction drops the shadowed records."""
+        """Tombstone *key*: subsequent gets miss, compaction drops the
+        shadowed records."""
         raw = _raw_key(key)
         with self._lock:
             self._append(raw, b"", KIND_TOMBSTONE)
-            if self._find(_cx_key(raw)) is not None:
-                self._append(_cx_key(raw), b"", KIND_TOMBSTONE)
             self._unindex_class(raw)
         counters.count("tombstones")
 
@@ -525,19 +498,6 @@ class SegmentStore:
             return None
         return record.instance()
 
-    def get_complex(self, key: str | bytes) -> "ComplexArrays | None":
-        """The stored cell complex for *key*, or None."""
-        raw = _cx_key(_raw_key(key))
-        with self._lock:
-            self._check_open("read")
-            found = self._find(raw)
-            if found is None or found[1].kind == KIND_TOMBSTONE:
-                return None
-            seg, entry = found
-            payload = self._payload_of(seg, entry, raw)
-        counters.count("complex_hits")
-        return codec.decode_complex(payload)
-
     def __contains__(self, key: str | bytes) -> bool:
         raw = _raw_key(key)
         with self._lock:
@@ -564,7 +524,8 @@ class SegmentStore:
 
     def raw_keys(self) -> Iterator[tuple[bytes, int]]:
         """``(raw key, kind)`` of the newest record per key across
-        *every* namespace — invariants, complexes, and tombstones.  The
+        *every* kind — invariants, tombstones, and complex records left
+        by earlier versions.  The
         replication/repair work list: a mirror diffs this against a
         peer to find records the peer missed."""
         seen: set[bytes] = set()

@@ -1,12 +1,12 @@
 """Tests for the numpy-batched segment-pair filters.
 
-The batched classifier may only ever *agree* with the scalar exact
-kernel, pair for pair — on random inputs, on exact degeneracies
-(collinear triples, endpoint contacts, overlapping collinear segments),
-on near-degeneracies below float resolution, and on coordinates too
-large for ``float`` at all.  Verdict semantics and counter accounting
-are pinned down separately, since the sweep and the benchmarks rely on
-them.
+Every certified verdict of the batched classifier must be the scalar
+exact kernel's answer, pair for pair — on random inputs, on exact
+degeneracies (collinear triples, endpoint contacts, overlapping
+collinear segments), on near-degeneracies below float resolution, and
+on coordinates whose float products overflow.  Verdict semantics and
+counter accounting are pinned down separately, since the sweep and the
+benchmarks rely on them.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.arrangement import planarize, planarize_allpairs
 from repro.geometry import Point, Segment, batchkernel, fastkernel
 from repro.geometry.batchkernel import (
     AMBIGUOUS,
@@ -22,9 +23,9 @@ from repro.geometry.batchkernel import (
     CERT_NONE,
     classify_pairs,
     classify_pairs_counted,
-    segment_intersections,
     segments_to_array,
 )
+from repro.geometry.predicates import segments_properly_intersect
 
 coords = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
 points = st.builds(Point, coords, coords)
@@ -38,14 +39,20 @@ def segments(draw):
 
 
 def assert_batch_agrees(pairs):
-    got = segment_intersections(
-        [s for s, _ in pairs], [t for _, t in pairs]
-    )
-    want = [
-        fastkernel.segment_intersection(s.a, s.b, t.a, t.b)
-        for s, t in pairs
-    ]
-    assert got == want
+    """Each certified verdict is a proof of the exact kernel's answer:
+    rejects are disjoint pairs, crossings are proper crossings."""
+    if not pairs:
+        return
+    P = segments_to_array([s for s, _ in pairs])
+    Q = segments_to_array([t for _, t in pairs])
+    verdicts = classify_pairs(P, Q)
+    for v, (s, t) in zip(verdicts.tolist(), pairs):
+        kind, _ = fastkernel.segment_intersection(s.a, s.b, t.a, t.b)
+        if v in (BBOX_REJECT, CERT_NONE):
+            assert kind == "none"
+        elif v == CERT_CROSS:
+            assert kind == "point"
+            assert segments_properly_intersect(s.a, s.b, t.a, t.b)
 
 
 class TestAgreesWithScalar:
@@ -94,19 +101,26 @@ class TestAgreesWithScalar:
     def test_overflowing_coordinates_fall_back_wholesale(self):
         big = Fraction(10**400)
         s = Segment(Point(0, 0), Point(big, 0))
-        t = Segment(Point(1, -1), Point(1, 1))
         assert segments_to_array([s]) is None
-        assert segment_intersections([s], [t]) == [
-            fastkernel.segment_intersection(s.a, s.b, t.a, t.b)
-        ]
+        # Float-range coordinates whose orientation products overflow
+        # stay uncertified.
+        huge = 10**200
+        s = Segment(Point(0, 0), Point(huge, huge))
+        t = Segment(Point(huge, 0), Point(0, huge))
+        u = Segment(Point(huge, 0), Point(2 * huge, huge))
+        P = segments_to_array([s, s])
+        Q = segments_to_array([t, u])
+        assert classify_pairs(P, Q).tolist() == [AMBIGUOUS, AMBIGUOUS]
+        assert_batch_agrees([(s, t), (s, u)])
 
     def test_exact_mode_bypasses_the_batch_filter(self):
         s = Segment(Point(0, 0), Point(4, 0))
         t = Segment(Point(1, -1), Point(1, 1))
         fastkernel.counters.reset()
         with fastkernel.exact_mode():
-            got = segment_intersections([s], [t])
-        assert got == [("point", Point(1, 0))]
+            pieces = planarize([s, t])
+        assert pieces == planarize_allpairs([s, t])
+        assert len(pieces) == 4
         assert fastkernel.counters.batch_pairs == 0
         assert fastkernel.counters.intersect_exact == 1
 
@@ -151,17 +165,11 @@ class TestVerdictSemantics:
         Q = segments_to_array([t for _, t in pairs])
         verdicts = classify_pairs(P, Q)
         for v, (s, t) in zip(verdicts.tolist(), pairs):
-            kind, payload = fastkernel.segment_intersection(
-                s.a, s.b, t.a, t.b
-            )
+            kind, _ = fastkernel.segment_intersection(s.a, s.b, t.a, t.b)
             if v in (BBOX_REJECT, CERT_NONE):
                 assert kind == "none"
             elif v == CERT_CROSS:
                 assert kind == "point"
-                assert batchkernel.crossing_point(s.a, s.b, t.a, t.b) == (
-                    kind,
-                    payload,
-                )
 
 
 class TestCounters:
@@ -187,18 +195,10 @@ class TestCounters:
         assert c.batch_fallback == 1
         assert c.intersect_bbox_reject == 1
         assert c.intersect_fast == 1
-        # The ambiguous pair is only counted by the scalar call the
-        # caller then makes — not double-counted here.
+        # The ambiguous pair is only counted by the exact
+        # classification the caller then makes — not double-counted
+        # here.
         assert c.intersect_exact == 0
-
-    def test_batched_dropin_counts_scalar_fallbacks(self):
-        s = Segment(Point(0, 0), Point(4, 0))
-        t = Segment(Point(2, 0), Point(2, 3))
-        fastkernel.counters.reset()
-        segment_intersections([s], [t])
-        c = fastkernel.counters
-        assert c.batch_fallback == 1
-        assert c.intersect_exact == 1
 
 
 class TestArrayBuilders:
@@ -216,7 +216,6 @@ class TestArrayBuilders:
         assert batchkernel.points_to_array(pts) is None
 
     def test_empty_batch(self):
-        assert segment_intersections([], []) == []
         arr = segments_to_array([])
         assert arr.shape == (0, 4)
         assert classify_pairs(arr, arr).shape == (0,)

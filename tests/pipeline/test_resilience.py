@@ -317,6 +317,20 @@ class TestRetrySemantics:
         assert res.failures()[0].attempts == 1
         assert pipe.stats.retries == 0
 
+    def test_worker_crash_retried(self):
+        # Inline, a worker crash is a retryable WorkerError charged to
+        # the task that raised it.
+        insts = _corpus(4)
+        pipe = InvariantPipeline(retry=_policy())
+        with inject(FaultPlan(Fault("worker_crash", times=1))):
+            invs = pipe.compute_batch(insts)
+        assert len(invs) == 4
+        assert pipe.stats.retries == 1
+        once = InvariantPipeline(retry=_policy(max_attempts=1))
+        with inject(FaultPlan(Fault("worker_crash", times=1))):
+            res = once.compute_batch(insts[:1], on_error="collect")
+        assert isinstance(res.failures()[0].error, WorkerError)
+
     def test_fault_fires_show_up_in_stats_counters(self):
         insts = _corpus(2)
         plan = FaultPlan(Fault("invariant_raises", times=1))
@@ -328,44 +342,7 @@ class TestRetrySemantics:
         assert delta["fault.invariant_raises"] == 1
 
 
-# -- worker recovery (threads and processes) ----------------------------------
-
-
-class TestThreadRecovery:
-    def test_worker_crash_retried(self):
-        insts = _corpus(4)
-        plan = FaultPlan(Fault("worker_crash", times=1))
-        with InvariantPipeline(
-            backend="threads", workers=2, retry=_policy()
-        ) as pipe:
-            with inject(plan):
-                invs = pipe.compute_batch(insts)
-        assert len(invs) == 4
-        assert pipe.stats.retries == 1
-
-    def test_thread_pool_is_persistent(self):
-        with InvariantPipeline(backend="threads", workers=2) as pipe:
-            pipe.compute_batch(_corpus(3))
-            pool = pipe._thread_pool
-            assert pool is not None
-            pipe.compute_batch(_corpus(5))
-            assert pipe._thread_pool is pool
-        assert pipe._thread_pool is None  # closed on exit
-
-    def test_thread_timeout_charged_and_retried(self):
-        insts = _corpus(3)
-        key = instance_key(insts[0])
-        plan = FaultPlan(
-            Fault("worker_hang", times=1, key=key, hang_seconds=1.0)
-        )
-        with InvariantPipeline(
-            backend="threads", workers=2, task_timeout=0.1,
-            retry=_policy(),
-        ) as pipe:
-            with inject(plan):
-                invs = pipe.compute_batch(insts)
-        assert len(invs) == 3
-        assert pipe.stats.timeouts == 1
+# -- worker recovery (process pool) ------------------------------------------
 
 
 @pytest.mark.slow
@@ -401,7 +378,28 @@ class TestProcessRecovery:
         assert pipe.stats.timeouts == 1
         assert pipe.stats.pool_respawns == 1  # occupied worker recycled
 
-    def test_respawn_budget_exhaustion_degrades_to_threads(self):
+    def test_timeout_charged_and_retried(self):
+        # The overdue task pays one attempt and succeeds on its retry;
+        # siblings caught in the recycled pool are refunded victims.
+        insts = _corpus(3)
+        key = instance_key(insts[0])
+        plan = FaultPlan(
+            Fault("worker_hang", times=1, key=key, hang_seconds=30.0)
+        )
+        with InvariantPipeline(
+            backend="processes", workers=2, task_timeout=2.0,
+            retry=_policy(),
+        ) as pipe:
+            with inject(plan):
+                res = pipe.compute_batch(insts, on_error="collect")
+        assert res.ok
+        assert {o.key: o.attempts for o in res} == {
+            k: 2 if k == key else 1 for k in map(instance_key, insts)
+        }
+        assert pipe.stats.timeouts == 1
+        assert pipe.stats.retries == 1
+
+    def test_respawn_budget_exhaustion_degrades_to_serial(self):
         insts = _corpus(5)
         plan = FaultPlan(Fault("worker_crash", times=3))
         with InvariantPipeline(
@@ -411,8 +409,8 @@ class TestProcessRecovery:
             with inject(plan):
                 invs = pipe.compute_batch(insts)
         assert len(invs) == 5
-        assert ("processes", "threads") in pipe.stats.degradations
-        assert "degraded processes→threads" in pipe.stats.summary()
+        assert ("processes", "serial") in pipe.stats.degradations
+        assert "degraded processes→serial" in pipe.stats.summary()
 
     def test_persistent_per_key_crash_fails_only_that_key(self):
         insts = _corpus(4)
@@ -466,7 +464,7 @@ class TestProcessRecovery:
         # The pipeline is still usable...
         assert len(pipe.compute_batch(_corpus(3))) == 3
         pipe.close()
-        assert pipe._pool is None and pipe._thread_pool is None
+        assert pipe._pool is None
         deadline = time.monotonic() + 10
         while multiprocessing.active_children():
             assert time.monotonic() < deadline, "leaked worker processes"
@@ -581,7 +579,7 @@ class TestChaosProperty:
             for _ in range(2):
                 with inject(plan):
                     with SegmentStore(root) as store, InvariantPipeline(
-                        backend="threads",
+                        backend="processes",
                         workers=2,
                         store=store,
                         retry=_policy(max_attempts=2),

@@ -1,8 +1,8 @@
 """Concurrency behaviour of :class:`PipelineStats`.
 
-The threads backend records counters and gauges from worker threads
-while the parent mutates resilience counters — every mutation path must
-merge under the lock.  The hammer tests assert exact totals: any lost
+A query service records counters, gauges and endpoint windows from its
+executor threads while its event loop records too — every mutation path
+must merge under the lock.  The hammer tests assert exact totals: any lost
 update (the racy read-modify-write this suite guards against) shows up
 as a wrong sum.
 """
@@ -57,7 +57,7 @@ class TestConcurrentRecording:
         def worker(i):
             for r in range(ROUNDS // 4):
                 stats.count("timeouts")
-                stats.record_degradation("processes", "threads")
+                stats.record_degradation("processes", "serial")
                 stats.as_dict()  # readers must not tear either
 
         hammer(worker)

@@ -176,6 +176,25 @@ class TestEndpoints:
 
         run(main())
 
+    def test_equivalent_reuses_registered_keys(self, monkeypatch):
+        import repro.pipeline.engine as engine
+
+        calls = []
+
+        def counting_key(inst):
+            calls.append(inst)
+            return instance_key(inst)
+
+        async def main():
+            async with make_service() as svc:
+                await svc.invariant_of("lens")
+                await svc.invariant_of("apart")
+                monkeypatch.setattr(engine, "instance_key", counting_key)
+                assert (await svc.equivalent("lens", "apart")).value is False
+
+        run(main())
+        assert calls == []
+
 
 class TestStoreBacked:
     def test_owned_pipeline_reads_the_store_and_writes_through(
@@ -790,7 +809,7 @@ class TestLifecycle:
             svc = make_service()
             pipe = svc.pipeline
             await svc.aclose()
-            assert pipe._pool is None and pipe._thread_pool is None
+            assert pipe._pool is None
 
         run(main())
 

@@ -125,7 +125,7 @@ RECT_JOBS = [
 REAL_JOBS = [("quad", q) for q in REAL_QUERIES]
 POINT_JOBS = [("quad2", q) for q in POINT_QUERIES]
 
-BACKENDS = ["serial", "threads", "processes"]
+BACKENDS = ["serial", "processes"]
 
 
 #: Direct evaluators a served answer is compared with, per endpoint:
@@ -396,7 +396,7 @@ class TestChaos:
         structured ReproError — never a wrong answer, never a hang."""
         names = ["lens", "apart", "nested"]
         pairs = [(a, b) for a in names for b in names if a < b]
-        _check_fault_schedule(seed, "threads", names, pairs)
+        _check_fault_schedule(seed, "serial", names, pairs)
 
     @settings(
         max_examples=8,

@@ -14,18 +14,12 @@ from repro import (
     canonical_hash,
     invariant,
 )
-from repro.arrangement import build_complex
 from repro.arrangement.soa import LABEL_CODES
 from repro.datasets import all_figures, grid_instance, mixed_corpus
 from repro.errors import ReproError, StoreError
 from repro.invariant.canonical import instance_key
 from repro.regions import AlgRegion
-from repro.store import (
-    decode_complex,
-    decode_record,
-    encode_complex,
-    encode_record,
-)
+from repro.store import decode_record, encode_record
 from repro.store.codec import (
     _I32_MAX,
     _INV_MAGIC,
@@ -222,27 +216,6 @@ class TestLabelDecode:
         t = _two_squares()
         back = decode_record(encode_record(t)).invariant()
         assert sorted(back.labels.values()) == sorted(t.labels.values())
-
-
-class TestComplexRoundTrip:
-    def test_arrays_round_trip_exactly(self):
-        inst = SpatialInstance(
-            {"A": Rect(0, 0, 4, 4), "B": Rect(2, 2, 6, 6)}
-        )
-        arrays = build_complex(inst).arrays
-        buf = encode_complex(arrays)
-        assert buf is not None
-        back = decode_complex(buf)
-        assert back.n_vertices == arrays.n_vertices
-        assert back.n_edges == arrays.n_edges
-        assert back.n_faces == arrays.n_faces
-        assert (back.edge_endpoints == arrays.edge_endpoints).all()
-        assert (back.incidence == arrays.incidence).all()
-        assert back.exterior_face == arrays.exterior_face
-        assert back.names == arrays.names
-        # Rational witnesses are exact — Fractions, not floats.
-        assert back.vertex_points == arrays.vertex_points
-        assert back.face_samples == arrays.face_samples
 
 
 class TestMalformedBuffers:

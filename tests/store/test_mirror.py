@@ -185,7 +185,7 @@ class TestReplicaFailure:
             # Repair copies everything the lame replica missed and
             # marks it up.
             copied = mirror.repair_replica(0)
-            assert copied >= 3  # keys[3:] and their complexes, if any
+            assert copied >= 3  # keys[3:]
             assert all(r["up"] for r in mirror.replica_status())
             for key in keys:
                 assert canonical_hash(

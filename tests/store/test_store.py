@@ -1,6 +1,7 @@
 """SegmentStore behaviour: round trips, reopen, windows, compaction,
 rolling, and the cache/pipeline/service wiring."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,17 +16,35 @@ from repro import (
     instance_key,
     invariant,
 )
-from repro.arrangement import build_complex
 from repro.errors import StoreError, UnknownInstanceError
 from repro.instrument import counter_delta, counter_snapshot
 from repro.pipeline import InvariantCache
-from repro.store import MirroredStore, SegmentStore
+from repro.store import MirroredStore, Scrubber, SegmentStore
+from repro.store.segment import KIND_COMPLEX
 
 
 def _inst(i: int) -> SpatialInstance:
     return SpatialInstance(
         {"A": Rect(i * 8, 0, i * 8 + 3, 3), "B": Rect(i * 8 + 1, 1, i * 8 + 5, 4)}
     )
+
+
+#: An ``RCX1`` cell-complex record of ``Rect(0, 0, 1, 1)``, byte for byte
+#: as earlier versions of the store wrote it (segment kind 2).
+RCX1_UNIT_SQUARE = bytes.fromhex(
+    "524358315a0000007b2276223a312c226e616d6573223a5b2241225d2c226e76"
+    "223a302c226e65223a312c226e66223a322c22657874223a312c226e696e6322"
+    "3a322c226e636377223a302c22706c656e73223a5b355d2c227879223a747275"
+    "657d000000000000ffffffffffffffff00000000010000000000000002000000"
+    "0102000000000000000000000000000001000000000000000000000000000000"
+    "0100000000000000000000000000000001000000000000000100000000000000"
+    "0100000000000000010000000000000001000000000000000100000000000000"
+    "0100000000000000010000000000000001000000000000000000000000000000"
+    "0100000000000000000000000000000001000000000000000000000000000000"
+    "0100000000000000020000000000000001000000000000000200000000000000"
+    "0100000000000000010000000000000002000000000000000100000000000000"
+    "0200000000000000"
+)
 
 
 def _fill(store, n, start=0):
@@ -84,16 +103,47 @@ class TestRoundTrip:
         assert store.get(key) is not None
         store.close()
 
-    def test_complex_round_trip(self, tmp_path):
-        store = SegmentStore(tmp_path)
-        inst = _inst(0)
-        key = instance_key(inst)
-        arrays = build_complex(inst).arrays
-        assert store.put_complex(key, arrays)
-        back = store.get_complex(key)
-        assert back.n_cells == arrays.n_cells
-        assert (back.incidence == arrays.incidence).all()
+
+class TestLegacyComplexRecords:
+    def test_kind2_records_are_carried_verbatim(self, tmp_path):
+        """A segment written by an earlier version may hold a complex
+        record next to invariant records.  Nothing reads it, but
+        reopen, compaction, scrub and mirror repair all carry it."""
+        insts = [_inst(i) for i in range(3)]
+        keys = [instance_key(inst) for inst in insts]
+        want = {k: canonical_hash(invariant(i)) for k, i in zip(keys, insts)}
+        cx_raw = hashlib.sha256(bytes.fromhex(keys[0]) + b":complex").digest()
+
+        def check(store):
+            assert sorted(store.keys()) == sorted(keys)
+            assert len(store) == len(keys)
+            for key in keys:
+                assert canonical_hash(store.get(key)) == want[key]
+            kind, payload, _ = store.get_raw(cx_raw)
+            assert (kind, payload) == (KIND_COMPLEX, RCX1_UNIT_SQUARE)
+
+        store = SegmentStore(tmp_path / "one")
+        for key, inst in zip(keys, insts):
+            store.put(key, invariant(inst), instance=inst)
+        store.put_raw(cx_raw, RCX1_UNIT_SQUARE, KIND_COMPLEX)
+        check(store)
         store.close()
+        with SegmentStore(tmp_path / "one") as store:
+            check(store)
+            assert store.compact()["live"] == 4
+            check(store)
+            report = Scrubber(store).run()
+            assert report.clean and report.records_verified == 4
+        with SegmentStore(tmp_path / "one") as store:
+            check(store)
+
+        with MirroredStore([tmp_path / "m0", tmp_path / "m1"]) as mirror:
+            for key, inst in zip(keys, insts):
+                mirror.put(key, invariant(inst), instance=inst)
+            mirror.replicas[1].put_raw(cx_raw, RCX1_UNIT_SQUARE, KIND_COMPLEX)
+            assert mirror.replicas[0].get_raw(cx_raw) is None
+            assert mirror.repair_replica(0) == 1
+            check(mirror.replicas[0])
 
 
 class TestPersistence:

@@ -12,7 +12,7 @@ Three families:
   submitting task;
 * **differential suite** — tracing is observation only: ``compute_batch``
   and ``evaluate_cells`` return bit-identical results (canonical hash)
-  with tracing on vs off, across the figure corpus, all three backends,
+  with tracing on vs off, across the figure corpus, both backends,
   and under seeded fault schedules.
 """
 
@@ -428,7 +428,7 @@ class TestDifferential:
             # Serial execution is fully deterministic (submit, retry,
             # and fault-draw order are all the loop order), so there
             # the whole ok/failed pattern must match exactly — on the
-            # pool backends which key absorbs a key-less fault or gets
+            # pool backend which key absorbs a key-less fault or gets
             # charged for observing a pool break is a scheduling race,
             # with or without tracing.
             assert results["on"] == results["off"]
