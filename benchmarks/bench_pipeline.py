@@ -447,7 +447,11 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small corpus, no thresholds, no JSON (CI harness check)",
+        help=(
+            "small corpus, no thresholds, no JSON; the trace goes to a "
+            "temporary directory unless --trace-out is given (CI harness "
+            "check)"
+        ),
     )
     parser.add_argument(
         "--chaos",
@@ -470,11 +474,20 @@ def main(argv=None):
     parser.add_argument(
         "--trace-out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "TRACE_pipeline.json",
-        help="where the Chrome trace artifact is written",
+        default=None,
+        help=(
+            "where the Chrome trace artifact is written (default: "
+            "TRACE_pipeline.json at the repo root; a temporary directory "
+            "under --smoke)"
+        ),
     )
     args = parser.parse_args(argv)
+    if args.trace_out is None:
+        args.trace_out = (
+            Path(tempfile.mkdtemp(prefix="bench-pipeline-"))
+            if args.smoke
+            else Path(__file__).resolve().parent.parent
+        ) / "TRACE_pipeline.json"
 
     corpus = mixed_corpus(24 if args.smoke else CORPUS_N, seed=SEED)
     overhead = measure_overhead(corpus, rounds=1 if args.smoke else 3)

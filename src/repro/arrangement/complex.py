@@ -74,8 +74,7 @@ class CellComplex:
     :class:`~repro.arrangement.soa.ComplexArrays` in :attr:`arrays`; the
     dict/frozenset attributes below are materialized lazily from it on
     first access, so existing callers see exactly the seed API while
-    vectorized consumers (the compiled evaluator, the benches) read the
-    arrays directly.
+    vectorized consumers (the benches) read the arrays directly.
 
     Attributes
     ----------

@@ -4,17 +4,16 @@ The reduced complex of Section 3 is combinatorial data — dimensions,
 labels, incidences, rotation triples — that the seed stored as
 string-keyed dicts and frozensets of string tuples.  This module holds
 the same information as flat numpy arrays over a single global cell
-numbering, which is what the compiled evaluator's bitset construction,
-the benchmarks' memory accounting, and the planned persistent store all
-want to consume:
+numbering, which is what the reduction and the benchmarks' memory
+accounting consume; the label codes are shared with the canonical form
+and the store's record codec:
 
 * cells are numbered ``0..n-1`` in sorted-id order (``"e0" < "e1" <
-  "e10" < … < "f0" < … < "v0" < …``), the exact numbering
-  :class:`repro.logic.compiled.CompiledCellModel` already uses, so a
-  boolean array over this numbering *is* a bitset;
+  "e10" < … < "f0" < … < "v0" < …``), the numbering
+  :class:`repro.logic.compiled.CompiledCellModel` also gives the cells
+  of a ``T_I``;
 * labels are small uint8 codes (``o=0, b=1, e=2``) in a dense
-  ``(n_cells, n_names)`` matrix, so one vectorized comparison builds a
-  per-name interior/boundary mask;
+  ``(n_cells, n_names)`` matrix;
 * incidence and counterclockwise rotation are int32 index pairs/triples
   (the clockwise half of the orientation relation is the mirror image
   and is reconstructed by the view layer);
@@ -41,7 +40,6 @@ __all__ = [
     "LABEL_CHARS",
     "label_rows",
     "label_tuples",
-    "mask_from_bool",
 ]
 
 # Location codes, chosen so that sorting by code sorts o < b < e.
@@ -95,18 +93,6 @@ def label_tuples(codes: np.ndarray) -> list[Label]:
     n, m = codes.shape
     text = LABEL_ASCII[codes].tobytes().decode("ascii")
     return [tuple(text[i * m : (i + 1) * m]) for i in range(n)]
-
-
-def mask_from_bool(flags: np.ndarray) -> int:
-    """Pack a boolean array into an arbitrary-precision Python bitmask.
-
-    Bit *i* of the result equals ``flags[i]`` — the same convention as
-    the compiled evaluator's cell bitsets (bit index == cell index).
-    """
-    if not flags.size:
-        return 0
-    packed = np.packbits(flags, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 class ComplexArrays:
@@ -248,16 +234,6 @@ class ComplexArrays:
         if self.vertex_xy is not None:
             total += self.vertex_xy.nbytes
         return total
-
-    # -- vectorized label queries ----------------------------------------------
-
-    def label_flags(self, pos: int, char: str) -> np.ndarray:
-        """Boolean array over the global numbering: label[pos] == char."""
-        return self.labels[:, pos] == LABEL_CODES[char]
-
-    def label_mask(self, pos: int, char: str) -> int:
-        """Bitset (bit == global cell index) for ``label[pos] == char``."""
-        return mask_from_bool(self.label_flags(pos, char))
 
     # -- equality ---------------------------------------------------------------
 

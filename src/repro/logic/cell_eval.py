@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from ..arrangement import Subdivision, compute_labels, planarize
+from ..arrangement import Subdivision, build_complex, compute_labels, planarize
 from ..arrangement.complex import CellComplex, _reduce
 from ..errors import QueryError
 from ..geometry import Point, Segment
@@ -72,8 +72,11 @@ def grid_refined_complex(
     Each overlay adds horizontal and vertical lines through every
     arrangement breakpoint and through the midpoints between consecutive
     breakpoints, splitting large faces (in particular the exterior) into
-    many cells so that quantified regions have room to maneuver.
+    many cells so that quantified regions have room to maneuver.  With
+    no overlay it is :func:`~repro.arrangement.build_complex`.
     """
+    if not levels:
+        return build_complex(instance)
     segments: list[Segment] = []
     for _name, region in instance.items():
         segments.extend(region.boundary_segments())
@@ -87,10 +90,7 @@ def grid_refined_complex(
         grid = [Segment(Point(x, y_lo), Point(x, y_hi)) for x in xs]
         grid += [Segment(Point(x_lo, y), Point(x_hi, y)) for y in ys]
         segments = planarize(segments + grid)
-    # The loop leaves an already-planar segment set; only the
-    # unrefined case still needs the pass.
-    pieces = segments if levels else planarize(segments)
-    sub = Subdivision(pieces)
+    sub = Subdivision(segments)
     labels = compute_labels(instance, sub)
     return _reduce(sub, labels)
 

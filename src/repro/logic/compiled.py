@@ -7,16 +7,21 @@ re-intersects those sets, every quantifier re-enumerates its domain,
 and every subformula is re-evaluated for every candidate tuple.  This
 module compiles both logics down to integer machinery:
 
-* **bitmask cell models** — the cells of a (refined) complex are
-  numbered once and every region value becomes two Python ints
-  (interior mask, closure mask).  The 4-intersection atoms reduce to
-  mask AND/compare, the disc test to mask BFS, and candidate sets of
-  the enumeration to hashable ints;
-* **one enumeration per instance** — the disc-region universe is a
-  pure function of ``(instance geometry, refinement, max_faces)``, so
-  it is content-addressed through the pipeline's
-  :class:`~repro.pipeline.cache.InvariantCache` machinery and computed
-  once no matter how many queries run against the instance;
+* **bitmask cell models** — the cells of a topological invariant
+  ``T_I`` are numbered once and every region value becomes two Python
+  ints (interior mask, closure mask).  The 4-intersection atoms reduce
+  to mask AND/compare, the disc test to mask BFS, and candidate sets of
+  the enumeration to hashable ints.  A grid-refined instance is first
+  turned into the ``T_I`` of its refined complex, so there is one model
+  constructor;
+* **one enumeration per isomorphism class** — by Theorem 5.6 the
+  disc-region universe is a function of ``T_I``: asked through a
+  ``T_I`` it is content-addressed by ``(canonical_hash, max_faces)``,
+  so all instances of a class share it.  Asked through bare geometry
+  it is keyed by ``(instance_key, refinement, max_faces)``, which costs
+  no canonical hash.  Both live in one
+  :class:`~repro.pipeline.cache.InvariantCache`, computed once no
+  matter how many queries run against them;
 * **formula compilation** — each AST node becomes a Python closure;
   quantifier nodes carry a per-node memo table keyed on the bindings of
   their *free* variables (sound because evaluation is a pure function
@@ -57,10 +62,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..arrangement.soa import mask_from_bool
 from ..errors import QueryError
 from ..geometry import Location, Point
 from ..instrument import Counters, Deadline
+from ..invariant import (
+    TopologicalInvariant,
+    canonical_hash,
+    instance_key,
+    invariant,
+)
 from ..regions import Rect, RectUnion, SpatialInstance
 from ..tracing import span
 from . import pointlogic as _pl
@@ -219,11 +229,16 @@ def _transpose(masks: list[int], width: int) -> list[int]:
 
 
 class CompiledCellModel:
-    """A cell complex compiled to integer-indexed, bitmask form.
+    """A topological invariant ``T_I`` compiled to integer-indexed,
+    bitmask form.
 
-    Cells are numbered once in sorted-id order; interiors, closures,
-    boundaries, edge–face incidence, and vertex stars are Python ints
-    with bit *i* standing for cell ``cell_ids[i]``.  The
+    Cells are numbered once in sorted-id order (the sorted keys of
+    ``labels``); interiors, closures, boundaries, edge–face incidence,
+    and vertex stars are Python ints with bit *i* standing for cell
+    ``cell_ids[i]``.  Only ``names``, ``labels``, the cell sets, the
+    incidences and the exterior face are read: the disc-region universe
+    is a function of those, so any ``T_I`` of the same isomorphism class
+    yields the same answers and the same budget refusals.  The
     connected-face-set enumeration follows the reference
     :class:`~repro.logic.cell_eval.CellModel` candidate for candidate
     (same order, same budget accounting) and decides the same disc
@@ -233,134 +248,28 @@ class CompiledCellModel:
 
     def __init__(
         self,
-        complex,
+        invariant: TopologicalInvariant,
         max_faces: int | None,
         max_regions: int,
         deadline: Deadline | None = None,
     ):
-        self.complex = complex
+        self.invariant = invariant
         self.max_faces = max_faces
         self.max_regions = max_regions
         self.deadline = deadline
-        arrays = getattr(complex, "arrays", None)
-        if arrays is not None:
-            self._init_from_arrays(arrays)
-        else:
-            self._init_from_cells(complex)
-
-    def _init_from_arrays(self, arrays) -> None:
-        """Build the bitset machinery straight from the SoA arrays.
-
-        ``arrays.cell_ids`` is already the sorted-id numbering this
-        model uses (bit *i* == ``cell_ids[i]``), so the label, closure,
-        and star masks come out of grouped array scans and
-        ``np.packbits`` instead of per-cell dict lookups.  The resulting
-        masks are identical to :meth:`_init_from_cells` on the view
-        dicts — the compiled-vs-reference equivalence suite checks the
-        answers, and the construction mirrors it relation for relation.
-        """
-        self.cell_ids: tuple[str, ...] = arrays.cell_ids
-        self._index = {cid: i for i, cid in enumerate(arrays.cell_ids)}
-        n = arrays.n_cells
-        self.all_cells_mask = (1 << n) - 1
-
-        # Faces in sorted-id order: the enumeration's anchor order
-        # (ascending global index == ascending id among faces).
-        self.face_indices = np.sort(arrays.face_gidx).tolist()
-
-        inc = arrays.incidence
-        dims = arrays.dims.tolist()
-
-        # Group incidence rows by the upper cell to get each face's
-        # down-set as one slice, packed into a bitset per face.
-        by_upper = np.argsort(inc[:, 1], kind="stable")
-        upper_sorted = inc[by_upper, 1]
-        lower_sorted = inc[by_upper, 0]
-        face_arr = np.asarray(self.face_indices, dtype=inc.dtype)
-        flags = np.zeros(n, dtype=bool)
-        down_of_face: dict[int, int] = {}
-        for fi, s, e in zip(
-            self.face_indices,
-            np.searchsorted(upper_sorted, face_arr, side="left").tolist(),
-            np.searchsorted(upper_sorted, face_arr, side="right").tolist(),
-        ):
-            rows = lower_sorted[s:e]
-            flags[rows] = True
-            down_of_face[fi] = mask_from_bool(flags)
-            flags[rows] = False
-        # Face closure: the face bit plus everything beneath it.
-        self.closure_of_face = {
-            fi: (1 << fi) | mask for fi, mask in down_of_face.items()
-        }
-
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for ia, ib in inc.tolist():
-            neighbors[ia].append(ib)
-            neighbors[ib].append(ia)
-        self.cell_neighbors = neighbors
-
-        # Group rows by the lower cell: each edge's faces and each
-        # vertex's star come out as one slice.
-        by_lower = np.argsort(inc[:, 0], kind="stable")
-        low_sorted = inc[by_lower, 0]
-        up_sorted = inc[by_lower, 1]
-
-        # Edge -> mask of its (one or two) incident faces.
-        self.edge_entries: list[tuple[int, int]] = []
-        face_adj: dict[int, list[int]] = {fi: [] for fi in self.face_indices}
-        edge_order = np.sort(arrays.edge_gidx)
-        for ie, s, e in zip(
-            edge_order.tolist(),
-            np.searchsorted(low_sorted, edge_order, side="left").tolist(),
-            np.searchsorted(low_sorted, edge_order, side="right").tolist(),
-        ):
-            fmask = 0
-            fs = []
-            for ib in up_sorted[s:e].tolist():
-                if dims[ib] == 2:
-                    fmask |= 1 << ib
-                    fs.append(ib)
-            if fmask:
-                self.edge_entries.append((1 << ie, fmask))
-            if len(set(fs)) == 2:
-                f1, f2 = sorted(set(fs))
-                face_adj[f1].append(f2)
-                face_adj[f2].append(f1)
-        self.face_adj = face_adj
-
-        # Vertex -> mask of incident edges and faces (the star).
-        self.vertex_entries: list[tuple[int, int]] = []
-        vertex_order = np.sort(arrays.vertex_gidx)
-        for iv, s, e in zip(
-            vertex_order.tolist(),
-            np.searchsorted(low_sorted, vertex_order, side="left").tolist(),
-            np.searchsorted(low_sorted, vertex_order, side="right").tolist(),
-        ):
-            smask = 0
-            for ib in up_sorted[s:e].tolist():
-                smask |= 1 << ib
-            if smask:
-                self.vertex_entries.append((1 << iv, smask))
-
-        self.ext_bit = 1 << arrays.exterior_face
-
-    def _init_from_cells(self, cx) -> None:
-        """Dict-walk construction for complexes without SoA arrays."""
-        self.cell_ids: tuple[str, ...] = tuple(sorted(cx.cells))
+        t = invariant
+        self.cell_ids: tuple[str, ...] = tuple(sorted(t.labels))
         index = {cid: i for i, cid in enumerate(self.cell_ids)}
-        self._index = index
         n = len(self.cell_ids)
         self.all_cells_mask = (1 << n) - 1
 
         # Faces in sorted-id order: the enumeration's anchor order.
-        self.face_indices = [index[c.id] for c in cx.faces]
-        self.face_indices.sort()
-        face_set = set(self.face_indices)
+        self.face_indices = sorted(index[f] for f in t.faces)
 
         up: dict[int, list[int]] = {}
         down_of_face: dict[int, int] = {fi: 0 for fi in self.face_indices}
         neighbors: list[list[int]] = [[] for _ in range(n)]
-        for a, b in cx.incidences:
+        for a, b in t.incidences:
             ia, ib = index[a], index[b]
             up.setdefault(ia, []).append(ib)
             if ib in down_of_face:
@@ -376,65 +285,49 @@ class CompiledCellModel:
         # Edge -> mask of its (one or two) incident faces.
         self.edge_entries: list[tuple[int, int]] = []
         face_adj: dict[int, list[int]] = {fi: [] for fi in self.face_indices}
-        for e in cx.edges:
-            ie = index[e.id]
-            fmask = 0
-            fs = []
-            for ib in up.get(ie, ()):
-                if ib in face_set:
-                    fmask |= 1 << ib
-                    fs.append(ib)
-            if fmask:
-                self.edge_entries.append((1 << ie, fmask))
-            if len(set(fs)) == 2:
-                f1, f2 = sorted(set(fs))
+        for ie in sorted(index[e] for e in t.edges):
+            fs = sorted({ib for ib in up.get(ie, ()) if ib in down_of_face})
+            if fs:
+                self.edge_entries.append((1 << ie, sum(1 << f for f in fs)))
+            if len(fs) == 2:
+                f1, f2 = fs
                 face_adj[f1].append(f2)
                 face_adj[f2].append(f1)
         self.face_adj = face_adj
 
         # Vertex -> mask of incident edges and faces (the star).
         self.vertex_entries: list[tuple[int, int]] = []
-        for v in cx.vertices:
-            iv = index[v.id]
+        for iv in sorted(index[v] for v in t.vertices):
             smask = 0
             for ib in up.get(iv, ()):
                 smask |= 1 << ib
             if smask:
                 self.vertex_entries.append((1 << iv, smask))
 
-        self.ext_bit = 1 << index[cx.exterior_face]
+        self.ext_bit = 1 << index[t.exterior_face]
 
     # -- values --------------------------------------------------------------
 
-    def label_masks(self, names: tuple[str, ...]) -> dict[str, CompiledRegion]:
-        """``ext(name)`` for every instance name, as compiled regions."""
-        cx = self.complex
-        named: dict[str, CompiledRegion] = {}
-        arrays = getattr(cx, "arrays", None)
-        if arrays is not None:
-            # One vectorized comparison per (name, sign) over the label
-            # code matrix; the packed bitsets use the same bit == cell
-            # index convention as self._index.
-            for pos, name in enumerate(cx.names):
-                interior = arrays.label_mask(pos, "o")
-                boundary = arrays.label_mask(pos, "b")
-                named[name] = CompiledRegion(
-                    interior, interior | boundary, ("ext", name)
-                )
-            return named
-        for pos, name in enumerate(cx.names):
-            interior = 0
-            boundary = 0
-            for cid, cell in cx.cells.items():
-                sign = cell.label[pos]
+    def label_masks(self) -> dict[str, CompiledRegion]:
+        """``ext(name)`` for every name of the invariant, as compiled
+        regions."""
+        labels = self.invariant.labels
+        names = self.invariant.names
+        interior = [0] * len(names)
+        boundary = [0] * len(names)
+        for i, cid in enumerate(self.cell_ids):
+            bit = 1 << i
+            for pos, sign in enumerate(labels[cid]):
                 if sign == "o":
-                    interior |= 1 << self._index[cid]
+                    interior[pos] |= bit
                 elif sign == "b":
-                    boundary |= 1 << self._index[cid]
-            named[name] = CompiledRegion(
-                interior, interior | boundary, ("ext", name)
+                    boundary[pos] |= bit
+        return {
+            name: CompiledRegion(
+                interior[pos], interior[pos] | boundary[pos], ("ext", name)
             )
-        return named
+            for pos, name in enumerate(names)
+        }
 
     # -- quantifier range ----------------------------------------------------
 
@@ -521,11 +414,7 @@ class CompiledCellModel:
                     continue
                 seen_sets.add(current)
                 if len(seen_sets) > budget:
-                    raise QueryError(
-                        "cell-region enumeration exceeded "
-                        f"{budget} candidates; lower the refinement, "
-                        "set max_faces, or raise max_regions"
-                    )
+                    raise _over_budget(budget)
                 # The time budget is polled at the same checkpoint as
                 # the size budget: enumeration cannot be preempted, so
                 # it cooperates.
@@ -613,80 +502,89 @@ def clear_universe_cache() -> None:
         _UNIVERSE_CACHE.clear()
 
 
-def _universe_key(
-    instance: SpatialInstance, refinement: int, max_faces: int | None
-) -> str:
-    from ..invariant.canonical import instance_key
-
-    return f"{instance_key(instance)}-r{refinement}-mf{max_faces}"
-
-
 def compiled_universe(
-    instance: SpatialInstance,
+    source,
     refinement: int = 0,
     max_faces: int | None = None,
     max_regions: int = 200_000,
-    complex=None,
     timeout: float | None = None,
+    class_hash: str | None = None,
 ) -> CompiledUniverse:
-    """The compiled disc-region universe of an instance.
+    """The compiled disc-region universe of *source*.
 
-    Content-addressed by ``(instance geometry, refinement, max_faces)``
-    through the pipeline cache machinery: repeated queries against one
-    instance skip planarization and enumeration entirely.  Passing an
-    explicit *complex* bypasses the cache (its provenance is unknown).
+    *source* is one of:
+
+    * a :class:`~repro.regions.SpatialInstance` — the universe is keyed
+      by ``(instance_key, refinement, max_faces)``; a miss builds the
+      instance's ``T_I`` (refined by *refinement* grid overlays);
+    * a :class:`~repro.invariant.TopologicalInvariant` — keyed by its
+      isomorphism class, ``(canonical_hash, max_faces)``, so every
+      ``T_I`` of one class shares one universe;
+    * a zero-argument function returning the ``T_I``, with the class's
+      *class_hash* passed alongside — a caller that already knows the
+      class supplies the invariant only on a miss (the function is not
+      called on a hit).  The hash is trusted, as ``compute_batch`` trusts
+      its keys.
+
+    Refinement overlays coordinate grids, so an invariant source at
+    ``refinement >= 1`` raises :class:`~repro.errors.QueryError`.
+
     A cached universe still honours *max_regions*: enumeration size is
-    stored with the universe and re-checked against the budget.
+    stored with the universe and re-checked against the budget.  That
+    size is fixed by the isomorphism class (each connected face set of
+    at most *max_faces* faces is counted once), so a class universe
+    refuses exactly when the reference evaluator would on any member.
 
-    *timeout* bounds a cold enumeration in seconds (cooperatively, via
-    :class:`~repro.instrument.Deadline`): past it the enumeration raises
-    :class:`repro.errors.TimeoutError`.  Cache hits never time out —
-    they do no enumeration.
+    *timeout* bounds a cold build and enumeration in seconds
+    (cooperatively, via :class:`~repro.instrument.Deadline`): past it
+    the enumeration raises :class:`repro.errors.TimeoutError`.  Cache
+    hits never time out — they do no enumeration.
     """
-    if complex is not None:
-        model = CompiledCellModel(
-            complex, max_faces, max_regions, deadline=_deadline(timeout)
+    if isinstance(source, SpatialInstance):
+        key = f"geo-{instance_key(source)}-r{refinement}-mf{max_faces}"
+    elif refinement:
+        raise QueryError(
+            "a grid refinement needs geometry: pass the instance, "
+            "not its invariant"
         )
-        return _build_universe(model, instance)
+    elif isinstance(source, TopologicalInvariant):
+        key = f"cls-{class_hash or canonical_hash(source)}-mf{max_faces}"
+    elif class_hash is None:
+        raise QueryError("an invariant-producing source needs its class_hash")
+    else:
+        key = f"cls-{class_hash}-mf{max_faces}"
     cache = universe_cache()
-    key = _universe_key(instance, refinement, max_faces)
     hit = cache.get(key)
     if hit is not None:
         counters.universe_hits += 1
         if hit.candidates_seen > max_regions:
-            raise QueryError(
-                "cell-region enumeration exceeded "
-                f"{max_regions} candidates; lower the refinement, "
-                "set max_faces, or raise max_regions"
-            )
+            raise _over_budget(max_regions)
         return hit
     counters.universe_misses += 1
-    cx = grid_refined_complex(instance, refinement)
-    model = CompiledCellModel(
-        cx, max_faces, max_regions, deadline=_deadline(timeout)
+    deadline = Deadline(timeout) if timeout is not None else None
+    if not isinstance(source, SpatialInstance):
+        t = source if isinstance(source, TopologicalInvariant) else source()
+    elif refinement:
+        t = TopologicalInvariant.from_complex(
+            grid_refined_complex(source, refinement)
+        )
+    else:
+        t = invariant(source)
+    model = CompiledCellModel(t, max_faces, max_regions, deadline)
+    with span("query.enumerate_universe", faces=len(model.face_indices)):
+        regions, candidates_seen = model.enumerate_universe()
+    counters.regions_enumerated += len(regions)
+    universe = CompiledUniverse(
+        model.cell_ids, t.names, regions, model.label_masks(), candidates_seen
     )
-    universe = _build_universe(model, instance)
     cache.put(key, universe)
     return universe
 
 
-def _deadline(timeout: float | None) -> Deadline | None:
-    return Deadline(timeout) if timeout is not None else None
-
-
-def _build_universe(
-    model: CompiledCellModel, instance: SpatialInstance
-) -> CompiledUniverse:
-    names = tuple(instance.names())
-    with span("query.enumerate_universe", faces=len(model.face_indices)):
-        regions, candidates_seen = model.enumerate_universe()
-    counters.regions_enumerated += len(regions)
-    return CompiledUniverse(
-        model.cell_ids,
-        names,
-        regions,
-        model.label_masks(names),
-        candidates_seen,
+def _over_budget(budget: int) -> QueryError:
+    return QueryError(
+        f"cell-region enumeration exceeded {budget} candidates; lower "
+        "the refinement, set max_faces, or raise max_regions"
     )
 
 
@@ -1162,20 +1060,26 @@ class _CellCompiler:
 
 def evaluate_cells(
     formula: Formula,
-    instance: SpatialInstance,
+    source,
     refinement: int = 0,
     max_faces: int | None = None,
     max_regions: int = 200_000,
     timeout: float | None = None,
+    class_hash: str | None = None,
 ) -> bool:
     """Evaluate a sentence under cell semantics.
 
-    ``refinement`` controls the grid overlay level (finer cells let
-    quantified regions approximate more shapes); ``max_faces`` caps the
-    size of quantified regions; ``timeout`` bounds a cold universe
-    enumeration, raising :class:`repro.errors.TimeoutError` when the
-    budget is exceeded (see :func:`compiled_universe`).  Answers are
-    identical to :func:`~repro.logic.cell_eval.evaluate_cells_reference`.
+    *source* is the instance, its invariant ``T_I``, or a function
+    producing the ``T_I`` together with the class's *class_hash* (see
+    :func:`compiled_universe`): by Theorem 5.6 the answer is a function
+    of ``T_I``, so every instance of one isomorphism class is answered
+    from one universe.  ``refinement`` controls the grid overlay level
+    (finer cells let quantified regions approximate more shapes) and
+    needs the instance; ``max_faces`` caps the size of quantified
+    regions; ``timeout`` bounds a cold universe build, raising
+    :class:`repro.errors.TimeoutError` when the budget is exceeded.
+    Answers are identical to
+    :func:`~repro.logic.cell_eval.evaluate_cells_reference`.
     """
     scopes: dict = {}
     free_region_vars, free_name_vars, _depth = _scope(formula, scopes)
@@ -1183,7 +1087,12 @@ def evaluate_cells(
         raise QueryError("can only evaluate sentences")
     with span("query.evaluate_cells", refinement=refinement):
         universe = compiled_universe(
-            instance, refinement, max_faces, max_regions, timeout=timeout
+            source,
+            refinement,
+            max_faces,
+            max_regions,
+            timeout=timeout,
+            class_hash=class_hash,
         )
         fn = _CellCompiler(universe, scopes).compile(formula)
         return fn({}, {})

@@ -24,8 +24,9 @@ out of the LRU.
 
 The memory tier holds any content-addressed artifact, not only
 invariants: the compiled query engine keeps its disc-region universes
-in a store-less cache keyed by ``instance_key`` plus the enumeration
-parameters.
+in a store-less cache, keyed by the ``canonical_hash`` of an
+isomorphism class when asked through ``T_I`` and by ``instance_key``
+when asked through bare geometry, plus the enumeration parameters.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ from ..errors import (
     UnknownInstanceError,
 )
 from ..instrument import Deadline
-from ..invariant import are_isomorphic, instance_key
+from ..invariant import are_isomorphic, canonical_hash, instance_key
 from ..logic import (
     evaluate_cells,
     evaluate_point,
@@ -115,6 +115,22 @@ class QueryAnswer:
             f"QueryAnswer({self.endpoint}, {self.value!r}, {how}, "
             f"{self.seconds * 1e3:.1f}ms)"
         )
+
+
+class _Registered:
+    """A registry entry: the geometry, its content key, and the
+    ``canonical_hash`` of its isomorphism class once known.  The class
+    is a function of the geometry, so learning it never goes stale;
+    re-registering a name replaces the whole entry."""
+
+    __slots__ = ("instance", "key", "class_hash")
+
+    def __init__(
+        self, instance: SpatialInstance, key: str, class_hash: str | None
+    ):
+        self.instance = instance
+        self.key = key
+        self.class_hash = class_hash
 
 
 class QueryService:
@@ -179,7 +195,7 @@ class QueryService:
         )
         self.stats = self.pipeline.stats
         self.default_timeout = default_timeout
-        self._instances: dict[str, tuple[SpatialInstance, str]] = {}
+        self._instances: dict[str, _Registered] = {}
         self._admission = AdmissionController(max_inflight, max_queue)
         self._coalesce = CoalesceTable()
         self._executor = ThreadPoolExecutor(
@@ -207,16 +223,26 @@ class QueryService:
     # -- instance registry --------------------------------------------------
 
     def register(self, name: str, instance: SpatialInstance) -> str:
-        """Store *instance* under *name*; returns its content key."""
+        """Store *instance* under *name*; returns its content key.  Its
+        isomorphism class is learned on the first refinement-0 cells
+        request."""
+        return self._register(name, instance, None)
+
+    def _register(
+        self, name: str, instance: SpatialInstance, class_hash: str | None
+    ) -> str:
         key = instance_key(instance)
-        self._instances[name] = (instance, key)
+        self._instances[name] = _Registered(instance, key, class_hash)
         return key
 
     def register_from_store(self, name: str, key: str) -> str:
         """Register the instance the segment store persisted under
         *key* (a 64-hex ``instance_key`` digest, e.g. from
         ``store.keys()`` or a window query).  The stored record must
-        carry its geometry (``bulk_load`` embeds it by default).
+        carry its geometry (``bulk_load`` embeds it by default).  The
+        record's canonical hash, when it has one, is the instance's
+        isomorphism class, so cells requests on it can share a class
+        universe from the start.
 
         Raises :class:`~repro.errors.UnknownInstanceError` when the
         service has no store, the key misses, or the record was stored
@@ -228,17 +254,22 @@ class QueryService:
                 endpoint="register",
                 name=name,
             )
-        instance = self._store_read(
-            "register", self.store.get_instance, key
-        )
-        if instance is None:
+
+        def read():
+            record = self.store.get_record(key)
+            if record is None or not record.has_instance:
+                return None
+            return record.instance(), record.canonical_hash
+
+        found = self._store_read("register", read)
+        if found is None:
             raise UnknownInstanceError(
                 f"segment store has no geometry for key {key[:12]}…",
                 endpoint="register",
                 name=name,
             )
         counters.count("store_registers")
-        return self.register(name, instance)
+        return self._register(name, *found)
 
     def _store_read(self, endpoint: str, fn, *args):
         """One store read through the circuit breaker.
@@ -278,9 +309,7 @@ class QueryService:
     def instance_names(self) -> list[str]:
         return sorted(self._instances)
 
-    def _resolve(
-        self, endpoint: str, name: str
-    ) -> tuple[SpatialInstance, str]:
+    def _resolve(self, endpoint: str, name: str) -> _Registered:
         try:
             return self._instances[name]
         except KeyError:
@@ -305,14 +334,19 @@ class QueryService:
         refinement: int = 0,
         timeout: float | None = None,
     ) -> QueryAnswer:
-        """Evaluate a cell-semantics sentence against instance *name*."""
-        inst, key = self._resolve("cells", name)
+        """Evaluate a cell-semantics sentence against instance *name*.
+
+        At refinement 0 the sentence is asked of the instance's
+        isomorphism class (Theorem 5.6): once the class is known, a
+        request whose class universe is cached reads neither the
+        pipeline nor the store, and a miss fetches ``T_I`` through the
+        pipeline."""
+        entry = self._resolve("cells", name)
         sentence = parse(formula) if isinstance(formula, str) else formula
-        ckey = ("cells", key, refinement, sentence)
+        ckey = ("cells", entry.key, refinement, sentence)
         spec = {
             "kind": "cells",
-            "key": key,
-            "inst": inst,
+            "entry": entry,
             "formula": sentence,
             "refinement": refinement,
         }
@@ -325,7 +359,8 @@ class QueryService:
         timeout: float | None = None,
     ) -> QueryAnswer:
         """Evaluate a rectangle-quantifier sentence against *name*."""
-        inst, key = self._resolve("rect", name)
+        entry = self._resolve("rect", name)
+        inst, key = entry.instance, entry.key
         sentence = parse(formula) if isinstance(formula, str) else formula
         ckey = ("rect", key, sentence)
         spec = {
@@ -343,7 +378,8 @@ class QueryService:
         timeout: float | None = None,
     ) -> QueryAnswer:
         """Evaluate an FO(R, <, Region') sentence against *name*."""
-        inst, key = self._resolve("real", name)
+        entry = self._resolve("real", name)
+        inst, key = entry.instance, entry.key
         ckey = ("real", key, formula)
         spec = {
             "kind": "real",
@@ -360,7 +396,8 @@ class QueryService:
         timeout: float | None = None,
     ) -> QueryAnswer:
         """Evaluate an FO(P, <x, <y, Region') sentence against *name*."""
-        inst, key = self._resolve("point", name)
+        entry = self._resolve("point", name)
+        inst, key = entry.instance, entry.key
         ckey = ("point", key, formula)
         spec = {
             "kind": "point",
@@ -375,8 +412,9 @@ class QueryService:
     ) -> QueryAnswer:
         """Are the two stored instances topologically equivalent?
         (Theorem 3.4: answered on the invariants, through the cache.)"""
-        inst_a, key_a = self._resolve("equivalent", name_a)
-        inst_b, key_b = self._resolve("equivalent", name_b)
+        a = self._resolve("equivalent", name_a)
+        b = self._resolve("equivalent", name_b)
+        inst_a, key_a, inst_b, key_b = a.instance, a.key, b.instance, b.key
         ckey = ("equivalent", frozenset((key_a, key_b)))
         spec = {
             "kind": "equivalent",
@@ -391,7 +429,8 @@ class QueryService:
         self, name: str, timeout: float | None = None
     ) -> QueryAnswer:
         """The stored instance's topological invariant ``T_I``."""
-        inst, key = self._resolve("invariant", name)
+        entry = self._resolve("invariant", name)
+        inst, key = entry.instance, entry.key
         ckey = ("invariant", key)
         spec = {"kind": "invariant", "key": key, "inst": inst}
         return await self._serve("invariant", ckey, spec, timeout)
@@ -421,12 +460,7 @@ class QueryService:
             def fn(deadline: Deadline) -> bool:
                 deadline.check(kind)
                 if kind == "cells":
-                    return evaluate_cells(
-                        spec["formula"],
-                        spec["inst"],
-                        refinement=spec["refinement"],
-                        timeout=deadline.remaining(),
-                    )
+                    return self._evaluate_cells(spec, deadline)
                 if kind == "rect":
                     return evaluate_rect(spec["formula"], spec["inst"])
                 if kind == "real":
@@ -438,6 +472,41 @@ class QueryService:
                 )
 
         return fn
+
+    def _evaluate_cells(self, spec: dict, deadline: Deadline) -> bool:
+        """A cells request, on an executor thread.  At refinement 0 the
+        sentence goes to the class universe: an entry whose class is
+        unknown gets its ``T_I`` from the pipeline and hashes it once;
+        one whose class is known fetches ``T_I`` only if the universe
+        misses.  Refinement overlays geometry, so it asks the
+        instance."""
+        entry = spec["entry"]
+        if spec["refinement"]:
+            return evaluate_cells(
+                spec["formula"],
+                entry.instance,
+                refinement=spec["refinement"],
+                timeout=deadline.remaining(),
+            )
+
+        def fetch():
+            with self._pipeline_lock:
+                return self.pipeline.compute_batch(
+                    [entry.instance], keys=[entry.key]
+                )[0]
+
+        source = fetch
+        if entry.class_hash is None:
+            # Threads racing here each store the same hash: the class
+            # is a function of the geometry.
+            source = fetch()
+            entry.class_hash = canonical_hash(source)
+        return evaluate_cells(
+            spec["formula"],
+            source,
+            timeout=deadline.remaining(),
+            class_hash=entry.class_hash,
+        )
 
     def _launch_compute(self, spec, deadline: Deadline) -> asyncio.Future:
         """Start the evaluation for *spec* and return its future.

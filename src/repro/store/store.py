@@ -30,6 +30,7 @@ Every operation tallies into the module-level ``store.*``
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 from pathlib import Path
@@ -39,7 +40,7 @@ from .. import faults
 from ..errors import InstanceError, StoreError
 from ..instrument import Counters
 from . import codec
-from .segment import KIND_INVARIANT, KIND_TOMBSTONE, Segment
+from .segment import KIND_COMPLEX, KIND_INVARIANT, KIND_TOMBSTONE, Segment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..invariant import TopologicalInvariant
@@ -791,7 +792,11 @@ class SegmentStore:
         output: if a crash lands after the new segment is visible but
         before the inputs are unlinked, reopening sees both and the
         delete stays in force (the survivor tombstone is dropped by the
-        next compaction once nothing is left to shadow).
+        next compaction once nothing is left to shadow).  A complex
+        record left by an earlier version is kept only while the
+        invariant key it belongs to (its key is ``sha256(key +
+        b":complex")``) is live; ``delete`` does not tombstone it, so
+        compaction drops the orphans.
         """
         with self._lock:
             self._check_open("compact")
@@ -816,6 +821,11 @@ class SegmentStore:
             for seg in inputs:  # oldest → newest; later wins
                 for raw, entry in seg.live_items():
                     newest[raw] = (seg, entry)
+            owned = {
+                hashlib.sha256(raw + b":complex").digest()
+                for raw, (_seg, entry) in newest.items()
+                if entry.kind == KIND_INVARIANT
+            }
             number = self._next_number()
             tmp = self.root / f"compact-{number:05d}.tmp"
             tmp.unlink(missing_ok=True)
@@ -827,6 +837,9 @@ class SegmentStore:
                     if entry.kind == KIND_TOMBSTONE:
                         if raw in put_keys:
                             out.append(raw, b"", KIND_TOMBSTONE)
+                        dropped += 1
+                        continue
+                    if entry.kind == KIND_COMPLEX and raw not in owned:
                         dropped += 1
                         continue
                     try:

@@ -3,8 +3,8 @@
 The arrays are the source of truth and the ``CellComplex`` dict /
 frozenset views are derived from them, so the two representations must
 tell exactly the same story; the compiled evaluator's bitset
-construction must come out identical whether built from the arrays or
-from a dict walk of the views.
+construction, which reads the complex's ``T_I``, must come out as the
+arrays say.
 """
 
 import numpy as np
@@ -16,10 +16,10 @@ from repro.arrangement.soa import (
     LABEL_CODES,
     label_rows,
     label_tuples,
-    mask_from_bool,
 )
 from repro.datasets import all_figures, fig_1b, fig_7a
 from repro.geometry import Point
+from repro.invariant import TopologicalInvariant
 from repro.logic.compiled import CompiledCellModel
 from repro.regions import Poly, Rect, SpatialInstance
 
@@ -30,16 +30,9 @@ def overlapping_pair():
     )
 
 
-class _ViewsOnly:
-    """Wrap a complex, hiding ``arrays`` so consumers take the dict path."""
-
-    def __init__(self, cx):
-        self._cx = cx
-
-    def __getattr__(self, name):
-        if name == "arrays":
-            raise AttributeError(name)
-        return getattr(self._cx, name)
+def _model(cx):
+    t = TopologicalInvariant.from_complex(cx)
+    return CompiledCellModel(t, 1 << 20, 1 << 20)
 
 
 class TestArraysMatchViews:
@@ -125,15 +118,17 @@ class TestArraysMatchViews:
         assert arrays.nbytes() >= floor > 0
 
     def test_label_masks_match_dict_scan(self, cx):
-        arrays = cx.arrays
-        for pos in range(len(arrays.names)):
-            for char in LABEL_CHARS:
-                mask = arrays.label_mask(pos, char)
-                want = 0
-                for i, cid in enumerate(arrays.cell_ids):
-                    if cx.cells[cid].label[pos] == char:
-                        want |= 1 << i
-                assert mask == want
+        named = _model(cx).label_masks()
+        assert tuple(named) == cx.names
+        for pos, name in enumerate(cx.names):
+            want = {"o": 0, "b": 0}
+            for i, cid in enumerate(cx.arrays.cell_ids):
+                char = cx.cells[cid].label[pos]
+                if char in want:
+                    want[char] |= 1 << i
+            assert named[name].interior == want["o"]
+            assert named[name].boundary == want["b"]
+            assert named[name].closure == want["o"] | want["b"]
 
 
 def test_label_rows_match_loop_encoding():
@@ -193,17 +188,7 @@ class TestEquality:
         assert a.arrays != b.arrays or a.arrays.names != b.arrays.names
 
 
-class TestMaskFromBool:
-    def test_empty(self):
-        assert mask_from_bool(np.zeros(0, dtype=bool)) == 0
-
-    def test_bit_positions(self):
-        flags = np.zeros(130, dtype=bool)
-        for i in (0, 1, 63, 64, 65, 127, 128, 129):
-            flags[i] = True
-        mask = mask_from_bool(flags)
-        assert mask == sum(1 << i for i in np.flatnonzero(flags).tolist())
-
+class TestLabelCodes:
     def test_label_codes_cover_chars(self):
         assert sorted(LABEL_CODES.values()) == [0, 1, 2]
         for char, code in LABEL_CODES.items():
@@ -211,32 +196,48 @@ class TestMaskFromBool:
 
 
 class TestCompiledModelPaths:
-    """The bitset machinery must be identical from arrays and from views."""
+    """The bitset machinery built from a complex's ``T_I`` must be what
+    the complex's arrays say, mask for mask."""
 
     @pytest.mark.parametrize("figure", sorted(all_figures()))
     def test_init_paths_agree(self, figure):
         cx = build_complex(all_figures()[figure])
-        fast = CompiledCellModel(cx, 1 << 20, 1 << 20)
-        slow = CompiledCellModel(_ViewsOnly(cx), 1 << 20, 1 << 20)
-        assert fast.cell_ids == slow.cell_ids
-        assert fast._index == slow._index
-        assert fast.all_cells_mask == slow.all_cells_mask
-        assert fast.face_indices == slow.face_indices
-        assert fast.closure_of_face == slow.closure_of_face
-        assert fast.ext_bit == slow.ext_bit
-        assert fast.edge_entries == slow.edge_entries
-        assert fast.vertex_entries == slow.vertex_entries
-        assert {k: sorted(v) for k, v in fast.face_adj.items()} == {
-            k: sorted(v) for k, v in slow.face_adj.items()
+        arrays = cx.arrays
+        model = _model(cx)
+        dims = arrays.dims.tolist()
+        up: dict[int, list[int]] = {}
+        for a, b in arrays.incidence.tolist():
+            up.setdefault(a, []).append(b)
+        n = arrays.n_cells
+        assert model.cell_ids == arrays.cell_ids
+        assert model.all_cells_mask == (1 << n) - 1
+        assert model.face_indices == sorted(arrays.face_gidx.tolist())
+        assert model.ext_bit == 1 << arrays.exterior_face
+        below: dict[int, int] = {}
+        for a, b in arrays.incidence.tolist():
+            below[b] = below.get(b, 0) | 1 << a
+        assert model.closure_of_face == {
+            f: 1 << f | below.get(f, 0) for f in arrays.face_gidx.tolist()
         }
-        assert [sorted(ns) for ns in fast.cell_neighbors] == [
-            sorted(ns) for ns in slow.cell_neighbors
+        assert model.edge_entries == [
+            (1 << e, sum(1 << f for f in up[e] if dims[f] == 2))
+            for e in sorted(arrays.edge_gidx.tolist())
+            if any(dims[f] == 2 for f in up.get(e, ()))
         ]
-        names = cx.names
-        fm = fast.label_masks(names)
-        sm = slow.label_masks(names)
-        assert set(fm) == set(sm)
-        for name in fm:
-            assert fm[name].interior == sm[name].interior
-            assert fm[name].closure == sm[name].closure
-            assert fm[name].boundary == sm[name].boundary
+        assert model.vertex_entries == [
+            (1 << v, sum(1 << c for c in up[v]))
+            for v in sorted(arrays.vertex_gidx.tolist())
+            if up.get(v)
+        ]
+        adjacent = {f: set() for f in arrays.face_gidx.tolist()}
+        for e in arrays.edge_gidx.tolist():
+            faces = sorted({f for f in up.get(e, ()) if dims[f] == 2})
+            if len(faces) == 2:
+                adjacent[faces[0]].add(faces[1])
+                adjacent[faces[1]].add(faces[0])
+        assert {k: set(v) for k, v in model.face_adj.items()} == adjacent
+        neighbours = [set() for _ in range(n)]
+        for a, b in arrays.incidence.tolist():
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        assert [set(ns) for ns in model.cell_neighbors] == neighbours

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 from repro.datasets import all_figures, fig_1a, fig_1b, fig_1c, fig_1d, overlap_chain
 from repro.errors import QueryError
+from repro.invariant import TopologicalInvariant
 from repro.logic.cell_eval import CellModel, grid_refined_complex
 from repro.logic.compiled import CompiledCellModel
 
@@ -42,8 +43,11 @@ def _assert_same_universe(instance, refinement=0, max_faces=None, budget=None):
             instance, refinement, max_faces, max_regions, complex=cx
         ).all_disc_regions()
 
+    t = TopologicalInvariant.from_complex(cx)
+
     def compiled(max_regions):
-        return CompiledCellModel(cx, max_faces, max_regions).enumerate_universe()
+        model = CompiledCellModel(t, max_faces, max_regions)
+        return model.enumerate_universe()
 
     if budget is not None:
         try:
@@ -55,7 +59,7 @@ def _assert_same_universe(instance, refinement=0, max_faces=None, budget=None):
     _, seen = compiled(1 << 40)
     regions, seen_again = compiled(seen)
     assert seen_again == seen
-    ids = CompiledCellModel(cx, max_faces, seen).cell_ids
+    ids = CompiledCellModel(t, max_faces, seen).cell_ids
     got = [(_cells(ids, r.interior), _cells(ids, r.closure)) for r in regions]
     want = [(v.interior, v.closure) for v in reference(seen)]
     assert got == want

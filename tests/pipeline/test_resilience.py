@@ -509,13 +509,14 @@ class TestCompiledTimeout:
         )
 
     def test_universe_enumeration_honours_deadline(self):
+        from repro.invariant import TopologicalInvariant
         from repro.logic.cell_eval import grid_refined_complex
         from repro.logic.compiled import CompiledCellModel
 
         cx = grid_refined_complex(self._overlap(), 1)
         now = [0.0]
         model = CompiledCellModel(
-            cx, None, 200_000,
+            TopologicalInvariant.from_complex(cx), None, 200_000,
             deadline=Deadline(1.0, clock=lambda: now[0]),
         )
         now[0] = 2.0  # expired before enumeration starts

@@ -229,6 +229,216 @@ class TestStoreBacked:
             store.close()
 
 
+def lens_at(dx):
+    """LENS translated by *dx*: a homeomorphic copy with its own key."""
+    return SpatialInstance(
+        {"A": Rect(dx, 0, dx + 4, 4), "B": Rect(dx + 2, 2, dx + 6, 6)}
+    )
+
+
+def universe_delta(before):
+    delta = counter_delta(before, counter_snapshot())
+    return (
+        delta.get("query.universe_hits", 0),
+        delta.get("query.universe_misses", 0),
+    )
+
+
+class TestClassUniverses:
+    """A refinement-0 cells request is asked of the instance's
+    isomorphism class: homeomorphic copies share one universe."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_universe_cache(self):
+        from repro.logic.compiled import clear_universe_cache
+
+        clear_universe_cache()
+        yield
+        clear_universe_cache()
+
+    def _store(self, tmp_path):
+        store = SegmentStore(tmp_path / "seg")
+        store.bulk_load([lens_at(0), lens_at(100)])
+        return store
+
+    def test_store_registered_copy_hits_without_instance_key(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.logic.compiled as compiled
+        import repro.pipeline.engine as engine
+        import repro.service.service as service
+
+        store = self._store(tmp_path)
+        calls = []
+
+        def counting_key(inst):
+            calls.append(inst)
+            return instance_key(inst)
+
+        async def main():
+            async with QueryService(store=store) as svc:
+                svc.register_from_store("l0", instance_key(lens_at(0)))
+                svc.register_from_store("l1", instance_key(lens_at(100)))
+                assert (await svc.ask_cells("l0", OVERLAP_Q)).value is True
+                for module in (compiled, engine, service):
+                    monkeypatch.setattr(module, "instance_key", counting_key)
+                before = counter_snapshot()
+                assert (await svc.ask_cells("l1", OVERLAP_Q)).value is True
+                assert universe_delta(before) == (1, 0)
+
+        try:
+            run(main())
+        finally:
+            store.close()
+        assert calls == []
+
+    def test_register_learns_the_class_on_the_first_cells_request(
+        self, monkeypatch
+    ):
+        import importlib
+
+        import repro.logic.compiled as compiled
+
+        # ``repro.invariant`` is also the name of a function.
+        compute = importlib.import_module("repro.invariant.compute")
+
+        builds = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                builds.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        async def main():
+            async with QueryService() as svc:
+                svc.register("l0", lens_at(0))
+                svc.register("l1", lens_at(100))
+                before = counter_snapshot()
+                assert (await svc.ask_cells("l0", OVERLAP_Q)).value is True
+                assert universe_delta(before) == (0, 1)
+                # l1's invariant is served already; its cells request
+                # learns the class from it and builds nothing.
+                await svc.invariant_of("l1")
+                monkeypatch.setattr(
+                    compute, "build_complex", counting(compute.build_complex)
+                )
+                monkeypatch.setattr(
+                    compiled,
+                    "grid_refined_complex",
+                    counting(compiled.grid_refined_complex),
+                )
+                before = counter_snapshot()
+                assert (await svc.ask_cells("l1", OVERLAP_Q)).value is True
+                assert universe_delta(before) == (1, 0)
+
+        run(main())
+        assert builds == []
+
+    def test_reregistered_name_answers_from_the_new_class(self):
+        async def main():
+            async with QueryService() as svc:
+                svc.register("x", LENS)
+                assert (await svc.ask_cells("x", OVERLAP_Q)).value is True
+                svc.register("x", APART)
+                before = counter_snapshot()
+                assert (await svc.ask_cells("x", OVERLAP_Q)).value is False
+                assert universe_delta(before) == (0, 1)
+                svc.register("x", lens_at(100))
+                assert (await svc.ask_cells("x", OVERLAP_Q)).value is True
+
+        run(main())
+
+    def test_concurrent_first_requests_learn_one_class(self):
+        """Executor threads racing to learn an entry's class each write
+        the same hash; every answer is the direct evaluation's."""
+        import sys
+
+        from repro.logic import evaluate_cells
+
+        # Distinct geometries: requests on one key would coalesce, and
+        # only the leader's entry would learn the class.
+        insts = {f"l{i}": lens_at(10 * i) for i in range(4)}
+        insts.update(
+            {
+                f"a{i}": SpatialInstance(
+                    {
+                        "A": Rect(10 * i, 0, 10 * i + 1, 1),
+                        "B": Rect(10 * i + 3, 3, 10 * i + 4, 4),
+                    }
+                )
+                for i in range(4)
+            }
+        )
+        sentences = [
+            parse(OVERLAP_Q),
+            parse("exists r . subset(r, A)"),
+            parse("exists name a, b . not (a = b) and overlap(a, b)"),
+        ]
+        want = {
+            (name, i): evaluate_cells(q, inst)
+            for name, inst in insts.items()
+            for i, q in enumerate(sentences)
+        }
+
+        async def main():
+            async with QueryService(max_inflight=8, max_queue=64) as svc:
+                for name, inst in insts.items():
+                    svc.register(name, inst)
+                requests = [
+                    (name, i) for name in insts for i in range(len(sentences))
+                ]
+                answers = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            svc.ask_cells(name, sentences[i])
+                            for name, i in requests
+                        )
+                    ),
+                    60,
+                )
+                for request, answer in zip(requests, answers):
+                    assert answer.value is want[request]
+                for name, inst in insts.items():
+                    entry = svc._resolve("cells", name)
+                    assert entry.class_hash == canonical_hash(invariant(inst))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run(main())
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cached_class_answers_with_the_breaker_open(
+        self, tmp_path, monkeypatch
+    ):
+        store = self._store(tmp_path)
+
+        async def main():
+            async with QueryService(store=store, breaker_threshold=1) as svc:
+                svc.register_from_store("l0", instance_key(lens_at(0)))
+                svc.register_from_store("l1", instance_key(lens_at(100)))
+                assert (await svc.ask_cells("l0", OVERLAP_Q)).value is True
+                svc.breaker.record_failure()
+                assert svc.breaker.state == "open"
+
+                def broken(*args, **kwargs):
+                    raise repro_errors.StoreError("store is down", op="read")
+
+                monkeypatch.setattr(store, "get_record", broken)
+                monkeypatch.setattr(store, "get", broken)
+                before = counter_snapshot()
+                assert (await svc.ask_cells("l1", OVERLAP_Q)).value is True
+                assert universe_delta(before) == (1, 0)
+
+        try:
+            run(main())
+        finally:
+            store.close()
+
+
 class TestInlineHits:
     """An invariant in the pipeline cache's memory is answered on the
     event loop: no admission slot, no coalescing, no executor hop."""

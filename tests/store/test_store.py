@@ -145,6 +145,28 @@ class TestLegacyComplexRecords:
             assert mirror.repair_replica(0) == 1
             check(mirror.replicas[0])
 
+    def test_compaction_drops_orphaned_kind2_records(self, tmp_path):
+        """``delete`` tombstones the invariant key only, so the complex
+        record under ``sha256(key + ":complex")`` is orphaned; the next
+        compaction drops it with the shadowed invariant."""
+        inst = _inst(0)
+        key = instance_key(inst)
+        cx_raw = hashlib.sha256(bytes.fromhex(key) + b":complex").digest()
+        with SegmentStore(tmp_path) as store:
+            store.put(key, invariant(inst), instance=inst)
+            store.put_raw(cx_raw, RCX1_UNIT_SQUARE, KIND_COMPLEX)
+            store.delete(key)
+            stats = store.compact()
+            assert (stats["live"], stats["dropped"]) == (0, 2)
+            assert len(store) == 0
+            assert store.get_raw(cx_raw) is None
+        with SegmentStore(tmp_path) as store:
+            assert len(store) == 0
+            assert store.get_raw(cx_raw) is None
+            assert store.get(key) is None
+            report = Scrubber(store).run()
+            assert report.clean
+
 
 class TestPersistence:
     def test_reopen_serves_sealed_records(self, tmp_path):
