@@ -33,14 +33,17 @@ or as a script::
     PYTHONPATH=src python benchmarks/bench_arrangement.py          # full sweep
     PYTHONPATH=src python benchmarks/bench_arrangement.py --smoke  # CI smoke
 
-Both modes write the scaling curve to ``BENCH_arrangement.json`` (the
-smoke payload is marked ``"mode": "smoke"`` and shrinks the sweep to two
-grids, one of them past the seed kernel's practical range).
+The full sweep writes the scaling curve to ``BENCH_arrangement.json`` at
+the repo root.  The smoke payload is marked ``"mode": "smoke"`` and
+shrinks the sweep to two grids, one of them past the seed kernel's
+practical range; it goes to a temporary directory unless ``--out`` is
+given.
 """
 
 import argparse
 import json
 import resource
+import tempfile
 import time
 from pathlib import Path
 
@@ -287,11 +290,20 @@ def main(argv=None):
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "BENCH_arrangement.json",
-        help="where the sweep writes its scaling curve",
+        default=None,
+        help=(
+            "where the sweep writes its scaling curve (default: "
+            "BENCH_arrangement.json at the repo root; a temporary "
+            "directory under --smoke)"
+        ),
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = (
+            Path(tempfile.mkdtemp(prefix="bench-arrangement-"))
+            if args.smoke
+            else Path(__file__).resolve().parent.parent
+        ) / "BENCH_arrangement.json"
 
     ks = SMOKE_KS if args.smoke else GRID_KS
     rows = run_sweep(ks)

@@ -16,28 +16,31 @@ as a script::
     PYTHONPATH=src python benchmarks/bench_pipeline.py --smoke   # CI
 
 The script measures the resilience machinery's cold-path overhead
-(pipeline batch vs a raw ``invariant()`` loop), the per-task codec
-round trip of the zero-copy shared-memory dispatch against a JSON
-string per task, and, with ``--chaos``, sweeps seeded schedules of
+(pipeline batch vs a raw ``invariant()`` loop, medians of alternating
+rounds), a cold batch of translated grids on a 2-worker process pool
+against ``serial`` (the pool must be no slower on two or more cores,
+smoke included), and, with ``--chaos``, sweeps seeded schedules of
 worker and segment-store faults (:meth:`repro.faults.FaultPlan.seeded`)
 through a store-backed pipeline, asserting that every non-failed key's
 invariant is bit-identical to the fault-free reference and that a
 fresh pipeline over the (possibly torn or bit-flipped) store heals to
 correct answers.  The full run writes ``BENCH_pipeline.json`` at the
-repo root.
+repo root; a smoke run writes no JSON, and its trace goes to a temporary
+directory unless ``--trace-out`` is given.
 """
 
 import argparse
 import json
 import os
+import statistics
 import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
-from repro import tracing
-from repro.datasets import mixed_corpus
+from repro import Rect, tracing
+from repro.datasets import grid_instance, mixed_corpus
 from repro.faults import STORE_POINTS, WORKER_POINTS, FaultPlan, inject
 from repro.invariant import (
     canonical_hash,
@@ -45,14 +48,7 @@ from repro.invariant import (
     invariant,
     topologically_equivalent,
 )
-from repro.io import (
-    instance_from_buffer,
-    instance_from_json,
-    instance_to_buffer,
-    instance_to_json,
-)
 from repro.pipeline import InvariantPipeline, RetryPolicy
-from repro.pipeline.shm import ShmBatch
 from repro.store import SegmentStore
 
 CORPUS_N = 100
@@ -60,8 +56,12 @@ SEED = 1
 CHAOS_SEEDS = 6
 CHAOS_FAULTS_PER_SEED = 6
 OVERHEAD_CEILING = 0.05  # resilient cold path within 5% of a raw loop
+OVERHEAD_ROUNDS = 15
 TRACING_OFF_CEILING = 0.02  # uninstalled tracing within 2% of a batch
-DISPATCH_DROP_FLOOR = 2.0  # arrays round trip >= 2x cheaper than JSON
+POOL_GRID_K = 10
+POOL_BATCH = 12
+POOL_WORKERS = 2
+POOL_ROUNDS = 6
 
 
 def _corpus():
@@ -72,6 +72,12 @@ def _timed(fn):
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
+
+
+def _spread(runs):
+    """Median and quartiles of repeated timings, with the runs."""
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
 def test_warm_cache_at_least_5x(bench):
@@ -150,10 +156,12 @@ def test_bucketed_equivalence_matches_pairwise(bench):
 # -- resilience overhead and chaos -------------------------------------------
 
 
-def measure_overhead(corpus, rounds=3):
-    """Best-of-*rounds* cold times: raw ``invariant()`` loop vs a cold
-    pipeline batch (keying + cache + resilient mapper on top of the
-    same computation).  The relative overhead is the price of the
+def measure_overhead(corpus, rounds=OVERHEAD_ROUNDS):
+    """Cold times of a raw ``invariant()`` loop vs a cold pipeline
+    batch (keying + cache + resilient mapper on top of the same
+    computation).  Both run once untimed (first-touch set-up), then
+    *rounds* times in an order that alternates round to round; the
+    relative overhead of the medians is the price of the
     fault-tolerance machinery on the hot path.
 
     The corpus is deduplicated by content key first — the pipeline
@@ -167,102 +175,120 @@ def measure_overhead(corpus, rounds=3):
             seen.add(key)
             unique.append(inst)
     corpus = unique
-    raw_s = pipe_s = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        raw = [invariant(inst) for inst in corpus]
-        raw_s = min(raw_s, time.perf_counter() - t0)
-        pipe = InvariantPipeline(backend="serial")
-        t0 = time.perf_counter()
-        batch = pipe.compute_batch(corpus)
-        pipe_s = min(pipe_s, time.perf_counter() - t0)
-        assert all(a == b for a, b in zip(raw, batch))
+
+    def raw():
+        return [invariant(inst) for inst in corpus]
+
+    def pipeline():
+        return InvariantPipeline(backend="serial").compute_batch(corpus)
+
+    raw()
+    pipeline()
+    times = {raw: [], pipeline: []}
+    for i in range(rounds):
+        results = []
+        for run in (raw, pipeline) if i % 2 == 0 else (pipeline, raw):
+            result, seconds = _timed(run)
+            times[run].append(seconds)
+            results.append(result)
+        assert all(a == b for a, b in zip(*results))
+    raw_s = _spread(times[raw])
+    pipe_s = _spread(times[pipeline])
     return {
-        "raw_loop_seconds": raw_s,
-        "pipeline_cold_seconds": pipe_s,
-        "relative_overhead": pipe_s / raw_s - 1.0,
+        "rounds": rounds,
+        "raw_loop_seconds": raw_s["median"],
+        "pipeline_cold_seconds": pipe_s["median"],
+        "raw_loop": raw_s,
+        "pipeline_cold": pipe_s,
+        "relative_overhead": pipe_s["median"] / raw_s["median"] - 1.0,
     }
 
 
-def measure_dispatch(corpus, rounds=3):
-    """Per-task dispatch cost: zero-copy arrays vs the JSON seed path.
-
-    Both sides measure the full round trip a process-pool task pays for
-    its payload — encode in the parent, stage for transfer, decode in
-    the worker.  The JSON path is ``instance_to_json`` →
-    ``instance_from_json`` (the string itself is pickled through the
-    pool pipe); the arrays path is ``instance_to_buffer`` → one
-    ``ShmBatch`` segment for the whole batch → ``instance_from_buffer``
-    on a zero-copy shared-memory window (only a ``(name, offset, size)``
-    descriptor crosses the pipe).  Instances the columnar codec cannot
-    carry (non-closed-form regions) are excluded — the pipeline falls
-    back to JSON for those per instance.
-    """
-    encodable = [
-        inst for inst in corpus if instance_to_buffer(inst) is not None
+def _translated_grids(offset):
+    """``POOL_BATCH`` copies of ``grid_instance(POOL_GRID_K)``, each
+    shifted to coordinates no earlier batch used: the same topology,
+    fresh content keys, so every instance is a cold miss."""
+    grid = grid_instance(POOL_GRID_K)
+    return [
+        grid.map_regions(
+            lambda _name, r, d=offset + i: Rect(
+                r.x1 + d, r.y1 + d, r.x2 + d, r.y2 + d
+            )
+        )
+        for i in range(POOL_BATCH)
     ]
-    n = len(encodable)
-    json_payload = sum(
-        len(instance_to_json(inst).encode("utf-8")) for inst in encodable
-    )
-    arrays_payload = sum(
-        len(instance_to_buffer(inst)) for inst in encodable
-    )
 
-    json_s = arrays_s = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        decoded_json = [
-            instance_from_json(instance_to_json(inst))
-            for inst in encodable
-        ]
-        json_s = min(json_s, time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
-        blobs = {
-            str(i): instance_to_buffer(inst)
-            for i, inst in enumerate(encodable)
-        }
-        with ShmBatch.create(blobs) as batch:
-            decoded_arrays = []
-            for i in range(n):
-                _name, off, size = batch.descriptor(str(i))
-                decoded_arrays.append(
-                    instance_from_buffer(batch.shm.buf[off : off + size])
+def measure_pool(rounds=POOL_ROUNDS):
+    """A cold batch of translated grids on a ``POOL_WORKERS``-process
+    pool against ``serial``, end to end.
+
+    Both pipelines are warmed first (pool start, first-touch
+    memoization).  Each round computes one fresh batch on both
+    backends, in an order that alternates round to round; the row
+    reports each side's median and quartiles and the serial/pool ratio
+    of the medians."""
+    offset = 1000
+    times = {"serial": [], "processes": []}
+    with InvariantPipeline(backend="serial") as serial, InvariantPipeline(
+        backend="processes", workers=POOL_WORKERS
+    ) as pool:
+        pipes = {"serial": serial, "processes": pool}
+        warmup = _translated_grids(offset)[: 2 * POOL_WORKERS]
+        for pipe in pipes.values():
+            pipe.compute_batch(warmup)
+        for i in range(rounds):
+            offset += 1000
+            batch = _translated_grids(offset)
+            order = ("serial", "processes")
+            counts = []
+            for backend in order if i % 2 == 0 else order[::-1]:
+                result, seconds = _timed(
+                    lambda: pipes[backend].compute_batch(batch)
                 )
-        arrays_s = min(arrays_s, time.perf_counter() - t0)
-    keys = [instance_key(inst) for inst in encodable]
-    assert [instance_key(inst) for inst in decoded_json] == keys
-    assert [instance_key(inst) for inst in decoded_arrays] == keys
+                times[backend].append(seconds)
+                counts.append([t.counts() for t in result])
+            assert counts[0] == counts[1]
+    serial_s = _spread(times["serial"])
+    pool_s = _spread(times["processes"])
     return {
-        "tasks": n,
-        "excluded_json_fallbacks": len(corpus) - n,
-        "json_payload_bytes": json_payload,
-        "arrays_payload_bytes": arrays_payload,
-        "json_seconds_per_task": json_s / n,
-        "arrays_seconds_per_task": arrays_s / n,
-        "per_task_overhead_drop": json_s / arrays_s,
+        "workload": f"{POOL_BATCH} translated grid_instance({POOL_GRID_K})",
+        "workers": POOL_WORKERS,
+        "cpu_count": os.cpu_count(),
+        "rounds": rounds,
+        "serial_seconds": serial_s["median"],
+        "pool_seconds": pool_s["median"],
+        "serial": serial_s,
+        "pool": pool_s,
+        "pool_speedup": serial_s["median"] / pool_s["median"],
     }
 
 
-def test_arrays_dispatch_cheaper_per_task():
-    """Acceptance: the shared-memory columnar dispatch costs at least
-    2x less per task than the JSON seed path, at a smaller payload."""
-    corpus = mixed_corpus(48, seed=SEED)
-    row = measure_dispatch(corpus)
-    print(
-        f"\ndispatch round trip over {row['tasks']} tasks: "
-        f"json {row['json_seconds_per_task'] * 1e6:.0f}us/task "
-        f"({row['json_payload_bytes']}B), arrays "
-        f"{row['arrays_seconds_per_task'] * 1e6:.0f}us/task "
-        f"({row['arrays_payload_bytes']}B) -> "
-        f"{row['per_task_overhead_drop']:.1f}x drop"
+def check_pool(row):
+    """The pool must be no slower than serial wherever two workers can
+    run at once."""
+    if (os.cpu_count() or 1) >= POOL_WORKERS:
+        assert row["pool_seconds"] <= row["serial_seconds"], (
+            f"{POOL_WORKERS}-worker pool {row['pool_seconds']:.3f}s slower "
+            f"than serial {row['serial_seconds']:.3f}s (medians)"
+        )
+
+
+def _report_pool(row):
+    return (
+        f"pool: {row['workload']}, serial {row['serial_seconds']:.3f}s vs "
+        f"{row['workers']}-worker pool {row['pool_seconds']:.3f}s "
+        f"({row['pool_speedup']:.2f}x, medians of {row['rounds']} "
+        f"alternating rounds on {row['cpu_count']} cores)"
     )
-    assert row["tasks"] > 0
-    assert row["per_task_overhead_drop"] >= DISPATCH_DROP_FLOOR, (
-        f"arrays dispatch only {row['per_task_overhead_drop']:.2f}x "
-        f"cheaper per task (floor {DISPATCH_DROP_FLOOR}x)"
-    )
+
+
+def test_pool_no_slower_than_serial():
+    """Acceptance (two or more cores): a cold batch of grids on a
+    2-worker pool is no slower than serial."""
+    row = measure_pool(rounds=3)
+    print("\n" + _report_pool(row))
+    check_pool(row)
 
 
 def measure_tracing_off_overhead(corpus, calls=200_000):
@@ -448,7 +474,8 @@ def main(argv=None):
         "--smoke",
         action="store_true",
         help=(
-            "small corpus, no thresholds, no JSON; the trace goes to a "
+            "small corpus, 3 rounds, no JSON; the tracing-off ceiling "
+            "and the pool gate still apply, and the trace goes to a "
             "temporary directory unless --trace-out is given (CI harness "
             "check)"
         ),
@@ -490,11 +517,14 @@ def main(argv=None):
         ) / "TRACE_pipeline.json"
 
     corpus = mixed_corpus(24 if args.smoke else CORPUS_N, seed=SEED)
-    overhead = measure_overhead(corpus, rounds=1 if args.smoke else 3)
+    overhead = measure_overhead(
+        corpus, rounds=3 if args.smoke else OVERHEAD_ROUNDS
+    )
     print(
         f"cold raw loop: {overhead['raw_loop_seconds']:.3f}s, "
         f"cold pipeline: {overhead['pipeline_cold_seconds']:.3f}s "
-        f"({overhead['relative_overhead']:+.1%} overhead)"
+        f"({overhead['relative_overhead']:+.1%} overhead, medians of "
+        f"{overhead['rounds']} alternating rounds)"
     )
 
     tracing_off = measure_tracing_off_overhead(
@@ -512,20 +542,9 @@ def main(argv=None):
         f"the {TRACING_OFF_CEILING:.0%} ceiling"
     )
 
-    dispatch = measure_dispatch(corpus, rounds=1 if args.smoke else 3)
-    print(
-        f"dispatch round trip: json "
-        f"{dispatch['json_seconds_per_task'] * 1e6:.0f}us/task "
-        f"({dispatch['json_payload_bytes']}B), arrays "
-        f"{dispatch['arrays_seconds_per_task'] * 1e6:.0f}us/task "
-        f"({dispatch['arrays_payload_bytes']}B): "
-        f"{dispatch['per_task_overhead_drop']:.1f}x per-task drop "
-        f"over {dispatch['tasks']} tasks"
-    )
-    assert dispatch["per_task_overhead_drop"] >= DISPATCH_DROP_FLOOR, (
-        f"arrays dispatch only {dispatch['per_task_overhead_drop']:.2f}x "
-        f"cheaper per task (floor {DISPATCH_DROP_FLOOR}x)"
-    )
+    pool = measure_pool(rounds=3 if args.smoke else POOL_ROUNDS)
+    print(_report_pool(pool))
+    check_pool(pool)
     trace_row = export_trace(
         mixed_corpus(8 if args.smoke else 24, seed=SEED), args.trace_out
     )
@@ -541,8 +560,7 @@ def main(argv=None):
         "corpus_n": len(corpus),
         "overhead": overhead,
         "overhead_ceiling": OVERHEAD_CEILING,
-        "dispatch": dispatch,
-        "dispatch_drop_floor": DISPATCH_DROP_FLOOR,
+        "pool": pool,
         "tracing_off": tracing_off,
         "tracing_off_ceiling": TRACING_OFF_CEILING,
         "trace_artifact": trace_row,
@@ -568,12 +586,14 @@ def main(argv=None):
         print("smoke run completed")
         return 0
 
+    # Written before the ceiling is checked, so a failed gate leaves its
+    # measurement on record.
+    args.out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"-> {args.out}")
     assert overhead["relative_overhead"] < OVERHEAD_CEILING, (
         f"resilient cold path {overhead['relative_overhead']:+.1%} over "
         f"the raw loop (ceiling {OVERHEAD_CEILING:.0%})"
     )
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"-> {args.out}")
     return 0
 
 

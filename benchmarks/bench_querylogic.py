@@ -43,13 +43,15 @@ or as a script::
     PYTHONPATH=src python benchmarks/bench_querylogic.py          # full sweep
     PYTHONPATH=src python benchmarks/bench_querylogic.py --smoke  # CI smoke
 
-Both modes write ``BENCH_querylogic.json`` at the repo root (CI uploads
-the smoke artifact); only the full sweep enforces the thresholds.
+The full sweep writes ``BENCH_querylogic.json`` at the repo root and
+enforces the thresholds; the smoke writes its JSON to a temporary
+directory unless ``--out`` is given (CI uploads it from there).
 """
 
 import argparse
 import json
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
@@ -338,11 +340,20 @@ def main(argv=None):
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "BENCH_querylogic.json",
-        help="where the sweep writes its scaling curve",
+        default=None,
+        help=(
+            "where the sweep writes its scaling curve (default: "
+            "BENCH_querylogic.json at the repo root; a temporary "
+            "directory under --smoke)"
+        ),
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = (
+            Path(tempfile.mkdtemp(prefix="bench-querylogic-"))
+            if args.smoke
+            else Path(__file__).resolve().parent.parent
+        ) / "BENCH_querylogic.json"
 
     if args.smoke:
         cell_rows = run_cell_sweep(SMOKE_CELL_CONFIGS)

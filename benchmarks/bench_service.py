@@ -41,8 +41,9 @@ a script::
     PYTHONPATH=src python benchmarks/bench_service.py          # full sweep
     PYTHONPATH=src python benchmarks/bench_service.py --smoke  # CI smoke
 
-Both modes write ``BENCH_service.json`` at the repo root.  Smoke mode
-asserts a >0 coalescing hit-rate on the duplicate-heavy workload, zero
+The full sweep writes ``BENCH_service.json`` at the repo root; the
+smoke writes its JSON to a temporary directory unless ``--out`` is
+given.  Smoke mode asserts a >0 coalescing hit-rate on the duplicate-heavy workload, zero
 computes over the warm distinct-lookup loop, and zero wrong answers
 everywhere (the full sweep asserts the same, over more traffic).
 """
@@ -52,6 +53,7 @@ import asyncio
 import json
 import resource
 import statistics
+import tempfile
 import time
 from collections import Counter, deque
 from pathlib import Path
@@ -576,11 +578,20 @@ def main(argv=None):
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "BENCH_service.json",
-        help="where the load test writes its rows",
+        default=None,
+        help=(
+            "where the load test writes its rows (default: "
+            "BENCH_service.json at the repo root; a temporary directory "
+            "under --smoke)"
+        ),
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = (
+            Path(tempfile.mkdtemp(prefix="bench-service-"))
+            if args.smoke
+            else Path(__file__).resolve().parent.parent
+        ) / "BENCH_service.json"
 
     clear_universe_cache()
     burst_job = ("cells", ("lens", AB_QUERIES[0]), True)

@@ -56,6 +56,9 @@ a script::
     PYTHONPATH=src python benchmarks/bench_store.py          # 100k corpus
     PYTHONPATH=src python benchmarks/bench_store.py --smoke  # CI smoke
     PYTHONPATH=src python benchmarks/bench_store.py --smoke --chaos
+
+The full run writes ``BENCH_store.json`` at the repo root; a smoke run
+writes its JSON to a temporary directory unless ``--out`` is given.
 """
 
 import argparse
@@ -663,11 +666,20 @@ def main(argv=None):
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "BENCH_store.json",
-        help="where the measurements are written",
+        default=None,
+        help=(
+            "where the measurements are written (default: "
+            "BENCH_store.json at the repo root; a temporary directory "
+            "under --smoke)"
+        ),
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = (
+            Path(tempfile.mkdtemp(prefix="bench-store-"))
+            if args.smoke
+            else Path(__file__).resolve().parent.parent
+        ) / "BENCH_store.json"
 
     # Resolve (and validate) the thresholds before the expensive run:
     # a malformed override must fail in the first second, not the

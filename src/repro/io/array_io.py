@@ -1,11 +1,11 @@
-"""Columnar binary serialization of instances for zero-copy dispatch.
+"""Columnar binary serialization of instances: the ``RAI1`` block.
 
 The JSON codec (:mod:`repro.io.json_io`) spells every rational out as a
 ``"num/den"`` string inside a nested object — lossless, readable, and
-the right interchange format, but expensive as a per-task process-pool
-payload: the worker re-parses thousands of small strings per instance.
-This module flattens an instance into one buffer that a worker can
-consume without parsing:
+the right interchange format, but bulky and slow to parse.  This module
+flattens an instance into one buffer that decodes without parsing, and
+is the instance block of a segment-store record
+(:mod:`repro.store.codec`):
 
 ``
 magic "RAI1" | <I header_len | header JSON | pad to 8 | int64 (k, 2)
@@ -16,10 +16,9 @@ per-region spec (``["rect"]``, ``["rect_union", n]``, ``["poly", n]``)
 — and every rational coordinate lands in one little-endian int64
 ``(k, 2)`` array of ``(numerator, denominator)`` rows, in reading
 order.  Decoding is a single :func:`numpy.frombuffer` view (zero-copy
-when the buffer is a shared-memory window) plus ``Fraction``
-construction; the exact values round-trip bit-for-bit because
-``Fraction`` stores exactly the reduced ``num/den`` pair that was
-written.
+when the buffer is an mmap window) plus ``Fraction`` construction; the
+exact values round-trip bit-for-bit because ``Fraction`` stores exactly
+the reduced ``num/den`` pair that was written.
 
 Only the closed-form region classes (:class:`~repro.regions.Rect`,
 :class:`~repro.regions.RectUnion`, :class:`~repro.regions.Poly`) with
@@ -119,7 +118,7 @@ def _take(arr: np.ndarray, pos: int, count: int) -> list[Fraction]:
 def instance_from_buffer(buf: bytes | memoryview) -> SpatialInstance:
     """Decode a buffer written by :func:`instance_to_buffer`.
 
-    Accepts a ``memoryview`` (e.g. a shared-memory window) and reads
+    Accepts a ``memoryview`` (e.g. a store segment's mmap window) and reads
     the coordinate array in place without copying the buffer.
     """
     view = memoryview(buf)

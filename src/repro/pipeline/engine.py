@@ -11,13 +11,12 @@ An :class:`InvariantPipeline` turns a corpus of
 * **parallel computation** — with ``backend="processes"`` the cold
   misses of a batch are mapped over a process pool (``"serial"``
   computes them inline); invariant computation is pure Python and
-  GIL-bound, so processes are what scale on multi-core machines.
-  Closed-form instances travel through a per-batch shared-memory
-  arena (:mod:`repro.pipeline.shm` — each task's pickled message is a
-  ``(name, offset, size)`` descriptor, the coordinates travel as one
-  int64 array read zero-copy in the worker) with a per-instance JSON
-  fallback for regions the array codec cannot carry (exact rationals
-  survive either trip);
+  GIL-bound, so processes are what scale on multi-core machines.  A
+  task ships the :class:`~repro.regions.SpatialInstance` itself and
+  returns the :class:`~repro.invariant.TopologicalInvariant` itself,
+  both by the executor's own pickling: one wire format with no codec,
+  which carries every region class exactly and keeps the worker's cell
+  ids, so a pooled result equals the serial one field for field;
 * **hash-bucketed equivalence** — :meth:`equivalence_groups` buckets
   invariants by their complete canonical hash and runs the backtracking
   isomorphism search only within buckets, so the quadratic pairwise
@@ -35,7 +34,7 @@ after every sibling finished and was cached, so nothing is lost; the
 :class:`~repro.pipeline.resilience.BatchResult` instead of raising.
 
 :attr:`InvariantPipeline.stats` counts what the pipeline itself did:
-cache hits and misses, computed invariants, dispatch, retries and
+cache hits and misses, computed invariants, retries and
 degradations.  Stage time and the ``kernel.*``/``query.*`` counters
 live in the trace: run a batch under :func:`repro.tracing.tracing` and
 every stage — including those inside process-pool workers — is a span
@@ -101,35 +100,18 @@ def _teardown_process_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _invariant_task(args: tuple):
-    """Process-pool worker: ``(key, payload, drawn fault, shipped)`` in,
-    invariant JSON out.  The payload is either ``("json", text)`` or a
-    ``("shm", name, offset, size)`` descriptor of a window in the
-    batch's shared-memory arena (see :mod:`repro.pipeline.shm`), which
-    is decoded zero-copy in place.  The fault decision was drawn by the
-    parent at submit time (deterministic schedules survive the process
-    hop).  When the parent is tracing (*shipped* is its tracer's
-    ``capture_counters`` flag, see :func:`repro.tracing.capture`), the
-    spans recorded in this interpreter are captured and piggybacked on
-    the result for re-parenting."""
-    key, payload, fault, shipped = args
-    from ..io import invariant_to_json
-
+    """Process-pool worker: ``(key, instance, drawn fault, shipped)`` in,
+    the instance's invariant out; the executor pickles both ways.  The
+    fault decision was drawn by the parent at submit time
+    (deterministic schedules survive the process hop).  When the parent
+    is tracing (*shipped* is its tracer's ``capture_counters`` flag, see
+    :func:`repro.tracing.capture`), the spans recorded in this
+    interpreter are captured and piggybacked on the result for
+    re-parenting."""
+    key, instance, fault, shipped = args
     with tracing.capture(shipped) as cap:
         faults.execute_in_worker(fault, key)
-        if payload[0] == "shm":
-            from ..io import instance_from_buffer
-            from .shm import read_task_payload
-
-            window = read_task_payload(*payload[1:])
-            try:
-                inst = instance_from_buffer(window)
-            finally:
-                window.release()
-        else:
-            from ..io import instance_from_json
-
-            inst = instance_from_json(payload[1])
-        value = invariant_to_json(invariant(inst))
+        value = invariant(instance)
     return tracing.pack_result(value, cap)
 
 
@@ -364,33 +346,14 @@ class InvariantPipeline:
             return tracing.pack_result(value, cap)
 
         runners: dict[str, object] = {"serial": SerialRunner(run_inline)}
-        shm_batch = None
         if pooled:
-            from ..io import instance_to_buffer, instance_to_json
-            from .shm import ShmBatch
-
-            payloads: dict[str, tuple] = {}
-            blobs: dict[str, bytes] = {}
-            for key, inst in misses.items():
-                blob = instance_to_buffer(inst)
-                if blob is not None:
-                    blobs[key] = blob
-            if blobs:
-                shm_batch = ShmBatch.create(blobs)
-                for key in blobs:
-                    payloads[key] = ("shm", *shm_batch.descriptor(key))
-            self.stats.count("dispatch_shm", len(blobs))
-            json_keys = [key for key in misses if key not in payloads]
-            self.stats.count("dispatch_json", len(json_keys))
-            for key in json_keys:
-                payloads[key] = ("json", instance_to_json(misses[key]))
             # Drawn in the parent at submit time, like the fault payload:
             # the worker interpreter cannot see the parent's tracer.
             tracer = tracing.current_tracer()
             shipped = tracer.capture_counters if tracer is not None else None
             runners["processes"] = ExecutorRunner(
                 submit=lambda key, fault: self._process_pool().submit(
-                    _invariant_task, (key, payloads[key], fault, shipped)
+                    _invariant_task, (key, misses[key], fault, shipped)
                 ),
                 respawn=self._respawn_processes,
             )
@@ -403,14 +366,7 @@ class InvariantPipeline:
             task_timeout=self.task_timeout,
             max_pool_respawns=self.max_pool_respawns,
         )
-        try:
-            return mapper.run(list(misses))
-        finally:
-            # Workers that already mapped the arena keep reading after
-            # the unlink; nothing retries a descriptor past this point
-            # because the mapper has fully drained the batch.
-            if shm_batch is not None:
-                shm_batch.close()
+        return mapper.run(list(misses))
 
     # -- equivalence --------------------------------------------------------
 

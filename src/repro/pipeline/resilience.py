@@ -59,7 +59,6 @@ from .. import faults, tracing
 from ..errors import ComputeError, PipelineError, WorkerError
 from ..errors import TimeoutError as TaskTimeoutError
 from ..faults import InjectedFailure
-from ..io import invariant_from_json
 
 __all__ = [
     "RetryPolicy",
@@ -267,9 +266,10 @@ class SerialRunner:
 
 class ExecutorRunner:
     """The process-pool backend: *submit* is ``(key, fault_payload) ->
-    Future`` resolving to the invariant's JSON, and *respawn* replaces
-    a broken pool.  An overdue task leaves its worker occupied, so a
-    timeout recycles the pool too."""
+    Future`` resolving to the task's packed value (see
+    :func:`repro.tracing.pack_result`), and *respawn* replaces a broken
+    pool.  An overdue task leaves its worker occupied, so a timeout
+    recycles the pool too."""
 
     name = "processes"
 
@@ -485,11 +485,8 @@ class ResilientMapper:
                 )
                 for fut in done:
                     key, _d, span = inflight.pop(fut)
-                    worker_spans = None
                     try:
                         value = fut.result()
-                        value, worker_spans = tracing.unpack_result(value)
-                        value = invariant_from_json(value)
                     except BrokenExecutor:
                         # Worker death is unattributable: the task whose
                         # future observed the break is a victim exactly
@@ -502,8 +499,6 @@ class ResilientMapper:
                         requeue_victim(key)
                         broken = True
                     except Exception as exc:
-                        if span is not None and worker_spans:
-                            tracer.adopt(span, worker_spans)
                         self._settle_span(
                             tracer, span, None,
                             event="error", error=type(exc).__name__,
@@ -512,9 +507,7 @@ class ResilientMapper:
                             key, exc, attempts, queue, outcomes, runner.name
                         )
                     else:
-                        if span is not None and worker_spans:
-                            tracer.adopt(span, worker_spans)
-                        self._settle_span(tracer, span, None)
+                        value = self._settle_span(tracer, span, value)
                         outcomes[key] = Outcome.success(
                             key, value, attempts[key]
                         )

@@ -3,7 +3,7 @@
 A :class:`PipelineStats` is owned by an
 :class:`~repro.pipeline.engine.InvariantPipeline` and counts the
 pipeline's own work — cache hits and misses, computed invariants,
-dispatch, retries and degradations — and, for a service, per-endpoint
+retries and degradations — and, for a service, per-endpoint
 request windows.  Stage time lives in spans (:mod:`repro.tracing`) and
 process-wide counters in :mod:`repro.instrument`; neither is copied
 here.  All mutation is lock-guarded so a service's executor threads and
@@ -45,10 +45,6 @@ class PipelineStats:
         self.invariants_computed = 0
         self.buckets = 0
         self.isomorphism_calls = 0
-        # Process-dispatch accounting: how many cold misses travelled
-        # as shared-memory array descriptors vs pickled JSON strings.
-        self.dispatch_shm = 0
-        self.dispatch_json = 0
         # Resilience accounting (see repro.pipeline.resilience): how
         # often the batch machinery had to retry, give up, or degrade.
         self.retries = 0
@@ -139,8 +135,6 @@ class PipelineStats:
                 "invariants_computed": self.invariants_computed,
                 "buckets": self.buckets,
                 "isomorphism_calls": self.isomorphism_calls,
-                "dispatch_shm": self.dispatch_shm,
-                "dispatch_json": self.dispatch_json,
                 "resilience": {
                     "retries": self.retries,
                     "timeouts": self.timeouts,

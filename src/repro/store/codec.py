@@ -23,8 +23,9 @@ is what lets :meth:`repro.service.QueryService.register` resolve an
 instance straight from the store.
 
 Segments written by earlier versions may also hold ``RCX1`` cell-complex
-records (segment kind 2); no reader decodes them, and the store carries
-them verbatim through compaction, scrub and mirror repair.
+records (segment kind 2); no reader decodes them.  Scrub and mirror
+repair carry them verbatim, and compaction keeps one only while the
+invariant key it belongs to is live.
 """
 
 from __future__ import annotations

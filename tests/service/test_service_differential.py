@@ -331,8 +331,7 @@ def _check_fault_schedule(seed, backend, names, pairs):
     """Serve *names*' invariants and the equivalence of *pairs*,
     concurrently, under a seeded worker-fault schedule: every outcome
     is the bit-identical answer or a structured ReproError.  Returns
-    the number of cold misses the pipeline shipped to its process
-    pool."""
+    the number of tasks the pipeline submitted to its process pool."""
     keys = [instance_key(CORPUS[n]) for n in names]
     reference_inv = {n: canonical_hash(invariant(CORPUS[n])) for n in names}
     reference_eq = {
@@ -349,6 +348,16 @@ def _check_fault_schedule(seed, backend, names, pairs):
             workers=2,
             retry=_retry(max_attempts=2),
         )
+        submitted = 0
+        process_pool = pipe._process_pool
+
+        def counting_pool():
+            # The pipeline fetches its pool once per task submission.
+            nonlocal submitted
+            submitted += 1
+            return process_pool()
+
+        pipe._process_pool = counting_pool
         try:
             async with _service(pipeline=pipe) as svc:
                 with inject(plan):
@@ -376,7 +385,7 @@ def _check_fault_schedule(seed, backend, names, pairs):
                         assert isinstance(res, ReproError), (a, b, res)
                     else:
                         assert res.value == reference_eq[(a, b)], (a, b)
-            return pipe.stats.dispatch_shm + pipe.stats.dispatch_json
+            return submitted
         finally:
             pipe.close()
 
