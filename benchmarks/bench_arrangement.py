@@ -25,7 +25,11 @@ Acceptance thresholds (enforced in full *and* smoke mode):
   (``kernel.intersect_bbox_reject > 0`` — this counter was dead before
   the batched sweep wired it);
 * on every row the complex must equal the seed kernel's and the
-  canonical hashes must match.
+  canonical hashes must match;
+* a row whose grid has a pinned hash (``PINNED_HASHES``) must give that
+  hash.  Both sides of the seed comparison go through the same
+  ``canonical_hash``, so only the pin catches a change of the
+  canonization itself.
 
 Run as a pytest benchmark (``pytest benchmarks/bench_arrangement.py``)
 or as a script::
@@ -64,6 +68,11 @@ AB_ROUNDS = 3
 # ratio decides the 10x gate, and best-of-3 moved by +-20% between runs
 # on a shared host.
 GATE_ROUNDS = 9
+# Canonical hashes of grid_instance(k), fixed across versions (store
+# headers persist them); k = 18 is the smoke's large grid, 9,522 cells.
+PINNED_HASHES = {
+    18: "3e9f8b8164ed4ff4a99f051c70bc64957444bae91860998d89149f49170def33",
+}
 
 STAGES = (
     "arrangement.planarize",
@@ -218,6 +227,11 @@ def _check_thresholds(rows):
     assert all(r["hash_matches_seed"] for r in rows), (
         "canonical hash diverged from the seed kernel"
     )
+    for r in rows:
+        pinned = PINNED_HASHES.get(r["k"])
+        assert pinned is None or r["canonical_hash"] == pinned, (
+            f"canonical hash of k={r['k']} moved from its pinned value"
+        )
 
 
 # -- pytest entry points ----------------------------------------------------

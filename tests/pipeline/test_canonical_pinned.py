@@ -9,7 +9,7 @@ recomputed here and compared.
 
 The set covers every figure (the Fig. 7 chirality and cyclic-order
 pairs among them), the distinct instances of ``mixed_corpus(120)``, the
-``grid_instance`` sweep, samples of each serve-style family, and two
+``grid_instance`` sweep with the k = 14 grid, samples of each serve-style family, and two
 instances where the canonization's orbit pruning fires.
 
 Run this file as a script to print the hashes the current code gives,
@@ -57,6 +57,8 @@ def pinned_instances() -> dict[str, SpatialInstance]:
             out[f"mixed_corpus/{i:03d}"] = inst
     for k in range(2, 11):
         out[f"grid_instance/{k}"] = grid_instance(k)
+    # The ingest workload's grid: past the text writer's piece size.
+    out["grid_instance/14"] = grid_instance(14)
     for n in (2, 3, 4):
         out[f"overlap_chain/{n}"] = overlap_chain(n)
         out[f"nested_rings/{n}"] = nested_rings(n)
@@ -83,16 +85,21 @@ def test_fixture_covers_every_input():
     assert sorted(_pinned()) == sorted(pinned_instances())
 
 
+@lru_cache(maxsize=None)
+def pinned_invariant(key: str):
+    """The invariant of one pinned input, built once per session."""
+    return invariant(pinned_instances()[key])
+
+
 @pytest.mark.parametrize("key", sorted(pinned_instances()))
 def test_canonical_hash_is_pinned(key):
-    inst = pinned_instances()[key]
-    assert canonical_hash(invariant(inst)) == _pinned()[key]
+    assert canonical_hash(pinned_invariant(key)) == _pinned()[key]
 
 
 if __name__ == "__main__":
     hashes = {
-        key: canonical_hash(invariant(inst))
-        for key, inst in sorted(pinned_instances().items())
+        key: canonical_hash(pinned_invariant(key))
+        for key in sorted(pinned_instances())
     }
     json.dump(hashes, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
