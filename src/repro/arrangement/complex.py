@@ -41,7 +41,7 @@ from .labeling import (
     compute_labels,
     compute_labels_reference,
 )
-from .soa import ComplexArrays, label_rows, label_tuples
+from .soa import ComplexArrays, dense_ids, label_rows, label_tuples
 
 __all__ = [
     "Cell",
@@ -156,31 +156,19 @@ class CellComplex:
     @property
     def incidences(self) -> frozenset[tuple[str, str]]:
         if self._incidences is None:
-            ids = self.arrays.cell_ids
-            self._incidences = frozenset(
-                (ids[a], ids[b]) for a, b in self.arrays.incidence.tolist()
-            )
+            self._incidences = self.arrays.cell_arrays().incidence_pairs()
         return self._incidences
 
     @property
     def orientation(self) -> frozenset[tuple[str, str, str, str]]:
         if self._orientation is None:
-            ids = self.arrays.cell_ids
-            orient: set[tuple[str, str, str, str]] = set()
-            for v, e1, e2 in self.arrays.ccw.tolist():
-                orient.add((CCW, ids[v], ids[e1], ids[e2]))
-                orient.add((CW, ids[v], ids[e2], ids[e1]))
-            self._orientation = frozenset(orient)
+            self._orientation = self.arrays.cell_arrays().orientation_tuples()
         return self._orientation
 
     @property
     def endpoints(self) -> dict[str, tuple[str, ...]]:
         if self._endpoints is None:
-            ids = self.arrays.cell_ids
-            self._endpoints = {
-                f"e{k}": tuple(ids[g] for g in row if g >= 0)
-                for k, row in enumerate(self.arrays.edge_endpoints.tolist())
-            }
+            self._endpoints = self.arrays.cell_arrays().endpoint_map()
         return self._endpoints
 
     @property
@@ -380,13 +368,7 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
     nf = len(face_order)
     face_local = {f: i for i, f in enumerate(face_order)}
 
-    cell_ids = tuple(
-        sorted(
-            [f"v{i}" for i in range(nv)]
-            + [f"e{k}" for k in range(ne)]
-            + [f"f{i}" for i in range(nf)]
-        )
-    )
+    cell_ids = dense_ids(nv, ne, nf)
     gid = {cid: i for i, cid in enumerate(cell_ids)}
     vertex_gidx = np.array(
         [gid[f"v{i}"] for i in range(nv)], dtype=np.int32

@@ -23,6 +23,13 @@ and the store's record codec:
 
 :class:`repro.arrangement.complex.CellComplex` wraps one of these as
 lazy dict/frozenset views, so existing callers are unchanged.
+
+:class:`CellArrays` is the combinatorial part alone, in the form the
+abstract invariant ``T_I`` keeps it: the same numbering, label codes and
+incidence rows (a complex's ``T_I`` shares those arrays), with the
+endpoint and orientation relations written out in full.  The canonical
+hash, the store's record codec and the invariant's string-id views all
+read it.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 from ..geometry import Point
 
 __all__ = [
+    "CellArrays",
     "ComplexArrays",
     "LABEL_ASCII",
     "LABEL_CODES",
@@ -93,6 +101,157 @@ def label_tuples(codes: np.ndarray) -> list[Label]:
     n, m = codes.shape
     text = LABEL_ASCII[codes].tobytes().decode("ascii")
     return [tuple(text[i * m : (i + 1) * m]) for i in range(n)]
+
+
+# Orientation sense codes of CellArrays rows and of RTI1 records, and
+# the sense of each code.
+SENSE_CW = 0
+SENSE_CCW = 1
+SENSES = ("cw", "ccw")
+
+
+def dense_ids(nv: int, ne: int, nf: int) -> tuple[str, ...]:
+    """The ids ``v0…``, ``e0…``, ``f0…`` of a complex with these counts,
+    in sorted order: edges, then faces, then vertices."""
+    return tuple(
+        sorted(
+            [f"v{i}" for i in range(nv)]
+            + [f"e{k}" for k in range(ne)]
+            + [f"f{i}" for i in range(nf)]
+        )
+    )
+
+
+class CellArrays:
+    """The combinatorial core of one ``T_I``.
+
+    Cells are numbered ``0..n-1`` in sorted-id order, as in
+    :class:`ComplexArrays`.
+
+    Attributes
+    ----------
+    names:
+        Sorted region names.
+    dims:
+        ``(n,)`` int8 cell dimensions.
+    labels:
+        ``(n, len(names))`` uint8 location codes; or, when some label is
+        not a standard tuple (see :func:`label_rows`), the list of the
+        label values themselves.
+    incidence:
+        ``(M, 2)`` int32 rows ``(a, b)``: cell *a* lies in the closure
+        of cell *b*.
+    endpoints:
+        ``(ne, 2)`` int32 rows, one per edge in cell order: ``(v1, v2)``
+        for two endpoints, ``(v, -1)`` for a loop at one vertex,
+        ``(-2, -2)`` for an edge listed with no endpoints (a free loop)
+        and ``(-1, -1)`` for an edge not listed at all.
+    orientation:
+        ``(R, 4)`` int32 rows ``(sense, v, e1, e2)``, *sense* one of
+        :data:`SENSE_CW` and :data:`SENSE_CCW`: around *v* a germ of
+        *e2* immediately follows a germ of *e1* in that sense.
+    exterior:
+        Index of the exterior face.
+    ids:
+        The cell ids, or ``None`` for the ids :func:`dense_ids` gives
+        the counts (those of a built complex or a decoded record).
+    """
+
+    __slots__ = (
+        "names",
+        "dims",
+        "labels",
+        "incidence",
+        "endpoints",
+        "orientation",
+        "exterior",
+        "ids",
+        "_cell_ids",
+    )
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        dims: np.ndarray,
+        labels: np.ndarray | list,
+        incidence: np.ndarray,
+        endpoints: np.ndarray,
+        orientation: np.ndarray,
+        exterior: int,
+        ids: tuple[str, ...] | None = None,
+    ):
+        self.names = names
+        self.dims = dims
+        self.labels = labels
+        self.incidence = incidence
+        self.endpoints = endpoints
+        self.orientation = orientation
+        self.exterior = exterior
+        self.ids = ids
+        self._cell_ids = ids
+
+    def __reduce__(self):
+        return (
+            CellArrays,
+            (
+                self.names,
+                self.dims,
+                self.labels,
+                self.incidence,
+                self.endpoints,
+                self.orientation,
+                self.exterior,
+                self.ids,
+            ),
+        )
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.dims)
+
+    def counts(self) -> tuple[int, int, int]:
+        """(vertex count, edge count, face count)."""
+        nv, ne, nf = np.bincount(self.dims, minlength=3)[:3].tolist()
+        return nv, ne, nf
+
+    @property
+    def cell_ids(self) -> tuple[str, ...]:
+        if self._cell_ids is None:
+            self._cell_ids = dense_ids(*self.counts())
+        return self._cell_ids
+
+    # -- string-id views -------------------------------------------------------
+
+    def cells_of_dim(self, dim: int) -> frozenset[str]:
+        ids = self.cell_ids
+        return frozenset(ids[i] for i in np.flatnonzero(self.dims == dim).tolist())
+
+    def label_map(self) -> dict[str, Label]:
+        labels = self.labels
+        if isinstance(labels, np.ndarray):
+            labels = label_tuples(labels)
+        return dict(zip(self.cell_ids, labels))
+
+    def endpoint_map(self) -> dict[str, tuple[str, ...]]:
+        """Each listed edge's endpoint ids; a free loop lists none."""
+        ids = self.cell_ids
+        edges = np.flatnonzero(self.dims == 1).tolist()
+        return {
+            ids[e]: tuple(ids[v] for v in row if v >= 0)
+            for e, row in zip(edges, self.endpoints.tolist())
+            if row[0] != -1
+        }
+
+    def incidence_pairs(self) -> frozenset[tuple[str, str]]:
+        ids = self.cell_ids
+        return frozenset((ids[a], ids[b]) for a, b in self.incidence.tolist())
+
+    def orientation_tuples(self) -> frozenset[tuple[str, str, str, str]]:
+        ids = self.cell_ids
+        return frozenset(
+            (SENSES[s], ids[v], ids[e1], ids[e2])
+            for s, v, e1, e2 in self.orientation.tolist()
+        )
 
 
 class ComplexArrays:
@@ -255,6 +414,31 @@ class ComplexArrays:
         )
 
     __hash__ = None  # mutable arrays; mirror the seed dataclass (eq, no hash)
+
+    def cell_arrays(self) -> CellArrays:
+        """The combinatorial core of this complex's ``T_I``.  It shares
+        ``dims``, ``labels`` and ``incidence``; endpoint rows are put in
+        cell order, with free loops marked listed-but-empty, and each
+        counterclockwise triple gains its clockwise mirror."""
+        endpoints = self.edge_endpoints[np.argsort(self.edge_gidx)]
+        endpoints[endpoints[:, 0] < 0] = -2
+        ccw = self.ccw
+        orientation = np.empty((2 * len(ccw), 4), dtype=np.int32)
+        orientation[: len(ccw), 0] = SENSE_CCW
+        orientation[: len(ccw), 1:] = ccw
+        orientation[len(ccw) :, 0] = SENSE_CW
+        orientation[len(ccw) :, 1:] = ccw[:, [0, 2, 1]]
+        core = CellArrays(
+            self.names,
+            self.dims,
+            self.labels,
+            self.incidence,
+            endpoints,
+            orientation,
+            self.exterior_face,
+        )
+        core._cell_ids = self.cell_ids
+        return core
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,6 +7,13 @@ distinguished exterior face ``f0``, the endpoint relation for edges, and
 the orientation relation O with clockwise/counterclockwise consecutive
 edge pairs around each vertex.  No geometry — by Theorem 3.4 of the paper
 this structure characterizes the instance up to homeomorphism.
+
+Its data lives in one integer core, a
+:class:`~repro.arrangement.soa.CellArrays`, which the canonical hash
+and the store's record codec read.  An invariant built from a complex
+or decoded from a record holds only the core, and its string-id
+relations are views made on first read; one built from relations makes
+its core on first need.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from ..arrangement.soa import SENSE_CCW, SENSE_CW, CellArrays, label_rows
 from ..errors import InvariantError
 
 __all__ = ["TopologicalInvariant", "CW", "CCW"]
@@ -28,7 +38,9 @@ Label = tuple[str, ...]
 class TopologicalInvariant:
     """The paper's invariant as an immutable relational structure.
 
-    All relations use opaque string cell ids, so ``==`` and ``hash()``
+    All relations use opaque string cell ids (they are views of
+    :attr:`core` when the invariant was built from arrays, see
+    :meth:`of_arrays`), so ``==`` and ``hash()``
     are defined through the *canonical form* (see
     :mod:`repro.invariant.canonical`): two invariants are equal iff they
     are isomorphic in the sense of Theorem 3.4, which makes invariants
@@ -59,17 +71,38 @@ class TopologicalInvariant:
     @staticmethod
     def from_complex(cx) -> "TopologicalInvariant":
         """Extract the abstract invariant from a geometric cell complex."""
-        return TopologicalInvariant(
-            names=cx.names,
-            vertices=frozenset(c.id for c in cx.vertices),
-            edges=frozenset(c.id for c in cx.edges),
-            faces=frozenset(c.id for c in cx.faces),
-            exterior_face=cx.exterior_face,
-            labels={cid: cell.label for cid, cell in cx.cells.items()},
-            endpoints=dict(cx.endpoints),
-            incidences=cx.incidences,
-            orientation=cx.orientation,
-        )
+        return TopologicalInvariant.of_arrays(cx.arrays.cell_arrays())
+
+    @staticmethod
+    def of_arrays(core: CellArrays) -> "TopologicalInvariant":
+        """The invariant whose integer core is *core*; its relations are
+        views of the core, made on first read."""
+        if core.dims[core.exterior] != 2:
+            raise InvariantError("exterior face is not a face")
+        if tuple(sorted(core.names)) != core.names:
+            raise InvariantError("names must be sorted")
+        t = object.__new__(TopologicalInvariant)
+        object.__setattr__(t, "names", core.names)
+        object.__setattr__(t, "core", core)
+        return t
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set yet: the relation views of
+        # an invariant built from arrays, and the core of one built from
+        # relations.  Each is made once and kept.
+        state = self.__dict__
+        if name in _VIEWS and "core" in state:
+            value = _VIEWS[name](state["core"])
+        elif name == "core" and "vertices" in state:
+            value = _core_of_relations(self)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
+    def __reduce__(self):
+        # Pickled (across the process pool, say) as its core alone.
+        return (TopologicalInvariant.of_arrays, (self.core,))
 
     # -- accessors -----------------------------------------------------------------
 
@@ -86,7 +119,9 @@ class TopologicalInvariant:
         raise InvariantError(f"unknown cell {cell!r}")
 
     def counts(self) -> tuple[int, int, int]:
-        return (len(self.vertices), len(self.edges), len(self.faces))
+        if "vertices" in self.__dict__:
+            return (len(self.vertices), len(self.edges), len(self.faces))
+        return self.core.counts()
 
     def label(self, cell: str) -> Label:
         return self.labels[cell]
@@ -231,3 +266,80 @@ class TopologicalInvariant:
             f"TopologicalInvariant(names={self.names}, "
             f"V={v}, E={e}, F={f})"
         )
+
+
+# ---------------------------------------------------------------------------
+# Relations <-> core.
+# ---------------------------------------------------------------------------
+
+_SENSE_CODES = {CW: SENSE_CW, CCW: SENSE_CCW}
+
+
+_VIEWS = {
+    "vertices": lambda core: core.cells_of_dim(0),
+    "edges": lambda core: core.cells_of_dim(1),
+    "faces": lambda core: core.cells_of_dim(2),
+    "exterior_face": lambda core: core.cell_ids[core.exterior],
+    "labels": CellArrays.label_map,
+    "endpoints": CellArrays.endpoint_map,
+    "incidences": CellArrays.incidence_pairs,
+    "orientation": CellArrays.orientation_tuples,
+}
+
+
+def _core_of_relations(t: TopologicalInvariant) -> CellArrays:
+    """The core of an invariant given by its relations.  Cells are
+    numbered in sorted-id order; labels stay the values themselves
+    unless every one is a standard tuple.  Relations the core cannot
+    hold (unknown cells or senses, an edge with more than two
+    endpoints) raise :class:`InvariantError`."""
+    ids = tuple(sorted(t.vertices | t.edges | t.faces))
+    index = {c: i for i, c in enumerate(ids)}
+    try:
+        dims = np.array(
+            [0 if c in t.vertices else 1 if c in t.edges else 2 for c in ids],
+            dtype=np.int8,
+        ).reshape(len(ids))
+        values = [t.labels[c] for c in ids]
+        codes = (
+            label_rows(values, len(t.names))
+            if all(type(label) is tuple for label in values)
+            else None
+        )
+        incidence = np.array(
+            sorted((index[a], index[b]) for a, b in t.incidences),
+            dtype=np.int32,
+        ).reshape(len(t.incidences), 2)
+        orientation = np.array(
+            sorted(
+                (_SENSE_CODES[s], index[v], index[e1], index[e2])
+                for s, v, e1, e2 in t.orientation
+            ),
+            dtype=np.int32,
+        ).reshape(len(t.orientation), 4)
+        if not set(t.endpoints) <= t.edges:
+            raise InvariantError("endpoints listed for a non-edge")
+        edges = [ids[i] for i in np.flatnonzero(dims == 1).tolist()]
+        endpoints = np.full((len(edges), 2), -1, dtype=np.int32)
+        for k, e in enumerate(edges):
+            if e not in t.endpoints:
+                continue
+            vs = t.endpoints[e]
+            if len(vs) > 2:
+                raise InvariantError(f"edge {e!r} has more than two endpoints")
+            endpoints[k] = [index[v] for v in vs] + [-1] * (2 - len(vs))
+            if not vs:
+                endpoints[k] = -2
+        exterior = index[t.exterior_face]
+    except KeyError as exc:
+        raise InvariantError(f"relation names an unknown cell or sense: {exc}") from exc
+    return CellArrays(
+        t.names,
+        dims,
+        values if codes is None else codes,
+        incidence,
+        endpoints,
+        orientation,
+        exterior,
+        ids,
+    )

@@ -228,6 +228,11 @@ def _transpose(masks: list[int], width: int) -> list[int]:
     return [int.from_bytes(row, "little") for row in rows]
 
 
+def _bits(flags: np.ndarray) -> int:
+    """The int whose bit *i* is ``flags[i]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class CompiledCellModel:
     """A topological invariant ``T_I`` compiled to integer-indexed,
     bitmask form.
@@ -257,20 +262,18 @@ class CompiledCellModel:
         self.max_faces = max_faces
         self.max_regions = max_regions
         self.deadline = deadline
-        t = invariant
-        self.cell_ids: tuple[str, ...] = tuple(sorted(t.labels))
-        index = {cid: i for i, cid in enumerate(self.cell_ids)}
+        core = invariant.core
+        self.cell_ids: tuple[str, ...] = core.cell_ids
         n = len(self.cell_ids)
         self.all_cells_mask = (1 << n) - 1
 
         # Faces in sorted-id order: the enumeration's anchor order.
-        self.face_indices = sorted(index[f] for f in t.faces)
+        self.face_indices = np.flatnonzero(core.dims == 2).tolist()
 
         up: dict[int, list[int]] = {}
         down_of_face: dict[int, int] = {fi: 0 for fi in self.face_indices}
         neighbors: list[list[int]] = [[] for _ in range(n)]
-        for a, b in t.incidences:
-            ia, ib = index[a], index[b]
+        for ia, ib in core.incidence.tolist():
             up.setdefault(ia, []).append(ib)
             if ib in down_of_face:
                 down_of_face[ib] |= 1 << ia
@@ -285,7 +288,7 @@ class CompiledCellModel:
         # Edge -> mask of its (one or two) incident faces.
         self.edge_entries: list[tuple[int, int]] = []
         face_adj: dict[int, list[int]] = {fi: [] for fi in self.face_indices}
-        for ie in sorted(index[e] for e in t.edges):
+        for ie in np.flatnonzero(core.dims == 1).tolist():
             fs = sorted({ib for ib in up.get(ie, ()) if ib in down_of_face})
             if fs:
                 self.edge_entries.append((1 << ie, sum(1 << f for f in fs)))
@@ -297,31 +300,34 @@ class CompiledCellModel:
 
         # Vertex -> mask of incident edges and faces (the star).
         self.vertex_entries: list[tuple[int, int]] = []
-        for iv in sorted(index[v] for v in t.vertices):
+        for iv in np.flatnonzero(core.dims == 0).tolist():
             smask = 0
             for ib in up.get(iv, ()):
                 smask |= 1 << ib
             if smask:
                 self.vertex_entries.append((1 << iv, smask))
 
-        self.ext_bit = 1 << index[t.exterior_face]
+        self.ext_bit = 1 << core.exterior
 
     # -- values --------------------------------------------------------------
 
     def label_masks(self) -> dict[str, CompiledRegion]:
         """``ext(name)`` for every name of the invariant, as compiled
         regions."""
-        labels = self.invariant.labels
         names = self.invariant.names
-        interior = [0] * len(names)
-        boundary = [0] * len(names)
-        for i, cid in enumerate(self.cell_ids):
-            bit = 1 << i
-            for pos, sign in enumerate(labels[cid]):
-                if sign == "o":
-                    interior[pos] |= bit
-                elif sign == "b":
-                    boundary[pos] |= bit
+        codes = self.invariant.core.labels
+        if isinstance(codes, np.ndarray):
+            interior = [_bits(column == 0) for column in codes.T]
+            boundary = [_bits(column == 1) for column in codes.T]
+        else:  # label values outside the o/b/e codes
+            interior = [0] * len(names)
+            boundary = [0] * len(names)
+            for i, label in enumerate(codes):
+                for pos, sign in enumerate(label):
+                    if sign == "o":
+                        interior[pos] |= 1 << i
+                    elif sign == "b":
+                        boundary[pos] |= 1 << i
         return {
             name: CompiledRegion(
                 interior[pos], interior[pos] | boundary[pos], ("ext", name)

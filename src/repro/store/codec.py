@@ -35,9 +35,9 @@ import struct
 
 import numpy as np
 
-from ..arrangement.soa import label_rows, label_tuples
-from ..errors import StoreError
-from ..invariant.structure import CCW, CW, TopologicalInvariant
+from ..arrangement.soa import LABEL_CHARS, CellArrays, label_rows
+from ..errors import InvariantError, StoreError
+from ..invariant.structure import TopologicalInvariant
 from ..regions import SpatialInstance
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
 
 _INV_MAGIC = b"RTI1"
 _I32_MAX = (1 << 31) - 1
-_SENSE_CODES = {CW: 0, CCW: 1}
-_SENSE_CHARS = (CW, CCW)
 
 
 def _pad8(n: int) -> int:
@@ -106,14 +104,6 @@ def _take(view: memoryview, offset: int, dtype: str, count: int, shape):
 # ---------------------------------------------------------------------------
 
 
-def _soa_encodable(t: TopologicalInvariant) -> bool:
-    """Whether the counts fit int32 and every sense is CW or CCW; the
-    labels are checked by :func:`~repro.arrangement.soa.label_rows`."""
-    if len(t.vertices) + len(t.edges) + len(t.faces) > _I32_MAX:
-        return False
-    return all(sense in _SENSE_CODES for sense, *_rest in t.orientation)
-
-
 def _instance_block(instance: SpatialInstance | None) -> tuple[list, list[bytes]]:
     if instance is None:
         return None, []
@@ -135,16 +125,15 @@ def encode_record(
     labels are standard, lossless JSON otherwise), plus the source
     instance's geometry and precomputed canonical hash when given."""
     inst_spec, inst_blocks = _instance_block(instance)
-    verts = sorted(t.vertices)
-    edges = sorted(t.edges)
-    faces = sorted(t.faces)
-    order = verts + edges + faces
-    labels = (
-        label_rows([t.labels[c] for c in order], len(t.names))
-        if _soa_encodable(t)
-        else None
-    )
-    if labels is None:
+    try:
+        core = t.core
+    except InvariantError:  # relations the arrays cannot hold
+        core = labels = None
+    else:
+        labels = core.labels
+        if not isinstance(labels, np.ndarray):
+            labels = label_rows(labels, len(t.names))
+    if labels is None or core.n_cells > _I32_MAX:
         from ..io import invariant_to_json
 
         payload = invariant_to_json(t).encode("utf-8")
@@ -155,56 +144,49 @@ def encode_record(
             header["inst"] = inst_spec
         return _frame(_INV_MAGIC, header, [payload, *inst_blocks])
 
-    pos = {c: i for i, c in enumerate(order)}
-    names = list(t.names)
+    # Record ordinals number vertices, then edges, then faces, each in
+    # sorted-id order: a stable sort of the cells by dimension.
+    order = np.argsort(core.dims, kind="stable")
+    pos = np.empty(len(order), dtype="<i4")
+    pos[order] = np.arange(len(order), dtype="<i4")
+    nv, ne, nf = core.counts()
 
-    # Endpoint rows: (v1, v2) for a two-endpoint edge, (v, -1) for a
-    # loop at one vertex, (-2, -2) for an *empty* entry (a free loop:
-    # present in the mapping with no vertices), (-1, -1) for an edge
-    # with no entry at all.  canonical_form distinguishes the last two,
-    # so the codec must round-trip them faithfully.
-    endpoints = np.full((len(edges), 2), -1, dtype="<i4")
-    for k, e in enumerate(edges):
-        if e not in t.endpoints:
-            continue
-        vs = t.endpoints[e]
-        if not vs:
-            endpoints[k] = (-2, -2)
-            continue
-        for j, v in enumerate(vs[:2]):
-            endpoints[k, j] = pos[v]
-
-    incidence = np.array(
-        sorted((pos[a], pos[b]) for a, b in t.incidences), dtype="<i4"
-    ).reshape(len(t.incidences), 2)
-
-    orientation = np.array(
-        sorted(
-            (_SENSE_CODES[s], pos[v], pos[e1], pos[e2])
-            for (s, v, e1, e2) in t.orientation
-        ),
-        dtype="<i4",
-    ).reshape(len(t.orientation), 4)
+    # Endpoint rows keep their -1 (no entry) and -2 (empty entry)
+    # markers; canonical_form distinguishes the two.
+    endpoints = core.endpoints
+    endpoints = np.where(endpoints >= 0, pos[np.maximum(endpoints, 0)], endpoints)
+    incidence = pos[core.incidence]
+    incidence = incidence[np.lexsort((incidence[:, 1], incidence[:, 0]))]
+    orientation = np.column_stack(
+        (core.orientation[:, 0], pos[core.orientation[:, 1:]])
+    ).astype("<i4")
+    orientation = orientation[np.lexsort(orientation.T[::-1])]
 
     header = {
         "v": 1,
         "k": "soa",
-        "names": names,
-        "nv": len(verts),
-        "ne": len(edges),
-        "nf": len(faces),
-        "ext": len(verts) + len(edges) + faces.index(t.exterior_face),
-        "ninc": len(t.incidences),
-        "nori": len(t.orientation),
+        "names": list(t.names),
+        "nv": nv,
+        "ne": ne,
+        "nf": nf,
+        "ext": int(pos[core.exterior]),
+        "ninc": len(incidence),
+        "nori": len(orientation),
     }
     if canonical_hash is not None:
         header["ch"] = canonical_hash
     if inst_spec is not None:
         header["inst"] = inst_spec
     ints = b"".join(
-        (endpoints.tobytes(), incidence.tobytes(), orientation.tobytes())
+        (
+            endpoints.astype("<i4").tobytes(),
+            incidence.tobytes(),
+            orientation.tobytes(),
+        )
     )
-    return _frame(_INV_MAGIC, header, [ints, labels.tobytes(), *inst_blocks])
+    return _frame(
+        _INV_MAGIC, header, [ints, labels[order].tobytes(), *inst_blocks]
+    )
 
 
 class StoredRecord:
@@ -284,50 +266,33 @@ class StoredRecord:
         labels, off = _take(
             self._view, off, "u1", n * len(h["names"]), (n, len(h["names"]))
         )
-        # Fresh dense ids, ordinal = position in sorted-id order (the
-        # encoder's convention), so index round trips are exact.
-        verts = sorted(f"v{i}" for i in range(nv))
-        edges = sorted(f"e{i}" for i in range(ne))
-        faces = sorted(f"f{i}" for i in range(nf))
-        ids = verts + edges + faces
         if not 0 <= h["ext"] - nv - ne < nf:
             raise StoreError("exterior-face ordinal out of range")
-        try:
-            label_map = dict(zip(ids, label_tuples(labels)))
-        except IndexError as exc:
-            raise StoreError("label code out of range") from exc
-        ep_map: dict[str, tuple[str, ...]] = {}
-        for k, (a, b) in enumerate(endpoints.tolist()):
-            if a == -1:
-                continue
-            if a == -2:
-                ep_map[edges[k]] = ()  # free loop: present, no vertices
-                continue
-            if a < 0 or a >= len(ids) or b >= len(ids):
-                raise StoreError("endpoint ordinal out of range")
-            vs = (ids[a],) if b < 0 else tuple(sorted((ids[a], ids[b])))
-            ep_map[edges[k]] = vs
-        try:
-            inc = frozenset(
-                (ids[a], ids[b]) for a, b in incidence.tolist()
-            )
-            ori = frozenset(
-                (_SENSE_CHARS[s], ids[v], ids[e1], ids[e2])
-                for s, v, e1, e2 in orientation.tolist()
-            )
-        except IndexError as exc:
-            raise StoreError("cell ordinal out of range") from exc
-        return TopologicalInvariant(
-            names=tuple(h["names"]),
-            vertices=frozenset(verts),
-            edges=frozenset(edges),
-            faces=frozenset(faces),
-            exterior_face=ids[h["ext"]],
-            labels=label_map,
-            endpoints=ep_map,
-            incidences=inc,
-            orientation=ori,
+        if (labels >= len(LABEL_CHARS)).any():
+            raise StoreError("label code out of range")
+        cells = np.concatenate((incidence.ravel(), orientation[:, 1:].ravel()))
+        if ((cells < 0) | (cells >= n)).any():
+            raise StoreError("cell ordinal out of range")
+        if ((orientation[:, 0] < 0) | (orientation[:, 0] > 1)).any():
+            raise StoreError("orientation sense out of range")
+        # Each endpoint row is (v1, v2), (v, -1), (-2, -2) or (-1, -1).
+        a, b = endpoints.T
+        listed = (0 <= a) & (a < n) & (-1 <= b) & (b < n)
+        if not (listed | ((a == b) & ((a == -1) | (a == -2)))).all():
+            raise StoreError("endpoint ordinal out of range")
+        # The core numbers cells in sorted-id order of the dense ids
+        # v0…, e0…, f0…: edges, faces, then vertices, so record ordinal
+        # r is cell (r - nv) mod n.
+        core = CellArrays(
+            tuple(h["names"]),
+            np.repeat(np.array([1, 2, 0], dtype=np.int8), (ne, nf, nv)),
+            np.concatenate((labels[nv:], labels[:nv])),
+            (incidence - nv) % n,
+            np.where(endpoints >= 0, (endpoints - nv) % n, endpoints),
+            np.column_stack((orientation[:, :1], (orientation[:, 1:] - nv) % n)),
+            (h["ext"] - nv) % n,
         )
+        return TopologicalInvariant.of_arrays(core)
 
     def instance(self) -> SpatialInstance | None:
         try:

@@ -121,9 +121,9 @@ class TestAutomorphismSearch:
         # 1,250 cells: one stack frame per cell used to raise
         # RecursionError; the identity must be found.
         from repro.datasets import grid_instance
-        from repro.invariant.canonical import _Flat, _has_automorphism
+        from repro.invariant.canonical import _Search
 
-        flat = _Flat(invariant(grid_instance(7)))
-        colors = flat.refine({})
-        assert flat.n == 1250
-        assert _has_automorphism(flat, colors, colors)
+        search = _Search(invariant(grid_instance(7)).core)
+        colors = search.refine({}).tolist()
+        assert search.n == 1250
+        assert search.automorphic(colors, colors)

@@ -1,10 +1,12 @@
-"""The canonical hash's text writer and the label keys of canonization.
+"""The canonical hash's text writer and the label ranks of canonization.
 
 ``canonical_hash`` is defined as ``sha256(repr(canonical_form(t)))``;
-it writes that text by joins, in pieces, and ``_Flat`` ranks each label
-as one string.  Both must agree with the definitions exactly: the
-streamed text with ``repr`` byte for byte, the string ranks with the
-tuple ranks.  The corpus is the pinned one's core (every figure, the
+it writes that text from the invariant's integer core, in pieces, and
+the base colours rank each label by its location codes (or, for
+non-standard labels, as one string).  Both must agree with the
+definitions exactly: the streamed text with ``repr`` byte for byte, the
+base ranks with the ranks of the base tuples read off the relations.
+The corpus is the pinned one's core (every figure, the
 distinct instances of ``mixed_corpus(120)``, grids k = 2..10, which
 cross the writer's piece boundary) plus hand-built invariants whose
 labels the join path must leave to ``repr``: multi-character, empty and
@@ -24,9 +26,10 @@ from repro import Rect, SpatialInstance, invariant
 from repro.datasets import all_figures, grid_instance, mixed_corpus
 from repro.invariant import TopologicalInvariant
 from repro.invariant.canonical import (
-    _Flat,
-    _form_text,
-    _rank,
+    _base_keys,
+    _canonical_leaf,
+    _Leaves,
+    _partition,
     canonical_form,
     canonical_hash,
     instance_key,
@@ -97,13 +100,33 @@ def hand_built() -> dict[str, TopologicalInvariant]:
 def _check_text(t: TopologicalInvariant) -> None:
     form = canonical_form(t)
     text = repr(form).encode()
-    assert b"".join(_form_text(form)) == text
+    assert b"".join(_Leaves(t.core).text(_canonical_leaf(t)[0])) == text
     assert canonical_hash(t) == hashlib.sha256(text).hexdigest()
 
 
+def rank(keys: list) -> list[int]:
+    """Each key's rank in the sorted distinct-key order."""
+    table = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [table[k] for k in keys]
+
+
+def base_tuples(t: TopologicalInvariant) -> list[tuple]:
+    """``(dim, label, exterior, endpoint count)`` of every cell, in
+    sorted-id order, read off the relations."""
+    return [
+        (
+            t.dim(c),
+            t.labels[c],
+            c == t.exterior_face,
+            len(t.endpoints.get(c, ())) if c in t.edges else -1,
+        )
+        for c in sorted(t.all_cells())
+    ]
+
+
 def _check_ranks(t: TopologicalInvariant) -> None:
-    flat = _Flat(t)
-    assert flat.base_ranks == _rank(flat.base)
+    labels, _groups = _partition(_base_keys(t.core))
+    assert rank(labels) == rank(base_tuples(t))
 
 
 @pytest.mark.parametrize("key", sorted(corpus()))

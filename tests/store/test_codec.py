@@ -23,12 +23,14 @@ from repro.store import decode_record, encode_record
 from repro.store.codec import (
     _I32_MAX,
     _INV_MAGIC,
-    _SENSE_CODES,
     _frame,
     _instance_block,
     _pad8,
     _unframe,
 )
+
+# The record format's orientation sense codes.
+_SENSE_CODES = {"cw": 0, "ccw": 1}
 
 
 class TestInvariantRoundTrip:
@@ -216,6 +218,56 @@ class TestLabelDecode:
         t = _two_squares()
         back = decode_record(encode_record(t)).invariant()
         assert sorted(back.labels.values()) == sorted(t.labels.values())
+
+
+class TestOrdinalRanges:
+    """Every cell ordinal of a decoded record lies in ``[0, n)`` and
+    every endpoint row is ``(v1, v2)``, ``(v, -1)``, ``(-2, -2)`` or
+    ``(-1, -1)``; a negative ordinal must not index from the end."""
+
+    def _patched(self, block: str, row: int, col: int, value: int) -> bytes:
+        buf = bytearray(encode_record(_two_squares()))
+        header, _view, off = _unframe(bytes(buf), _INV_MAGIC)
+        ints = np.frombuffer(buf, dtype="<i4", offset=off, count=(
+            2 * header["ne"] + 2 * header["ninc"] + 4 * header["nori"]
+        ))
+        start, width = {
+            "endpoints": (0, 2),
+            "incidence": (2 * header["ne"], 2),
+            "orientation": (2 * header["ne"] + 2 * header["ninc"], 4),
+        }[block]
+        patched = ints.copy()
+        patched[start + row * width + col] = value
+        buf[off : off + patched.nbytes] = patched.tobytes()
+        return bytes(buf)
+
+    @pytest.mark.parametrize(
+        "block, col, value",
+        [
+            ("incidence", 0, -1),
+            ("orientation", 1, -2),  # a vertex
+            ("endpoints", 1, -7),  # the second endpoint
+            ("incidence", 1, 10**6),
+        ],
+        ids=["incidence_-1", "orientation_vertex_-2", "endpoint_-7", "ordinal_1e6"],
+    )
+    def test_out_of_range_ordinal_is_structural(self, block, col, value):
+        with pytest.raises(StoreError):
+            decode_record(self._patched(block, 0, col, value)).invariant()
+
+    def test_half_marked_endpoint_rows_are_structural(self):
+        for row in ((-1, 3), (-2, -1), (3, -2)):
+            buf = self._patched("endpoints", 0, 0, row[0])
+            header, _view, off = _unframe(buf, _INV_MAGIC)
+            buf = bytearray(buf)
+            buf[off + 4 : off + 8] = np.int32(row[1]).tobytes()
+            with pytest.raises(StoreError):
+                decode_record(bytes(buf)).invariant()
+
+    def test_unpatched_record_decodes(self):
+        t = _two_squares()
+        back = decode_record(self._patched("incidence", 0, 0, 0)).invariant()
+        assert back.counts() == t.counts()
 
 
 class TestMalformedBuffers:
