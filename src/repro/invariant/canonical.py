@@ -78,23 +78,23 @@ def _canonical_cycle(vertices: Sequence) -> tuple:
     Rotations are compared on the integer images of the points over a
     common denominator, which order as the points do, and only those
     that start at an occurrence of the least point."""
-    n = len(vertices)
-    if n == 0:
+    if not vertices:
         return ()
-    scale = lcm(*(c.denominator for p in vertices for c in (p.x, p.y)))
-    points = [
-        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+    parts = [
+        (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
         for p in vertices
     ]
+    scale = lcm(*{d for _xn, xd, _yn, yd in parts for d in (xd, yd)})
+    points = [(xn * (scale // xd), yn * (scale // yd)) for xn, xd, yn, yd in parts]
     least = min(points)
     best = None
-    for seq, verts in ((points, vertices), (points[::-1], vertices[::-1])):
+    for seq, cycle in ((points, parts), (points[::-1], parts[::-1])):
         for i, point in enumerate(seq):
             if point == least:
                 rot = seq[i:] + seq[:i]
                 if best is None or rot < best:
-                    best, rotated = rot, verts[i:] + verts[:i]
-    return tuple((_frac(p.x), _frac(p.y)) for p in rotated)
+                    best, rotated = rot, cycle[i:] + cycle[:i]
+    return tuple((f"{xn}/{xd}", f"{yn}/{yd}") for xn, xd, yn, yd in rotated)
 
 
 def _region_key(region) -> tuple:

@@ -274,7 +274,6 @@ class TopologicalInvariant:
 
 _SENSE_CODES = {CW: SENSE_CW, CCW: SENSE_CCW}
 
-
 _VIEWS = {
     "vertices": lambda core: core.cells_of_dim(0),
     "edges": lambda core: core.cells_of_dim(1),
@@ -307,14 +306,13 @@ def _core_of_relations(t: TopologicalInvariant) -> CellArrays:
             else None
         )
         incidence = np.array(
-            sorted((index[a], index[b]) for a, b in t.incidences),
-            dtype=np.int32,
+            [(index[a], index[b]) for a, b in t.incidences], dtype=np.int32
         ).reshape(len(t.incidences), 2)
         orientation = np.array(
-            sorted(
+            [
                 (_SENSE_CODES[s], index[v], index[e1], index[e2])
                 for s, v, e1, e2 in t.orientation
-            ),
+            ],
             dtype=np.int32,
         ).reshape(len(t.orientation), 4)
         if not set(t.endpoints) <= t.edges:
@@ -322,14 +320,12 @@ def _core_of_relations(t: TopologicalInvariant) -> CellArrays:
         edges = [ids[i] for i in np.flatnonzero(dims == 1).tolist()]
         endpoints = np.full((len(edges), 2), -1, dtype=np.int32)
         for k, e in enumerate(edges):
-            if e not in t.endpoints:
+            vs = t.endpoints.get(e)
+            if vs is None:
                 continue
-            vs = t.endpoints[e]
             if len(vs) > 2:
                 raise InvariantError(f"edge {e!r} has more than two endpoints")
-            endpoints[k] = [index[v] for v in vs] + [-1] * (2 - len(vs))
-            if not vs:
-                endpoints[k] = -2
+            endpoints[k] = [index[v] for v in vs] + [-1] * (2 - len(vs)) if vs else -2
         exterior = index[t.exterior_face]
     except KeyError as exc:
         raise InvariantError(f"relation names an unknown cell or sense: {exc}") from exc
