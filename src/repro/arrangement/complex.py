@@ -100,9 +100,7 @@ class CellComplex:
     def __init__(self, arrays: ComplexArrays):
         self.arrays = arrays
         self._cells: dict[str, Cell] | None = None
-        self._incidences: frozenset[tuple[str, str]] | None = None
-        self._orientation: frozenset[tuple[str, str, str, str]] | None = None
-        self._endpoints: dict[str, tuple[str, ...]] | None = None
+        self._relation_views: dict | None = None
         self._vertex_points: dict[str, Point] | None = None
         self._edge_polylines: dict[str, list[Point]] | None = None
         self._face_samples: dict[str, Point] | None = None
@@ -155,21 +153,20 @@ class CellComplex:
 
     @property
     def incidences(self) -> frozenset[tuple[str, str]]:
-        if self._incidences is None:
-            self._incidences = self.arrays.cell_arrays().incidence_pairs()
-        return self._incidences
+        return self._relations()["incidences"]
 
     @property
     def orientation(self) -> frozenset[tuple[str, str, str, str]]:
-        if self._orientation is None:
-            self._orientation = self.arrays.cell_arrays().orientation_tuples()
-        return self._orientation
+        return self._relations()["orientation"]
 
     @property
     def endpoints(self) -> dict[str, tuple[str, ...]]:
-        if self._endpoints is None:
-            self._endpoints = self.arrays.cell_arrays().endpoint_map()
-        return self._endpoints
+        return self._relations()["endpoints"]
+
+    def _relations(self) -> dict:
+        if self._relation_views is None:
+            self._relation_views = self.arrays.cell_arrays().relations()
+        return self._relation_views
 
     @property
     def vertex_points(self) -> dict[str, Point]:

@@ -220,38 +220,40 @@ class CellArrays:
             self._cell_ids = dense_ids(*self.counts())
         return self._cell_ids
 
-    # -- string-id views -------------------------------------------------------
-
-    def cells_of_dim(self, dim: int) -> frozenset[str]:
+    def relations(self) -> dict:
+        """The string-id relations of ``T_I``, by field name: the cell
+        sets, the exterior face, labels, endpoints (a free loop listed
+        with none), incidences and orientation."""
         ids = self.cell_ids
-        return frozenset(ids[i] for i in np.flatnonzero(self.dims == dim).tolist())
-
-    def label_map(self) -> dict[str, Label]:
+        by_dim: tuple[list[str], list[str], list[str]] = ([], [], [])
+        for cell, dim in zip(ids, self.dims.tolist()):
+            by_dim[dim].append(cell)
         labels = self.labels
         if isinstance(labels, np.ndarray):
             labels = label_tuples(labels)
-        return dict(zip(self.cell_ids, labels))
-
-    def endpoint_map(self) -> dict[str, tuple[str, ...]]:
-        """Each listed edge's endpoint ids; a free loop lists none."""
-        ids = self.cell_ids
-        edges = np.flatnonzero(self.dims == 1).tolist()
+        endpoints = {}
+        for edge, (a, b) in zip(by_dim[1], self.endpoints.tolist()):
+            if a != -1:
+                endpoints[edge] = (
+                    () if a == -2 else (ids[a],) if b == -1 else (ids[a], ids[b])
+                )
         return {
-            ids[e]: tuple(ids[v] for v in row if v >= 0)
-            for e, row in zip(edges, self.endpoints.tolist())
-            if row[0] != -1
+            "vertices": frozenset(by_dim[0]),
+            "edges": frozenset(by_dim[1]),
+            "faces": frozenset(by_dim[2]),
+            "exterior_face": ids[self.exterior],
+            "labels": dict(zip(ids, labels)),
+            "endpoints": endpoints,
+            "incidences": frozenset(
+                [(ids[a], ids[b]) for a, b in self.incidence.tolist()]
+            ),
+            "orientation": frozenset(
+                [
+                    (SENSES[s], ids[v], ids[e1], ids[e2])
+                    for s, v, e1, e2 in self.orientation.tolist()
+                ]
+            ),
         }
-
-    def incidence_pairs(self) -> frozenset[tuple[str, str]]:
-        ids = self.cell_ids
-        return frozenset((ids[a], ids[b]) for a, b in self.incidence.tolist())
-
-    def orientation_tuples(self) -> frozenset[tuple[str, str, str, str]]:
-        ids = self.cell_ids
-        return frozenset(
-            (SENSES[s], ids[v], ids[e1], ids[e2])
-            for s, v, e1, e2 in self.orientation.tolist()
-        )
 
 
 class ComplexArrays:

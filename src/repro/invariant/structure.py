@@ -87,18 +87,17 @@ class TopologicalInvariant:
         return t
 
     def __getattr__(self, name: str):
-        # Reached only for attributes not set yet: the relation views of
-        # an invariant built from arrays, and the core of one built from
-        # relations.  Each is made once and kept.
+        # Reached only for attributes not set yet: the relations of an
+        # invariant built from arrays, all made on the first read of one,
+        # and the core of one built from relations.  Each is kept.
         state = self.__dict__
-        if name in _VIEWS and "core" in state:
-            value = _VIEWS[name](state["core"])
-        elif name == "core" and "vertices" in state:
-            value = _core_of_relations(self)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+        if name in _RELATIONS and "core" in state:
+            state.update(state["core"].relations())
+            return state[name]
+        if name == "core" and "vertices" in state:
+            state["core"] = _core_of_relations(self)
+            return state["core"]
+        raise AttributeError(name)
 
     def __reduce__(self):
         # Pickled (across the process pool, say) as its core alone.
@@ -274,16 +273,10 @@ class TopologicalInvariant:
 
 _SENSE_CODES = {CW: SENSE_CW, CCW: SENSE_CCW}
 
-_VIEWS = {
-    "vertices": lambda core: core.cells_of_dim(0),
-    "edges": lambda core: core.cells_of_dim(1),
-    "faces": lambda core: core.cells_of_dim(2),
-    "exterior_face": lambda core: core.cell_ids[core.exterior],
-    "labels": CellArrays.label_map,
-    "endpoints": CellArrays.endpoint_map,
-    "incidences": CellArrays.incidence_pairs,
-    "orientation": CellArrays.orientation_tuples,
-}
+_RELATIONS = frozenset(
+    ("vertices", "edges", "faces", "exterior_face", "labels", "endpoints",
+     "incidences", "orientation")
+)
 
 
 def _core_of_relations(t: TopologicalInvariant) -> CellArrays:

@@ -48,6 +48,8 @@ __all__ = [
 
 _INV_MAGIC = b"RTI1"
 _I32_MAX = (1 << 31) - 1
+# Dimensions of the dense ids' blocks in sorted-id order: e…, f…, v….
+_DIMS_IN_ID_ORDER = np.array([1, 2, 0], dtype=np.int8)
 
 
 def _pad8(n: int) -> int:
@@ -252,44 +254,46 @@ class StoredRecord:
             )
         if h["k"] != "soa":
             raise StoreError(f"unknown invariant record kind {h['k']!r}")
-        nv, ne, nf = h["nv"], h["ne"], h["nf"]
+        nv, ne, nf, ninc, nori = h["nv"], h["ne"], h["nf"], h["ninc"], h["nori"]
         n = nv + ne + nf
-        off = self._offset
-        endpoints, off = _take(self._view, off, "<i4", 2 * ne, (ne, 2))
-        incidence, off = _take(
-            self._view, off, "<i4", 2 * h["ninc"], (h["ninc"], 2)
-        )
-        orientation, off = _take(
-            self._view, off, "<i4", 4 * h["nori"], (h["nori"], 4)
-        )
+        size = 2 * ne + 2 * ninc + 4 * nori
+        ints, off = _take(self._view, self._offset, "<i4", size, (size,))
         off += _pad8(off - self._offset)
         labels, off = _take(
             self._view, off, "u1", n * len(h["names"]), (n, len(h["names"]))
         )
         if not 0 <= h["ext"] - nv - ne < nf:
             raise StoreError("exterior-face ordinal out of range")
-        if (labels >= len(LABEL_CHARS)).any():
+        if labels.size and labels.max() >= len(LABEL_CHARS):
             raise StoreError("label code out of range")
-        cells = np.concatenate((incidence.ravel(), orientation[:, 1:].ravel()))
-        if ((cells < 0) | (cells >= n)).any():
-            raise StoreError("cell ordinal out of range")
-        if ((orientation[:, 0] < 0) | (orientation[:, 0] > 1)).any():
-            raise StoreError("orientation sense out of range")
-        # Each endpoint row is (v1, v2), (v, -1), (-2, -2) or (-1, -1).
+        endpoints = ints[: 2 * ne].reshape(ne, 2)
+        incidence = ints[2 * ne : 2 * ne + 2 * ninc]
+        orientation = ints[2 * ne + 2 * ninc :].reshape(nori, 4)
+        # Ordinals lie in [0, n) and sense codes in {0, 1}; each endpoint
+        # row is (v1, v2), (v, -1), (-2, -2) or (-1, -1).
         a, b = endpoints.T
-        listed = (0 <= a) & (a < n) & (-1 <= b) & (b < n)
-        if not (listed | ((a == b) & ((a == -1) | (a == -2)))).all():
+        if size and (ints.min() < -2 or ints.max() >= n):
+            raise StoreError("cell ordinal out of range")
+        if (ninc and incidence.min() < 0) or (nori and orientation.min() < 0):
+            raise StoreError("cell ordinal out of range")
+        if nori and orientation[:, 0].max() > 1:
+            raise StoreError("orientation sense out of range")
+        if ((a < 0) & (a != b)).any() or ((a >= 0) & (b < -1)).any():
             raise StoreError("endpoint ordinal out of range")
         # The core numbers cells in sorted-id order of the dense ids
         # v0…, e0…, f0…: edges, faces, then vertices, so record ordinal
-        # r is cell (r - nv) mod n.
+        # r is cell (r - nv) mod n.  Negative endpoint markers and sense
+        # codes are no ordinals.
+        cells = np.where(ints >= 0, (ints - nv) % n, ints)
+        oriented = cells[2 * ne + 2 * ninc :].reshape(nori, 4)
+        oriented[:, 0] = orientation[:, 0]
         core = CellArrays(
             tuple(h["names"]),
-            np.repeat(np.array([1, 2, 0], dtype=np.int8), (ne, nf, nv)),
+            np.repeat(_DIMS_IN_ID_ORDER, (ne, nf, nv)),
             np.concatenate((labels[nv:], labels[:nv])),
-            (incidence - nv) % n,
-            np.where(endpoints >= 0, (endpoints - nv) % n, endpoints),
-            np.column_stack((orientation[:, :1], (orientation[:, 1:] - nv) % n)),
+            cells[2 * ne : 2 * ne + 2 * ninc].reshape(ninc, 2),
+            cells[: 2 * ne].reshape(ne, 2),
+            oriented,
             (h["ext"] - nv) % n,
         )
         return TopologicalInvariant.of_arrays(core)
