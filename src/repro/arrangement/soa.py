@@ -34,6 +34,7 @@ read it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,9 +111,11 @@ SENSE_CCW = 1
 SENSES = ("cw", "ccw")
 
 
+@lru_cache(maxsize=32)
 def dense_ids(nv: int, ne: int, nf: int) -> tuple[str, ...]:
     """The ids ``v0…``, ``e0…``, ``f0…`` of a complex with these counts,
-    in sorted order: edges, then faces, then vertices."""
+    in sorted order: edges, then faces, then vertices.  Kept for the
+    last few counts: a store serves many records of one shape."""
     return tuple(
         sorted(
             [f"v{i}" for i in range(nv)]

@@ -346,16 +346,6 @@ class _Search:
             return labels, groups
         return _refine(labels, groups, *self.neighbours)
 
-    def refine(self, seeds: dict[int, int]) -> np.ndarray:
-        """Stable colouring seeded by *seeds* (cell -> branch step), as
-        dense ranks in sorted key order, which keeps them
-        isomorphism-invariant: an automorphism respecting the seeds maps
-        each colour class to itself."""
-        labels, groups = self.partition(seeds)
-        if not groups:
-            return np.array(labels, dtype=np.int64)
-        return np.unique(labels, return_inverse=True)[1].reshape(self.n)
-
     @cached_property
     def relations(self) -> tuple:
         """Adjacency sets, incidence pairs, endpoints by edge, orientation

@@ -266,34 +266,35 @@ class StoredRecord:
             raise StoreError("exterior-face ordinal out of range")
         if labels.size and labels.max() >= len(LABEL_CHARS):
             raise StoreError("label code out of range")
-        endpoints = ints[: 2 * ne].reshape(ne, 2)
-        incidence = ints[2 * ne : 2 * ne + 2 * ninc]
-        orientation = ints[2 * ne + 2 * ninc :].reshape(nori, 4)
-        # Ordinals lie in [0, n) and sense codes in {0, 1}; each endpoint
-        # row is (v1, v2), (v, -1), (-2, -2) or (-1, -1).
-        a, b = endpoints.T
-        if size and (ints.min() < -2 or ints.max() >= n):
+        # Each endpoint row is (v1, v2), (v, -1), (-2, -2) or (-1, -1);
+        # every other entry is a cell ordinal in [0, n) or a sense code
+        # 0 or 1.
+        a, b = ints[: 2 * ne].reshape(ne, 2).T
+        rows = ints[2 * ne :]
+        if size and (ints.max() >= n or (len(rows) and rows.min() < 0)):
             raise StoreError("cell ordinal out of range")
-        if (ninc and incidence.min() < 0) or (nori and orientation.min() < 0):
-            raise StoreError("cell ordinal out of range")
-        if nori and orientation[:, 0].max() > 1:
-            raise StoreError("orientation sense out of range")
-        if ((a < 0) & (a != b)).any() or ((a >= 0) & (b < -1)).any():
+        if ne and np.where(a < 0, (a != b) | (a < -2), b < -1).any():
             raise StoreError("endpoint ordinal out of range")
+        if nori and rows[2 * ninc :: 4].max() > 1:
+            raise StoreError("orientation sense out of range")
         # The core numbers cells in sorted-id order of the dense ids
         # v0…, e0…, f0…: edges, faces, then vertices, so record ordinal
         # r is cell (r - nv) mod n.  Negative endpoint markers and sense
         # codes are no ordinals.
         cells = np.where(ints >= 0, (ints - nv) % n, ints)
-        oriented = cells[2 * ne + 2 * ninc :].reshape(nori, 4)
-        oriented[:, 0] = orientation[:, 0]
+        cells[2 * ne + 2 * ninc :: 4] = rows[2 * ninc :: 4]
+        # Two endpoints are listed in id order, which is ordinal order.
+        ends = cells[: 2 * ne].reshape(ne, 2)
+        if ne and ((b >= 0) & (a > b)).any():
+            pairs = b >= 0
+            ends[pairs] = np.sort(ends[pairs], axis=1)
         core = CellArrays(
             tuple(h["names"]),
             np.repeat(_DIMS_IN_ID_ORDER, (ne, nf, nv)),
             np.concatenate((labels[nv:], labels[:nv])),
             cells[2 * ne : 2 * ne + 2 * ninc].reshape(ninc, 2),
-            cells[: 2 * ne].reshape(ne, 2),
-            oriented,
+            ends,
+            cells[2 * ne + 2 * ninc :].reshape(nori, 4),
             (h["ext"] - nv) % n,
         )
         return TopologicalInvariant.of_arrays(core)

@@ -124,6 +124,6 @@ class TestAutomorphismSearch:
         from repro.invariant.canonical import _Search
 
         search = _Search(invariant(grid_instance(7)).core)
-        colors = search.refine({}).tolist()
+        colors, _shared = search.partition({})
         assert search.n == 1250
         assert search.automorphic(colors, colors)
