@@ -41,7 +41,15 @@ from .labeling import (
     compute_labels,
     compute_labels_reference,
 )
-from .soa import ComplexArrays, dense_ids, label_rows, label_tuples
+from .soa import (
+    SENSE_CCW,
+    SENSE_CW,
+    CellArrays,
+    ComplexArrays,
+    dense_ids,
+    label_rows,
+    label_tuples,
+)
 
 __all__ = [
     "Cell",
@@ -133,20 +141,21 @@ class CellComplex:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self.arrays.names
+        return self.arrays.core.names
 
     @property
     def exterior_face(self) -> str:
-        return self.arrays.cell_ids[self.arrays.exterior_face]
+        core = self.arrays.core
+        return core.cell_ids[core.exterior]
 
     @property
     def cells(self) -> dict[str, Cell]:
         if self._cells is None:
-            arr = self.arrays
+            core = self.arrays.core
             self._cells = {
                 cid: Cell(cid, dim, label)
                 for cid, dim, label in zip(
-                    arr.cell_ids, arr.dims.tolist(), label_tuples(arr.labels)
+                    core.cell_ids, core.dims.tolist(), label_tuples(core.labels)
                 )
             }
         return self._cells
@@ -165,7 +174,7 @@ class CellComplex:
 
     def _relations(self) -> dict:
         if self._relation_views is None:
-            self._relation_views = self.arrays.cell_arrays().relations()
+            self._relation_views = self.arrays.core.relations()
         return self._relation_views
 
     @property
@@ -386,7 +395,8 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
         cell_labels[vertex_gidx[i]] = labels.vertex_labels[v]
         vertex_points.append(sub.vertices[v])
 
-    endpoint_rows = np.full((ne, 2), -1, dtype=np.int32)
+    # Every edge is listed: a free loop as (-2, -2).
+    endpoint_rows = np.full((ne, 2), -2, dtype=np.int32)
     edge_polylines: list[list[Point]] = []
     chain_faces: dict[int, set[int]] = {}
     inc: set[tuple[int, int]] = set()
@@ -409,9 +419,11 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
             eps.append(int(vertex_gidx[vertex_local[head_v]]))
         elif keep[head_v] and head_v == tail_v:
             pass  # loop at a vertex: single endpoint entry
-        # Ascending global index equals the seed's sorted-id order.
-        for col, vg in enumerate(sorted(set(eps))):
-            endpoint_rows[k, col] = vg
+        # Ascending cell index equals the seed's sorted-id order.
+        vs = sorted(set(eps))
+        if vs:
+            endpoint_rows[k] = vs if len(vs) == 2 else (vs[0], -1)
+        for vg in vs:
             inc.add((vg, eg))
         pts = [sub.vertices[sub.dart_tail[d]] for d in path]
         pts.append(sub.vertices[sub.dart_head[path[-1]]])
@@ -439,7 +451,7 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
         for f in faces_at_v:
             inc.add((vg, int(face_gidx[face_local[f]])))
 
-    # -- orientation (CCW triples; the CW half is the mirror image) -------------
+    # -- orientation (CCW triples, then their CW mirrors) ------------------------
     ccw_set: set[tuple[int, int, int]] = set()
     for v in kept_vertices:
         ring = sub.out_darts[v]  # already CCW
@@ -455,11 +467,12 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
         if inc
         else np.empty((0, 2), dtype=np.int32)
     )
-    ccw = (
-        np.array(sorted(ccw_set), dtype=np.int32)
-        if ccw_set
-        else np.empty((0, 3), dtype=np.int32)
-    )
+    ccw = np.array(sorted(ccw_set), dtype=np.int32).reshape(len(ccw_set), 3)
+    orientation = np.empty((2 * len(ccw), 4), dtype=np.int32)
+    orientation[: len(ccw), 0] = SENSE_CCW
+    orientation[: len(ccw), 1:] = ccw
+    orientation[len(ccw) :, 0] = SENSE_CW
+    orientation[len(ccw) :, 1:] = ccw[:, [0, 2, 1]]
 
     vertex_xy: np.ndarray | None = np.empty((nv, 2), dtype=np.float64)
     try:
@@ -469,15 +482,20 @@ def _reduce(sub: Subdivision, labels: LabelMap) -> CellComplex:
     except OverflowError:
         vertex_xy = None
 
+    core = CellArrays(
+        labels.names,
+        dims,
+        codes,
+        incidence,
+        # Rows in cell order.
+        endpoint_rows[np.argsort(edge_gidx)],
+        orientation,
+        int(face_gidx[0]),
+        cell_ids,
+        dense=True,
+    )
     arrays = ComplexArrays(
-        names=labels.names,
-        cell_ids=cell_ids,
-        dims=dims,
-        labels=codes,
-        incidence=incidence,
-        ccw=ccw,
-        edge_endpoints=endpoint_rows,
-        exterior_face=int(face_gidx[0]),
+        core=core,
         vertex_gidx=vertex_gidx,
         edge_gidx=edge_gidx,
         face_gidx=face_gidx,

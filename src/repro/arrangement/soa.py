@@ -4,37 +4,30 @@ The reduced complex of Section 3 is combinatorial data — dimensions,
 labels, incidences, rotation triples — that the seed stored as
 string-keyed dicts and frozensets of string tuples.  This module holds
 the same information as flat numpy arrays over a single global cell
-numbering, which is what the reduction and the benchmarks' memory
-accounting consume; the label codes are shared with the canonical form
-and the store's record codec:
+numbering:
 
-* cells are numbered ``0..n-1`` in sorted-id order (``"e0" < "e1" <
-  "e10" < … < "f0" < … < "v0" < …``), the numbering
-  :class:`repro.logic.compiled.CompiledCellModel` also gives the cells
-  of a ``T_I``;
-* labels are small uint8 codes (``o=0, b=1, e=2``) in a dense
-  ``(n_cells, n_names)`` matrix;
-* incidence and counterclockwise rotation are int32 index pairs/triples
-  (the clockwise half of the orientation relation is the mirror image
-  and is reconstructed by the view layer);
-* exact geometric witnesses (rational points) ride along as plain
-  lists aligned to the per-dimension local numbering, with a rounded
-  ``(nv, 2)`` float coordinate array for vectorized consumers.
+* :class:`CellArrays` is the combinatorial part, in the form the
+  abstract invariant ``T_I`` keeps it.  Cells are numbered ``0..n-1`` in
+  sorted-id order (``"e0" < "e1" < "e10" < … < "f0" < … < "v0" < …``),
+  the numbering :class:`repro.logic.compiled.CompiledCellModel` also
+  gives the cells; labels are small uint8 codes (``o=0, b=1, e=2``) in a
+  dense ``(n_cells, n_names)`` matrix; incidence, endpoints and
+  orientation (both senses) are int32 index rows.  The canonical hash,
+  the store's record codec and the invariant's string-id views all read
+  it; the label codes are shared with them.
+* :class:`ComplexArrays` is one reduced complex: its core, which its
+  ``T_I`` shares, and beside it the exact geometric witnesses (rational
+  points) as plain lists aligned to the per-dimension local numbering,
+  with a rounded ``(nv, 2)`` float coordinate array for vectorized
+  consumers.
 
-:class:`repro.arrangement.complex.CellComplex` wraps one of these as
-lazy dict/frozenset views, so existing callers are unchanged.
-
-:class:`CellArrays` is the combinatorial part alone, in the form the
-abstract invariant ``T_I`` keeps it: the same numbering, label codes and
-incidence rows (a complex's ``T_I`` shares those arrays), with the
-endpoint and orientation relations written out in full.  The canonical
-hash, the store's record codec and the invariant's string-id views all
-read it.
+:class:`repro.arrangement.complex.CellComplex` wraps a
+:class:`ComplexArrays` as lazy dict/frozenset views, so existing callers
+are unchanged.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,8 +93,10 @@ def label_tuples(codes: np.ndarray) -> list[Label]:
     through one ASCII string.  A code that is no location code raises
     ``IndexError``."""
     n, m = codes.shape
+    if m == 0:
+        return [()] * n
     text = LABEL_ASCII[codes].tobytes().decode("ascii")
-    return [tuple(text[i * m : (i + 1) * m]) for i in range(n)]
+    return list(zip(*[iter(text)] * m))  # consecutive runs of m characters
 
 
 # Orientation sense codes of CellArrays rows and of RTI1 records, and
@@ -111,11 +106,9 @@ SENSE_CCW = 1
 SENSES = ("cw", "ccw")
 
 
-@lru_cache(maxsize=32)
 def dense_ids(nv: int, ne: int, nf: int) -> tuple[str, ...]:
     """The ids ``v0…``, ``e0…``, ``f0…`` of a complex with these counts,
-    in sorted order: edges, then faces, then vertices.  Kept for the
-    last few counts: a store serves many records of one shape."""
+    in sorted order: edges, then faces, then vertices."""
     return tuple(
         sorted(
             [f"v{i}" for i in range(nv)]
@@ -125,18 +118,29 @@ def dense_ids(nv: int, ne: int, nf: int) -> tuple[str, ...]:
     )
 
 
+def dense_dims(nv: int, ne: int, nf: int) -> np.ndarray:
+    """The dimension of each cell :func:`dense_ids` numbers: its blocks
+    of edges, faces and vertices."""
+    return np.repeat(np.array([1, 2, 0], dtype=np.int8), (ne, nf, nv))
+
+
+def record_order(dims: np.ndarray) -> np.ndarray:
+    """The cells of a core in the order an ``RTI1`` record numbers them:
+    vertices, then edges, then faces, each in cell order (a stable sort
+    by dimension).  Entry *r* is the cell of record ordinal *r*."""
+    return np.argsort(dims, kind="stable")
+
+
 class CellArrays:
     """The combinatorial core of one ``T_I``.
-
-    Cells are numbered ``0..n-1`` in sorted-id order, as in
-    :class:`ComplexArrays`.
 
     Attributes
     ----------
     names:
-        Sorted region names.
+        Sorted region names; label columns align to this order.
     dims:
-        ``(n,)`` int8 cell dimensions.
+        ``(n,)`` int8 cell dimensions; cell *i* is the *i*-th cell id in
+        sorted order.
     labels:
         ``(n, len(names))`` uint8 location codes; or, when some label is
         not a standard tuple (see :func:`label_rows`), the list of the
@@ -155,9 +159,10 @@ class CellArrays:
         *e2* immediately follows a germ of *e1* in that sense.
     exterior:
         Index of the exterior face.
-    ids:
-        The cell ids, or ``None`` for the ids :func:`dense_ids` gives
-        the counts (those of a built complex or a decoded record).
+    dense:
+        Whether the cell ids are those :func:`dense_ids` gives the
+        counts (a built complex's or a decoded record's).  Such ids are
+        made on first read when not given, and a pickle leaves them out.
     """
 
     __slots__ = (
@@ -168,8 +173,8 @@ class CellArrays:
         "endpoints",
         "orientation",
         "exterior",
-        "ids",
-        "_cell_ids",
+        "dense",
+        "_ids",
     )
 
     def __init__(
@@ -182,6 +187,7 @@ class CellArrays:
         orientation: np.ndarray,
         exterior: int,
         ids: tuple[str, ...] | None = None,
+        dense: bool = False,
     ):
         self.names = names
         self.dims = dims
@@ -190,8 +196,8 @@ class CellArrays:
         self.endpoints = endpoints
         self.orientation = orientation
         self.exterior = exterior
-        self.ids = ids
-        self._cell_ids = ids
+        self.dense = dense or ids is None
+        self._ids = ids
 
     def __reduce__(self):
         return (
@@ -204,9 +210,26 @@ class CellArrays:
                 self.endpoints,
                 self.orientation,
                 self.exterior,
-                self.ids,
+                None if self.dense else self._ids,
             ),
         )
+
+    def __eq__(self, other: object) -> bool:
+        """The same arrays over the same cell ids (not isomorphism)."""
+        if not isinstance(other, CellArrays):
+            return NotImplemented
+        return (
+            self.names == other.names
+            and self.exterior == other.exterior
+            and np.array_equal(self.dims, other.dims)
+            and self.cell_ids == other.cell_ids
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.incidence, other.incidence)
+            and np.array_equal(self.endpoints, other.endpoints)
+            and np.array_equal(self.orientation, other.orientation)
+        )
+
+    __hash__ = None  # mutable arrays
 
     @property
     def n_cells(self) -> int:
@@ -219,18 +242,27 @@ class CellArrays:
 
     @property
     def cell_ids(self) -> tuple[str, ...]:
-        if self._cell_ids is None:
-            self._cell_ids = dense_ids(*self.counts())
-        return self._cell_ids
+        if self._ids is None:
+            self._ids = dense_ids(*self.counts())
+        return self._ids
+
+    def nbytes(self) -> int:
+        """Bytes held by the arrays (label values excluded)."""
+        arrays = (self.dims, self.incidence, self.endpoints, self.orientation)
+        total = sum(a.nbytes for a in arrays)
+        if isinstance(self.labels, np.ndarray):
+            total += self.labels.nbytes
+        return total
 
     def relations(self) -> dict:
         """The string-id relations of ``T_I``, by field name: the cell
         sets, the exterior face, labels, endpoints (a free loop listed
         with none), incidences and orientation."""
         ids = self.cell_ids
+        cell = ids.__getitem__
         by_dim: tuple[list[str], list[str], list[str]] = ([], [], [])
-        for cell, dim in zip(ids, self.dims.tolist()):
-            by_dim[dim].append(cell)
+        for cid, dim in zip(ids, self.dims.tolist()):
+            by_dim[dim].append(cid)
         labels = self.labels
         if isinstance(labels, np.ndarray):
             labels = label_tuples(labels)
@@ -240,6 +272,8 @@ class CellArrays:
                 endpoints[edge] = (
                     () if a == -2 else (ids[a],) if b == -1 else (ids[a], ids[b])
                 )
+        a, b = self.incidence.T.tolist()
+        s, v, e1, e2 = self.orientation.T.tolist()
         return {
             "vertices": frozenset(by_dim[0]),
             "edges": frozenset(by_dim[1]),
@@ -247,47 +281,31 @@ class CellArrays:
             "exterior_face": ids[self.exterior],
             "labels": dict(zip(ids, labels)),
             "endpoints": endpoints,
-            "incidences": frozenset(
-                [(ids[a], ids[b]) for a, b in self.incidence.tolist()]
-            ),
+            "incidences": frozenset(zip(map(cell, a), map(cell, b))),
             "orientation": frozenset(
-                [
-                    (SENSES[s], ids[v], ids[e1], ids[e2])
-                    for s, v, e1, e2 in self.orientation.tolist()
-                ]
+                zip(
+                    map(SENSES.__getitem__, s),
+                    map(cell, v),
+                    map(cell, e1),
+                    map(cell, e2),
+                )
             ),
         }
 
 
 class ComplexArrays:
-    """SoA core of one reduced cell complex.
+    """SoA storage of one reduced cell complex.
 
     Attributes
     ----------
-    names:
-        Sorted region names; label columns align to this order.
-    cell_ids:
-        All cell ids in sorted order — the global numbering.
-    dims:
-        ``(n,)`` int8 — cell dimension, aligned to ``cell_ids``.
-    labels:
-        ``(n, len(names))`` uint8 — location codes per cell and name.
-    incidence:
-        ``(M, 2)`` int32 — rows ``(a, b)``: cell *a* lies in the closure
-        of cell *b*, ``dim(a) < dim(b)``; rows sorted lexicographically.
-    ccw:
-        ``(K, 3)`` int32 — rows ``(v, e1, e2)``: around vertex *v* a
-        germ of *e2* immediately follows a germ of *e1* counterclockwise;
-        rows sorted.  The CW relation is the mirrored ``(v, e2, e1)``.
-    edge_endpoints:
-        ``(ne, 2)`` int32 — row *k* holds the endpoint vertex indices of
-        edge ``e{k}`` in ascending global order, ``-1``-padded at the
-        end (loops list their vertex once; free loops are all ``-1``).
-    exterior_face:
-        Global index of the unbounded face.
+    core:
+        The complex's :class:`CellArrays`, which its ``T_I`` shares:
+        incidence rows sorted, every edge listed in ``endpoints`` (a
+        free loop as ``(-2, -2)``), the counterclockwise orientation
+        rows sorted and followed by their clockwise mirrors.
     vertex_gidx / edge_gidx / face_gidx:
-        Local-ordinal → global-index maps: ``vertex_gidx[i]`` is the
-        global index of ``"v{i}"``, and likewise for edges and faces.
+        Local-ordinal → cell-index maps: ``vertex_gidx[i]`` is the index
+        of ``"v{i}"``, and likewise for edges and faces.
     vertex_xy:
         ``(nv, 2)`` float64 rounded vertex coordinates, or ``None`` when
         some exact coordinate overflows ``float``.
@@ -299,14 +317,7 @@ class ComplexArrays:
     """
 
     __slots__ = (
-        "names",
-        "cell_ids",
-        "dims",
-        "labels",
-        "incidence",
-        "ccw",
-        "edge_endpoints",
-        "exterior_face",
+        "core",
         "vertex_gidx",
         "edge_gidx",
         "face_gidx",
@@ -318,14 +329,7 @@ class ComplexArrays:
 
     def __init__(
         self,
-        names: tuple[str, ...],
-        cell_ids: tuple[str, ...],
-        dims: np.ndarray,
-        labels: np.ndarray,
-        incidence: np.ndarray,
-        ccw: np.ndarray,
-        edge_endpoints: np.ndarray,
-        exterior_face: int,
+        core: CellArrays,
         vertex_gidx: np.ndarray,
         edge_gidx: np.ndarray,
         face_gidx: np.ndarray,
@@ -334,14 +338,7 @@ class ComplexArrays:
         edge_polylines: list[list[Point]],
         face_samples: list[Point] | Callable[[], list[Point]],
     ):
-        self.names = names
-        self.cell_ids = cell_ids
-        self.dims = dims
-        self.labels = labels
-        self.incidence = incidence
-        self.ccw = ccw
-        self.edge_endpoints = edge_endpoints
-        self.exterior_face = exterior_face
+        self.core = core
         self.vertex_gidx = vertex_gidx
         self.edge_gidx = edge_gidx
         self.face_gidx = face_gidx
@@ -361,7 +358,7 @@ class ComplexArrays:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cell_ids)
+        return self.core.n_cells
 
     @property
     def n_vertices(self) -> int:
@@ -382,18 +379,8 @@ class ComplexArrays:
         baseline: the size of the structure that must be serialized to
         answer topological queries, not the exact rational geometry.
         """
-        total = sum(
-            getattr(self, name).nbytes
-            for name in (
-                "dims",
-                "labels",
-                "incidence",
-                "ccw",
-                "edge_endpoints",
-                "vertex_gidx",
-                "edge_gidx",
-                "face_gidx",
-            )
+        total = self.core.nbytes() + sum(
+            a.nbytes for a in (self.vertex_gidx, self.edge_gidx, self.face_gidx)
         )
         if self.vertex_xy is not None:
             total += self.vertex_xy.nbytes
@@ -405,14 +392,7 @@ class ComplexArrays:
         if not isinstance(other, ComplexArrays):
             return NotImplemented
         return (
-            self.names == other.names
-            and self.cell_ids == other.cell_ids
-            and self.exterior_face == other.exterior_face
-            and np.array_equal(self.dims, other.dims)
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.incidence, other.incidence)
-            and np.array_equal(self.ccw, other.ccw)
-            and np.array_equal(self.edge_endpoints, other.edge_endpoints)
+            self.core == other.core
             and self.vertex_points == other.vertex_points
             and self.edge_polylines == other.edge_polylines
             and self.face_samples == other.face_samples
@@ -420,35 +400,10 @@ class ComplexArrays:
 
     __hash__ = None  # mutable arrays; mirror the seed dataclass (eq, no hash)
 
-    def cell_arrays(self) -> CellArrays:
-        """The combinatorial core of this complex's ``T_I``.  It shares
-        ``dims``, ``labels`` and ``incidence``; endpoint rows are put in
-        cell order, with free loops marked listed-but-empty, and each
-        counterclockwise triple gains its clockwise mirror."""
-        endpoints = self.edge_endpoints[np.argsort(self.edge_gidx)]
-        endpoints[endpoints[:, 0] < 0] = -2
-        ccw = self.ccw
-        orientation = np.empty((2 * len(ccw), 4), dtype=np.int32)
-        orientation[: len(ccw), 0] = SENSE_CCW
-        orientation[: len(ccw), 1:] = ccw
-        orientation[len(ccw) :, 0] = SENSE_CW
-        orientation[len(ccw) :, 1:] = ccw[:, [0, 2, 1]]
-        core = CellArrays(
-            self.names,
-            self.dims,
-            self.labels,
-            self.incidence,
-            endpoints,
-            orientation,
-            self.exterior_face,
-        )
-        core._cell_ids = self.cell_ids
-        return core
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ComplexArrays(cells={self.n_cells}, "
             f"v/e/f={self.n_vertices}/{self.n_edges}/{self.n_faces}, "
-            f"inc={len(self.incidence)}, ccw={len(self.ccw)}, "
-            f"nbytes={self.nbytes()})"
+            f"inc={len(self.core.incidence)}, "
+            f"ori={len(self.core.orientation)}, nbytes={self.nbytes()})"
         )

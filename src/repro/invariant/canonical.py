@@ -41,13 +41,12 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from math import lcm
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..arrangement.soa import LABEL_ASCII, CellArrays, label_tuples
+from ..arrangement.soa import LABEL_ASCII, SENSES, CellArrays, label_tuples
 from ..errors import ReproError
 from ..regions import AlgRegion, Poly, Rect, RectUnion, SpatialInstance
 from ..tracing import span
@@ -75,26 +74,20 @@ def _canonical_cycle(vertices: Sequence) -> tuple:
     both traversal directions — the same polygon always yields the same
     tuple no matter where its vertex list starts or which way it winds.
 
-    Rotations are compared on the integer images of the points over a
-    common denominator, which order as the points do, and only those
-    that start at an occurrence of the least point."""
-    if not vertices:
+    A least rotation starts at an occurrence of the least point, so only
+    those rotations are compared."""
+    points = [(p.x, p.y) for p in vertices]
+    if not points:
         return ()
-    parts = [
-        (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
-        for p in vertices
-    ]
-    scale = lcm(*{d for _xn, xd, _yn, yd in parts for d in (xd, yd)})
-    points = [(xn * (scale // xd), yn * (scale // yd)) for xn, xd, yn, yd in parts]
     least = min(points)
     best = None
-    for seq, cycle in ((points, parts), (points[::-1], parts[::-1])):
+    for seq in (points, points[::-1]):
         for i, point in enumerate(seq):
             if point == least:
                 rot = seq[i:] + seq[:i]
                 if best is None or rot < best:
-                    best, rotated = rot, cycle[i:] + cycle[:i]
-    return tuple((f"{xn}/{xd}", f"{yn}/{yd}") for xn, xd, yn, yd in rotated)
+                    best = rot
+    return tuple((_frac(x), _frac(y)) for x, y in best)
 
 
 def _region_key(region) -> tuple:
@@ -464,9 +457,11 @@ def _canonize(core: CellArrays) -> tuple[np.ndarray, tuple | None]:
 # The form of a leaf: as a tuple, and as the text of its repr.
 # ---------------------------------------------------------------------------
 
-# Orientation rows sort by the sense's text: key 0 is "ccw", 1 "cw".
-_SENSE_TEXT = ("ccw", "cw")
-_SENSE_ROW_TEXT = ("('ccw', %d, %d, %d)", "('cw', %d, %d, %d)")
+# Orientation rows sort by the sense's text: the sort key of a sense
+# code is the rank of its text.
+_SENSE_TEXT = tuple(sorted(SENSES))
+_SENSE_KEY = np.array([_SENSE_TEXT.index(s) for s in SENSES], dtype=np.int64)
+_SENSE_ROW_TEXT = tuple(f"('{s}', %d, %d, %d)" for s in _SENSE_TEXT)
 _ENDPOINT_TEXT = ("(%d, ())", "(%d, (%d,))", "(%d, (%d, %d))")
 
 # Rows per piece of the streamed text (about 1 MB of cells for 196
@@ -489,8 +484,8 @@ class _Leaves:
         self.edge_rows = np.empty((len(ends), 3), dtype=np.int64)
         self.edge_rows[:, 0] = np.flatnonzero(core.dims == 1)[listed]
         self.edge_rows[:, 1:] = np.where(ends >= 0, ends, n)
-        self.sense = 1 - core.orientation[:, :1]
-        self.n_ccw = int(np.count_nonzero(self.sense == 0))
+        self.sense = _SENSE_KEY[core.orientation[:, :1]]
+        self.n_first = int(np.count_nonzero(self.sense == 0))
         self.to = np.full(n + 1, n, dtype=np.int64)
 
     def relabel(self, ranks: np.ndarray) -> tuple:
@@ -511,9 +506,10 @@ class _Leaves:
         ori = np.concatenate((self.sense, to[core.orientation[:, 1:]]), axis=1)
         if len(ori):
             ori = ori[np.lexsort(ori.T[::-1])]
-            # The mirror swaps the senses: its "ccw" run is the "cw" run
-            # above, and the other way round, both runs already sorted.
-            k = self.n_ccw
+            # The mirror swaps the senses: its run of the first sense key
+            # is the run of the second above, and the other way round,
+            # both runs already sorted.
+            k = self.n_first
             mirrored = np.concatenate((ori[k:], ori[:k]))
             mirrored[:, 0] = np.arange(len(ori)) >= len(ori) - k
             differ = np.flatnonzero((ori != mirrored).any(axis=1))

@@ -71,7 +71,7 @@ class TopologicalInvariant:
     @staticmethod
     def from_complex(cx) -> "TopologicalInvariant":
         """Extract the abstract invariant from a geometric cell complex."""
-        return TopologicalInvariant.of_arrays(cx.arrays.cell_arrays())
+        return TopologicalInvariant.of_arrays(cx.arrays.core)
 
     @staticmethod
     def of_arrays(core: CellArrays) -> "TopologicalInvariant":

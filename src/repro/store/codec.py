@@ -35,7 +35,14 @@ import struct
 
 import numpy as np
 
-from ..arrangement.soa import LABEL_CHARS, CellArrays, label_rows
+from ..arrangement.soa import (
+    LABEL_CHARS,
+    SENSES,
+    CellArrays,
+    dense_dims,
+    label_rows,
+    record_order,
+)
 from ..errors import InvariantError, StoreError
 from ..invariant.structure import TopologicalInvariant
 from ..regions import SpatialInstance
@@ -48,8 +55,7 @@ __all__ = [
 
 _INV_MAGIC = b"RTI1"
 _I32_MAX = (1 << 31) - 1
-# Dimensions of the dense ids' blocks in sorted-id order: e…, f…, v….
-_DIMS_IN_ID_ORDER = np.array([1, 2, 0], dtype=np.int8)
+_MARKERS = np.array([-2, -1], dtype=np.int32)
 
 
 def _pad8(n: int) -> int:
@@ -146,10 +152,8 @@ def encode_record(
             header["inst"] = inst_spec
         return _frame(_INV_MAGIC, header, [payload, *inst_blocks])
 
-    # Record ordinals number vertices, then edges, then faces, each in
-    # sorted-id order: a stable sort of the cells by dimension.
-    order = np.argsort(core.dims, kind="stable")
-    pos = np.empty(len(order), dtype="<i4")
+    order = record_order(core.dims)
+    pos = np.empty(len(order), dtype="<i4")  # record ordinal of each cell
     pos[order] = np.arange(len(order), dtype="<i4")
     nv, ne, nf = core.counts()
 
@@ -267,35 +271,38 @@ class StoredRecord:
         if labels.size and labels.max() >= len(LABEL_CHARS):
             raise StoreError("label code out of range")
         # Each endpoint row is (v1, v2), (v, -1), (-2, -2) or (-1, -1);
-        # every other entry is a cell ordinal in [0, n) or a sense code
-        # 0 or 1.
+        # every other entry is a cell ordinal in [0, n) or a sense code.
         a, b = ints[: 2 * ne].reshape(ne, 2).T
         rows = ints[2 * ne :]
+        senses = rows[2 * ninc :: 4]
         if size and (ints.max() >= n or (len(rows) and rows.min() < 0)):
             raise StoreError("cell ordinal out of range")
         if ne and np.where(a < 0, (a != b) | (a < -2), b < -1).any():
             raise StoreError("endpoint ordinal out of range")
-        if nori and rows[2 * ninc :: 4].max() > 1:
+        if nori and senses.max() >= len(SENSES):
             raise StoreError("orientation sense out of range")
-        # The core numbers cells in sorted-id order of the dense ids
-        # v0…, e0…, f0…: edges, faces, then vertices, so record ordinal
-        # r is cell (r - nv) mod n.  Negative endpoint markers and sense
-        # codes are no ordinals.
-        cells = np.where(ints >= 0, (ints - nv) % n, ints)
-        cells[2 * ne + 2 * ninc :: 4] = rows[2 * ninc :: 4]
+        dims = dense_dims(nv, ne, nf)
+        order = record_order(dims)
+        # Ordinals become cells.  The endpoint markers -2 and -1 index
+        # the two entries after the cells, which keep them; sense codes
+        # are put back.
+        cells = np.concatenate((order, _MARKERS), dtype=np.int32)[ints]
+        cells[2 * ne + 2 * ninc :: 4] = senses
         # Two endpoints are listed in id order, which is ordinal order.
         ends = cells[: 2 * ne].reshape(ne, 2)
         if ne and ((b >= 0) & (a > b)).any():
             pairs = b >= 0
             ends[pairs] = np.sort(ends[pairs], axis=1)
+        core_labels = np.empty_like(labels)
+        core_labels[order] = labels
         core = CellArrays(
             tuple(h["names"]),
-            np.repeat(_DIMS_IN_ID_ORDER, (ne, nf, nv)),
-            np.concatenate((labels[nv:], labels[:nv])),
+            dims,
+            core_labels,
             cells[2 * ne : 2 * ne + 2 * ninc].reshape(ninc, 2),
             ends,
             cells[2 * ne + 2 * ninc :].reshape(nori, 4),
-            (h["ext"] - nv) % n,
+            int(order[h["ext"]]),
         )
         return TopologicalInvariant.of_arrays(core)
 

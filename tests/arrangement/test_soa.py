@@ -4,7 +4,8 @@ The arrays are the source of truth and the ``CellComplex`` dict /
 frozenset views are derived from them, so the two representations must
 tell exactly the same story; the compiled evaluator's bitset
 construction, which reads the complex's ``T_I``, must come out as the
-arrays say.
+arrays say.  The complex's combinatorial arrays are its core, the
+``CellArrays`` its ``T_I`` shares.
 """
 
 import numpy as np
@@ -14,8 +15,14 @@ from repro.arrangement import build_complex
 from repro.arrangement.soa import (
     LABEL_CHARS,
     LABEL_CODES,
+    SENSE_CCW,
+    SENSE_CW,
+    SENSES,
+    dense_dims,
+    dense_ids,
     label_rows,
     label_tuples,
+    record_order,
 )
 from repro.datasets import all_figures, fig_1b, fig_7a
 from repro.geometry import Point
@@ -46,59 +53,75 @@ class TestArraysMatchViews:
         return build_complex(inst)
 
     def test_cell_ids_and_dims(self, cx):
-        arrays = cx.arrays
-        assert arrays.cell_ids == tuple(sorted(cx.cells))
-        for i, cid in enumerate(arrays.cell_ids):
-            assert arrays.dims[i] == cx.cells[cid].dim
-            assert cid[0] == "vef"[arrays.dims[i]]
+        core = cx.arrays.core
+        assert core.cell_ids == tuple(sorted(cx.cells))
+        assert core.dense
+        assert core.cell_ids == dense_ids(*cx.counts())
+        for i, cid in enumerate(core.cell_ids):
+            assert core.dims[i] == cx.cells[cid].dim
+            assert cid[0] == "vef"[core.dims[i]]
 
     def test_labels_round_trip(self, cx):
-        arrays = cx.arrays
-        for i, cid in enumerate(arrays.cell_ids):
+        core = cx.arrays.core
+        for i, cid in enumerate(core.cell_ids):
             want = cx.cells[cid].label
             got = tuple(
-                LABEL_CHARS[code] for code in arrays.labels[i].tolist()
+                LABEL_CHARS[code] for code in core.labels[i].tolist()
             )
             assert got == want
 
     def test_incidence_rows_are_the_view_pairs(self, cx):
-        arrays = cx.arrays
-        ids = arrays.cell_ids
+        core = cx.arrays.core
+        ids = core.cell_ids
         from_rows = {
-            (ids[a], ids[b]) for a, b in arrays.incidence.tolist()
+            (ids[a], ids[b]) for a, b in core.incidence.tolist()
         }
         assert from_rows == set(cx.incidences)
+        assert core.incidence.tolist() == sorted(core.incidence.tolist())
 
     def test_ccw_rows_mirror_to_orientation(self, cx):
-        arrays = cx.arrays
-        ids = arrays.cell_ids
-        rebuilt = set()
-        for v, e1, e2 in arrays.ccw.tolist():
-            rebuilt.add(("ccw", ids[v], ids[e1], ids[e2]))
-            rebuilt.add(("cw", ids[v], ids[e2], ids[e1]))
+        core = cx.arrays.core
+        ids = core.cell_ids
+        rows = core.orientation.tolist()
+        ccw = [(v, e1, e2) for s, v, e1, e2 in rows if s == SENSE_CCW]
+        cw = [(v, e1, e2) for s, v, e1, e2 in rows if s == SENSE_CW]
+        assert len(ccw) + len(cw) == len(rows)
+        # The counterclockwise rows come first, sorted; the clockwise
+        # rows are their mirrors, in the same order.
+        assert rows[: len(ccw)] == [[SENSE_CCW, *t] for t in ccw]
+        assert ccw == sorted(ccw)
+        assert cw == [(v, e2, e1) for v, e1, e2 in ccw]
+        rebuilt = {
+            (SENSES[s], ids[v], ids[e1], ids[e2]) for s, v, e1, e2 in rows
+        }
         assert rebuilt == set(cx.orientation)
 
     def test_edge_endpoints_match_view(self, cx):
-        arrays = cx.arrays
-        ids = arrays.cell_ids
-        for k, row in enumerate(arrays.edge_endpoints.tolist()):
-            want = cx.endpoints[f"e{k}"]
-            got = tuple(ids[v] for v in row if v >= 0)
-            assert got == want
+        core = cx.arrays.core
+        ids = core.cell_ids
+        edges = [ids[i] for i in np.flatnonzero(core.dims == 1).tolist()]
+        assert len(edges) == len(core.endpoints) == cx.arrays.n_edges
+        for edge, (a, b) in zip(edges, core.endpoints.tolist()):
+            want = cx.endpoints[edge]
+            if not want:  # a free loop is listed with no endpoints
+                assert (a, b) == (-2, -2)
+                continue
+            assert a >= 0 and b >= -1
+            assert tuple(ids[v] for v in (a, b) if v >= 0) == want
 
     def test_exterior_face(self, cx):
-        assert (
-            cx.arrays.cell_ids[cx.arrays.exterior_face] == cx.exterior_face
-        )
+        core = cx.arrays.core
+        assert core.cell_ids[core.exterior] == cx.exterior_face
 
     def test_gidx_maps(self, cx):
         arrays = cx.arrays
+        ids = arrays.core.cell_ids
         for i in range(arrays.n_vertices):
-            assert arrays.cell_ids[arrays.vertex_gidx[i]] == f"v{i}"
+            assert ids[arrays.vertex_gidx[i]] == f"v{i}"
         for k in range(arrays.n_edges):
-            assert arrays.cell_ids[arrays.edge_gidx[k]] == f"e{k}"
+            assert ids[arrays.edge_gidx[k]] == f"e{k}"
         for i in range(arrays.n_faces):
-            assert arrays.cell_ids[arrays.face_gidx[i]] == f"f{i}"
+            assert ids[arrays.face_gidx[i]] == f"f{i}"
 
     def test_vertex_xy_rounds_the_witnesses(self, cx):
         arrays = cx.arrays
@@ -109,20 +132,26 @@ class TestArraysMatchViews:
 
     def test_nbytes_counts_the_combinatorial_arrays(self, cx):
         arrays = cx.arrays
+        core = arrays.core
         floor = (
-            arrays.dims.nbytes
-            + arrays.labels.nbytes
-            + arrays.incidence.nbytes
-            + arrays.ccw.nbytes
+            core.dims.nbytes
+            + core.labels.nbytes
+            + core.incidence.nbytes
+            + core.endpoints.nbytes
+            + core.orientation.nbytes
         )
+        assert core.nbytes() == floor
         assert arrays.nbytes() >= floor > 0
+
+    def test_invariant_shares_the_core(self, cx):
+        assert TopologicalInvariant.from_complex(cx).core is cx.arrays.core
 
     def test_label_masks_match_dict_scan(self, cx):
         named = _model(cx).label_masks()
         assert tuple(named) == cx.names
         for pos, name in enumerate(cx.names):
             want = {"o": 0, "b": 0}
-            for i, cid in enumerate(cx.arrays.cell_ids):
+            for i, cid in enumerate(cx.arrays.core.cell_ids):
                 char = cx.cells[cid].label[pos]
                 if char in want:
                     want[char] |= 1 << i
@@ -170,6 +199,23 @@ def test_label_tuples_reject_unknown_codes():
         label_tuples(np.array([[0, 3]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("counts", [(0, 1, 2), (1, 1, 2), (4, 6, 4), (12, 21, 11)])
+def test_dense_dims_follow_dense_ids(counts):
+    ids = dense_ids(*counts)
+    assert ids == tuple(sorted(ids))
+    assert dense_dims(*counts).tolist() == ["vef".index(c[0]) for c in ids]
+
+
+def test_record_order_sorts_by_dimension_stably():
+    dims = dense_dims(12, 21, 11)
+    order = record_order(dims).tolist()
+    ids = dense_ids(12, 21, 11)
+    want = sorted(range(len(ids)), key=lambda i: ("vef".index(ids[i][0]), i))
+    assert order == want
+    # Each dimension's block keeps cell (= sorted-id) order.
+    assert [ids[i] for i in order][:12] == sorted(f"v{i}" for i in range(12))
+
+
 class TestEquality:
     def test_same_instance_builds_equal(self):
         assert build_complex(overlapping_pair()) == build_complex(
@@ -185,7 +231,8 @@ class TestEquality:
         tri = Poly((Point(0, 0), Point(4, 0), Point(0, 4)))
         a = build_complex(SpatialInstance({"A": tri}))
         b = build_complex(SpatialInstance({"B": tri}))
-        assert a.arrays != b.arrays or a.arrays.names != b.arrays.names
+        assert a.arrays != b.arrays
+        assert a.arrays.core != b.arrays.core
 
 
 class TestLabelCodes:
@@ -203,18 +250,19 @@ class TestCompiledModelPaths:
     def test_init_paths_agree(self, figure):
         cx = build_complex(all_figures()[figure])
         arrays = cx.arrays
+        core = arrays.core
         model = _model(cx)
-        dims = arrays.dims.tolist()
+        dims = core.dims.tolist()
         up: dict[int, list[int]] = {}
-        for a, b in arrays.incidence.tolist():
+        for a, b in core.incidence.tolist():
             up.setdefault(a, []).append(b)
         n = arrays.n_cells
-        assert model.cell_ids == arrays.cell_ids
+        assert model.cell_ids == core.cell_ids
         assert model.all_cells_mask == (1 << n) - 1
         assert model.face_indices == sorted(arrays.face_gidx.tolist())
-        assert model.ext_bit == 1 << arrays.exterior_face
+        assert model.ext_bit == 1 << core.exterior
         below: dict[int, int] = {}
-        for a, b in arrays.incidence.tolist():
+        for a, b in core.incidence.tolist():
             below[b] = below.get(b, 0) | 1 << a
         assert model.closure_of_face == {
             f: 1 << f | below.get(f, 0) for f in arrays.face_gidx.tolist()
@@ -237,7 +285,7 @@ class TestCompiledModelPaths:
                 adjacent[faces[1]].add(faces[0])
         assert {k: set(v) for k, v in model.face_adj.items()} == adjacent
         neighbours = [set() for _ in range(n)]
-        for a, b in arrays.incidence.tolist():
+        for a, b in core.incidence.tolist():
             neighbours[a].add(b)
             neighbours[b].add(a)
         assert [set(ns) for ns in model.cell_neighbors] == neighbours

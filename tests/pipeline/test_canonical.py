@@ -2,6 +2,9 @@
 ``TopologicalInvariant`` (regression: the dataclass-generated hash used
 to raise ``TypeError`` on the labels dict)."""
 
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 
 from repro import Point, Poly, Rect, SpatialInstance, invariant
@@ -17,6 +20,7 @@ from repro.datasets import (
     fig_7b_interleaved,
 )
 from repro.invariant import canonical_form, canonical_hash, instance_key
+from repro.invariant.canonical import _canonical_cycle, _frac
 
 
 def _relabeled(t):
@@ -49,6 +53,59 @@ class TestInstanceKey:
         a = SpatialInstance({"A": Rect(0, 0, 4, 4)})
         b = SpatialInstance({"B": Rect(0, 0, 4, 4)})
         assert instance_key(a) != instance_key(b)
+
+
+def _least_cycle_reference(points):
+    """Every rotation of both windings, the least kept."""
+    coords = [(p.x, p.y) for p in points]
+    rotations = [
+        seq[i:] + seq[:i] for seq in (coords, coords[::-1]) for i in range(len(seq))
+    ]
+    return tuple((_frac(x), _frac(y)) for x, y in min(rotations))
+
+
+def _distinct_denominator_cycle(n):
+    """*n* points whose coordinates all have distinct denominators of
+    about 30 bits; the least point is the first."""
+    return [
+        Point(i + Fraction(1, (1 << 30) + 2 * i + 1), Fraction(i % 7, (1 << 29) + 2 * i + 1))
+        for i in range(n)
+    ]
+
+
+class TestCanonicalCycle:
+    def test_matches_every_rotation_reference(self):
+        points = _distinct_denominator_cycle(60)
+        points = points[17:] + points[:17]
+        assert _canonical_cycle(points) == _least_cycle_reference(points)
+        assert _canonical_cycle(points[::-1]) == _least_cycle_reference(points)
+
+    def test_least_point_repeated(self):
+        """A cycle through its least point twice: both rotations that
+        start there, in both windings, are compared."""
+        p, a, b, c = (Point(0, 0), Point(3, 1), Point(1, 2), Point(2, 5))
+        for cycle in ([p, a, p, b, c], [p, b, c, p, a], [a, p, c, b, p]):
+            want = _least_cycle_reference(cycle)
+            assert _canonical_cycle(cycle) == want
+            assert _canonical_cycle(cycle[2:] + cycle[:2]) == want
+
+    def test_many_vertices_with_distinct_denominators(self):
+        """2,000 vertices whose 4,000 coordinates have distinct 30-bit
+        denominators.  The key keeps each point's own fractions and the
+        search holds a few lists of the points (under 1 MiB traced);
+        integer images over one common denominator take tens of
+        thousands of bits each, over 30 MiB for this cycle."""
+        points = _distinct_denominator_cycle(2000)
+        shifted = points[1234:] + points[:1234]
+        tracemalloc.start()
+        try:
+            got = _canonical_cycle(shifted[::-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == tuple((_frac(p.x), _frac(p.y)) for p in points)
+        assert _canonical_cycle(points) == got
+        assert peak < 8 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
 class TestCanonicalForm:
