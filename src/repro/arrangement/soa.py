@@ -118,10 +118,13 @@ def dense_ids(nv: int, ne: int, nf: int) -> tuple[str, ...]:
     )
 
 
+_DENSE_BLOCK_DIMS = np.array([1, 2, 0], dtype=np.int8)
+
+
 def dense_dims(nv: int, ne: int, nf: int) -> np.ndarray:
     """The dimension of each cell :func:`dense_ids` numbers: its blocks
     of edges, faces and vertices."""
-    return np.repeat(np.array([1, 2, 0], dtype=np.int8), (ne, nf, nv))
+    return _DENSE_BLOCK_DIMS.repeat((ne, nf, nv))
 
 
 def record_order(dims: np.ndarray) -> np.ndarray:

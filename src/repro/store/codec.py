@@ -270,29 +270,33 @@ class StoredRecord:
             raise StoreError("exterior-face ordinal out of range")
         if labels.size and labels.max() >= len(LABEL_CHARS):
             raise StoreError("label code out of range")
-        # Each endpoint row is (v1, v2), (v, -1), (-2, -2) or (-1, -1);
-        # every other entry is a cell ordinal in [0, n) or a sense code.
-        a, b = ints[: 2 * ne].reshape(ne, 2).T
-        rows = ints[2 * ne :]
-        senses = rows[2 * ninc :: 4]
-        if size and (ints.max() >= n or (len(rows) and rows.min() < 0)):
-            raise StoreError("cell ordinal out of range")
-        if ne and np.where(a < 0, (a != b) | (a < -2), b < -1).any():
-            raise StoreError("endpoint ordinal out of range")
-        if nori and senses.max() >= len(SENSES):
-            raise StoreError("orientation sense out of range")
         dims = dense_dims(nv, ne, nf)
         order = record_order(dims)
-        # Ordinals become cells.  The endpoint markers -2 and -1 index
-        # the two entries after the cells, which keep them; sense codes
-        # are put back.
-        cells = np.concatenate((order, _MARKERS), dtype=np.int32)[ints]
+        # Ordinals become cells through one table whose first two
+        # entries keep the endpoint markers -2 and -1.  Read unsigned,
+        # an entry below -2 indexes past the table as one from n on does.
+        try:
+            cells = np.concatenate((_MARKERS, order), dtype=np.int32)[
+                (ints + 2).view(np.uint32)
+            ]
+        except IndexError:
+            raise StoreError("cell ordinal out of range") from None
+        # Incidence and orientation hold cells and sense codes only.
+        senses = ints[2 * ne + 2 * ninc :: 4]
+        if len(cells) > 2 * ne and cells[2 * ne :].min() < 0:
+            raise StoreError("cell ordinal out of range")
+        if nori and senses.max() >= len(SENSES):
+            raise StoreError("orientation sense out of range")
         cells[2 * ne + 2 * ninc :: 4] = senses
-        # Two endpoints are listed in id order, which is ordinal order.
+        # Each endpoint row is (v1, v2), (v, -1), (-2, -2) or (-1, -1);
+        # two endpoints are listed in id order, which is cell order.
         ends = cells[: 2 * ne].reshape(ne, 2)
-        if ne and ((b >= 0) & (a > b)).any():
-            pairs = b >= 0
-            ends[pairs] = np.sort(ends[pairs], axis=1)
+        for row, (a, b) in enumerate(ends.tolist()):
+            if a < 0 or b == -2:
+                if a != b:
+                    raise StoreError("endpoint ordinal out of range")
+            elif a > b >= 0:
+                ends[row] = b, a
         core_labels = np.empty_like(labels)
         core_labels[order] = labels
         core = CellArrays(
