@@ -281,7 +281,8 @@ class StoredRecord:
             ]
         except IndexError:
             raise StoreError("cell ordinal out of range") from None
-        # Incidence and orientation hold cells and sense codes only.
+        # Incidence and orientation hold cells and sense codes only; a
+        # marker there comes out negative.
         senses = ints[2 * ne + 2 * ninc :: 4]
         if len(cells) > 2 * ne and cells[2 * ne :].min() < 0:
             raise StoreError("cell ordinal out of range")
